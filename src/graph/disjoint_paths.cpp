@@ -14,15 +14,14 @@ int inNode(NodeId v) { return static_cast<int>(2 * v); }
 int outNode(NodeId v) { return static_cast<int>(2 * v + 1); }
 
 /// Decomposes a unit flow into paths by repeatedly walking saturated arcs
-/// from src. `arcFor[e]` maps each usable graph edge to its flow arc id.
+/// from src; ws.arcFor[e] maps each usable graph edge to its flow arc id.
 std::vector<Path> decomposeUnitFlow(const Graph& graph, NodeId src,
-                                    NodeId dst, const MinCostFlow& flow,
-                                    const std::vector<int>& arcFor,
+                                    NodeId dst, DisjointPathsWorkspace& ws,
                                     std::int64_t pathCount) {
   // Remaining flow per edge; each path consumes one unit.
-  std::vector<std::int64_t> remaining(graph.edgeCount(), 0);
+  ws.remaining.assign(graph.edgeCount(), 0);
   for (EdgeId e = 0; e < graph.edgeCount(); ++e) {
-    if (arcFor[e] >= 0) remaining[e] = flow.flowOn(arcFor[e]);
+    if (ws.arcFor[e] >= 0) ws.remaining[e] = ws.flow.flowOn(ws.arcFor[e]);
   }
   std::vector<Path> paths;
   for (std::int64_t p = 0; p < pathCount; ++p) {
@@ -31,8 +30,8 @@ std::vector<Path> decomposeUnitFlow(const Graph& graph, NodeId src,
     while (at != dst) {
       bool advanced = false;
       for (const EdgeId e : graph.outEdges(at)) {
-        if (remaining[e] > 0) {
-          remaining[e] -= 1;
+        if (ws.remaining[e] > 0) {
+          ws.remaining[e] -= 1;
           path.push_back(e);
           at = graph.edge(e).to;
           advanced = true;
@@ -51,11 +50,13 @@ std::vector<Path> decomposeUnitFlow(const Graph& graph, NodeId src,
 
 DisjointPathsResult solveDisjoint(const Graph& graph, NodeId src, NodeId dst,
                                   std::span<const util::SimTime> weights,
-                                  int k, bool nodeDisjoint) {
+                                  int k, bool nodeDisjoint,
+                                  DisjointPathsWorkspace& ws) {
   if (src == dst || k <= 0) return {};
   const std::size_t n = graph.nodeCount();
 
-  MinCostFlow flow(2 * n);
+  MinCostFlow& flow = ws.flow;
+  flow.reset(2 * n);
   // Internal arcs: capacity 1 for interior nodes enforces node
   // disjointness; src/dst (and everything in the edge-disjoint variant)
   // get capacity k.
@@ -63,19 +64,19 @@ DisjointPathsResult solveDisjoint(const Graph& graph, NodeId src, NodeId dst,
     const bool limited = nodeDisjoint && v != src && v != dst;
     flow.addArc(inNode(v), outNode(v), limited ? 1 : k, 0);
   }
-  std::vector<int> arcFor(graph.edgeCount(), -1);
+  ws.arcFor.assign(graph.edgeCount(), -1);
   for (EdgeId e = 0; e < graph.edgeCount(); ++e) {
     const util::SimTime w = weights[e];
     if (w == util::kNever) continue;
     const Edge& edge = graph.edge(e);
-    arcFor[e] = flow.addArc(outNode(edge.from), inNode(edge.to), 1, w);
+    ws.arcFor[e] = flow.addArc(outNode(edge.from), inNode(edge.to), 1, w);
   }
 
   const auto [sent, cost] = flow.solve(outNode(src), inNode(dst), k);
   (void)cost;
   DisjointPathsResult result;
   if (sent == 0) return result;
-  result.paths = decomposeUnitFlow(graph, src, dst, flow, arcFor, sent);
+  result.paths = decomposeUnitFlow(graph, src, dst, ws, sent);
   for (const Path& path : result.paths) {
     result.totalLatency += pathLatency(graph, path, weights);
   }
@@ -93,14 +94,25 @@ DisjointPathsResult nodeDisjointPaths(const Graph& graph, NodeId src,
                                       NodeId dst,
                                       std::span<const util::SimTime> weights,
                                       int k) {
-  return solveDisjoint(graph, src, dst, weights, k, /*nodeDisjoint=*/true);
+  DisjointPathsWorkspace ws;
+  return nodeDisjointPaths(graph, src, dst, weights, k, ws);
+}
+
+DisjointPathsResult nodeDisjointPaths(const Graph& graph, NodeId src,
+                                      NodeId dst,
+                                      std::span<const util::SimTime> weights,
+                                      int k, DisjointPathsWorkspace& ws) {
+  return solveDisjoint(graph, src, dst, weights, k, /*nodeDisjoint=*/true,
+                       ws);
 }
 
 DisjointPathsResult edgeDisjointPaths(const Graph& graph, NodeId src,
                                       NodeId dst,
                                       std::span<const util::SimTime> weights,
                                       int k) {
-  return solveDisjoint(graph, src, dst, weights, k, /*nodeDisjoint=*/false);
+  DisjointPathsWorkspace ws;
+  return solveDisjoint(graph, src, dst, weights, k, /*nodeDisjoint=*/false,
+                       ws);
 }
 
 int maxNodeDisjointPaths(const Graph& graph, NodeId src, NodeId dst,

@@ -10,6 +10,7 @@
 #include <span>
 #include <vector>
 
+#include "graph/flow.hpp"
 #include "graph/graph.hpp"
 
 namespace dg::graph {
@@ -22,6 +23,16 @@ struct DisjointPathsResult {
   util::SimTime totalLatency = 0;
 };
 
+/// Caller-owned scratch for the disjoint-path solvers: the min-cost-flow
+/// network and the per-edge flow-decomposition arrays. Reusing one across
+/// solves leaves the returned paths as the only allocations; results do
+/// not depend on what the workspace solved before.
+struct DisjointPathsWorkspace {
+  MinCostFlow flow{0};
+  std::vector<int> arcFor;              ///< graph edge -> flow arc id
+  std::vector<std::int64_t> remaining;  ///< unit flow left per edge
+};
+
 /// Finds up to k pairwise node-disjoint (interior nodes) src->dst paths
 /// minimising total latency, under the given per-edge weights
 /// (util::kNever excludes an edge). Fewer than k paths are returned when
@@ -30,6 +41,13 @@ DisjointPathsResult nodeDisjointPaths(const Graph& graph, NodeId src,
                                       NodeId dst,
                                       std::span<const util::SimTime> weights,
                                       int k);
+
+/// As above, with scratch memory from `workspace`.
+DisjointPathsResult nodeDisjointPaths(const Graph& graph, NodeId src,
+                                      NodeId dst,
+                                      std::span<const util::SimTime> weights,
+                                      int k,
+                                      DisjointPathsWorkspace& workspace);
 
 /// Edge-disjoint variant (paths may share intermediate nodes). Kept for
 /// ablation: the paper argues node-disjointness matters because problems

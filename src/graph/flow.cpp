@@ -1,5 +1,7 @@
 #include "graph/flow.hpp"
 
+#include <algorithm>
+#include <functional>
 #include <limits>
 #include <queue>
 #include <stdexcept>
@@ -10,73 +12,112 @@ namespace {
 constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
 }
 
-MinCostFlow::MinCostFlow(std::size_t nodeCount)
-    : adjacency_(nodeCount), potential_(nodeCount, 0) {}
+MinCostFlow::MinCostFlow(std::size_t nodeCount) { reset(nodeCount); }
+
+void MinCostFlow::reset(std::size_t nodeCount) {
+  nodeCount_ = nodeCount;
+  arcs_.clear();
+  adjacencyCurrent_ = false;
+  potential_.resize(nodeCount);
+  dist_.resize(nodeCount);
+  parentArc_.resize(nodeCount);
+}
 
 int MinCostFlow::addArc(int from, int to, std::int64_t capacity,
                         std::int64_t cost) {
   if (cost < 0) throw std::invalid_argument("MinCostFlow: negative cost");
   const int id = static_cast<int>(arcs_.size());
-  arcs_.push_back(Arc{to, capacity, cost, id + 1});
-  arcs_.push_back(Arc{from, 0, -cost, id});
-  adjacency_[static_cast<std::size_t>(from)].push_back(id);
-  adjacency_[static_cast<std::size_t>(to)].push_back(id + 1);
-  originalCapacity_.push_back(capacity);
-  originalCapacity_.push_back(0);
+  arcs_.push_back(Arc{to, capacity, cost, capacity});
+  arcs_.push_back(Arc{from, 0, -cost, 0});
+  adjacencyCurrent_ = false;
   return id;
 }
 
+void MinCostFlow::buildAdjacency() {
+  // Stable counting sort of arc ids by tail node (the tail of arc a is
+  // the head of its twin a ^ 1): ids are placed in ascending order, so
+  // each node's arcs keep the order addArc saw them in.
+  firstArc_.assign(nodeCount_ + 1, 0);
+  for (std::size_t a = 0; a < arcs_.size(); ++a) {
+    ++firstArc_[static_cast<std::size_t>(arcs_[a ^ 1].to) + 1];
+  }
+  for (std::size_t u = 0; u < nodeCount_; ++u) {
+    firstArc_[u + 1] += firstArc_[u];
+  }
+  adjacency_.resize(arcs_.size());
+  // parentArc_ doubles as the per-node insertion cursor; solve() resets
+  // it before every Dijkstra.
+  std::copy_n(firstArc_.begin(), nodeCount_, parentArc_.begin());
+  for (std::size_t a = 0; a < arcs_.size(); ++a) {
+    const auto u = static_cast<std::size_t>(arcs_[a ^ 1].to);
+    adjacency_[static_cast<std::size_t>(parentArc_[u]++)] =
+        static_cast<int>(a);
+  }
+  adjacencyCurrent_ = true;
+}
+
+// dgcheck: hot
 std::pair<std::int64_t, std::int64_t> MinCostFlow::solve(
     int src, int dst, std::int64_t maxFlow) {
-  const std::size_t n = adjacency_.size();
+  if (!adjacencyCurrent_) buildAdjacency();
+  // Each relaxation pushes at most one entry, so one Dijkstra never holds
+  // more than arcs + 1 of them.
+  heap_.reserve(arcs_.size() + 1);
   std::int64_t flow = 0;
   std::int64_t totalCost = 0;
   std::fill(potential_.begin(), potential_.end(), 0);
+  const auto heapOrder = std::greater<>{};
 
   while (flow < maxFlow) {
     // Dijkstra on reduced costs.
-    std::vector<std::int64_t> dist(n, kInf);
-    std::vector<int> parentArc(n, -1);
-    using Entry = std::pair<std::int64_t, int>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
-    dist[static_cast<std::size_t>(src)] = 0;
-    queue.push({0, src});
-    while (!queue.empty()) {
-      const auto [d, u] = queue.top();
-      queue.pop();
-      if (d > dist[static_cast<std::size_t>(u)]) continue;
-      for (const int arcId : adjacency_[static_cast<std::size_t>(u)]) {
+    std::fill(dist_.begin(), dist_.end(), kInf);
+    std::fill(parentArc_.begin(), parentArc_.end(), -1);
+    heap_.clear();
+    dist_[static_cast<std::size_t>(src)] = 0;
+    heap_.push_back({0, src});
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end(), heapOrder);
+      const auto [d, u] = heap_.back();
+      heap_.pop_back();
+      if (d > dist_[static_cast<std::size_t>(u)]) continue;
+      const auto uIndex = static_cast<std::size_t>(u);
+      for (int i = firstArc_[uIndex]; i < firstArc_[uIndex + 1]; ++i) {
+        const int arcId = adjacency_[static_cast<std::size_t>(i)];
         const Arc& arc = arcs_[static_cast<std::size_t>(arcId)];
         if (arc.capacity <= 0) continue;
         const std::int64_t reduced =
-            d + arc.cost + potential_[static_cast<std::size_t>(u)] -
+            d + arc.cost + potential_[uIndex] -
             potential_[static_cast<std::size_t>(arc.to)];
-        if (reduced < dist[static_cast<std::size_t>(arc.to)]) {
-          dist[static_cast<std::size_t>(arc.to)] = reduced;
-          parentArc[static_cast<std::size_t>(arc.to)] = arcId;
-          queue.push({reduced, arc.to});
+        if (reduced < dist_[static_cast<std::size_t>(arc.to)]) {
+          dist_[static_cast<std::size_t>(arc.to)] = reduced;
+          parentArc_[static_cast<std::size_t>(arc.to)] = arcId;
+          heap_.push_back({reduced, arc.to});
+          std::push_heap(heap_.begin(), heap_.end(), heapOrder);
         }
       }
     }
-    if (dist[static_cast<std::size_t>(dst)] >= kInf) break;  // no more paths
+    if (dist_[static_cast<std::size_t>(dst)] >= kInf) break;  // no more paths
 
-    for (std::size_t i = 0; i < n; ++i) {
-      if (dist[i] < kInf) potential_[i] += dist[i];
+    for (std::size_t i = 0; i < nodeCount_; ++i) {
+      if (dist_[i] < kInf) potential_[i] += dist_[i];
     }
 
     // Find bottleneck and augment by it (capacities here are small).
     std::int64_t bottleneck = maxFlow - flow;
     for (int v = dst; v != src;) {
-      const Arc& arc = arcs_[static_cast<std::size_t>(parentArc[static_cast<std::size_t>(v)])];
-      bottleneck = std::min(bottleneck, arc.capacity);
-      v = arcs_[static_cast<std::size_t>(arc.twin)].to;
+      const int arcId = parentArc_[static_cast<std::size_t>(v)];
+      bottleneck = std::min(bottleneck,
+                            arcs_[static_cast<std::size_t>(arcId)].capacity);
+      v = arcs_[static_cast<std::size_t>(arcId ^ 1)].to;
     }
     for (int v = dst; v != src;) {
-      Arc& arc = arcs_[static_cast<std::size_t>(parentArc[static_cast<std::size_t>(v)])];
+      const int arcId = parentArc_[static_cast<std::size_t>(v)];
+      Arc& arc = arcs_[static_cast<std::size_t>(arcId)];
+      Arc& twin = arcs_[static_cast<std::size_t>(arcId ^ 1)];
       arc.capacity -= bottleneck;
-      arcs_[static_cast<std::size_t>(arc.twin)].capacity += bottleneck;
+      twin.capacity += bottleneck;
       totalCost += bottleneck * arc.cost;
-      v = arcs_[static_cast<std::size_t>(arc.twin)].to;
+      v = twin.to;
     }
     flow += bottleneck;
   }
@@ -84,8 +125,8 @@ std::pair<std::int64_t, std::int64_t> MinCostFlow::solve(
 }
 
 std::int64_t MinCostFlow::flowOn(int arc) const {
-  return originalCapacity_[static_cast<std::size_t>(arc)] -
-         arcs_[static_cast<std::size_t>(arc)].capacity;
+  const Arc& a = arcs_[static_cast<std::size_t>(arc)];
+  return a.originalCapacity - a.capacity;
 }
 
 MaxFlow::MaxFlow(std::size_t nodeCount)

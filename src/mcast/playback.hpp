@@ -174,9 +174,14 @@ class GroupPlaybackEngine {
 
   /// Cross-job decision memo shared by the per-receiver sub-schemes
   /// (keyed by their unicast-equivalent contexts). Group runs do not
-  /// carry the unicast engine's deterministic-eval memo: group
-  /// evaluations are pure functions either way, and the per-receiver
-  /// result vectors make the exact-key bookkeeping a poor trade.
+  /// carry the unicast engine's cross-interval deterministic-eval memo:
+  /// group evaluations are pure functions either way, and the
+  /// per-receiver result vectors make the exact-key bookkeeping a poor
+  /// trade. Within one Monte-Carlo interval the group evaluator has the
+  /// unicast one's machinery (batched classify, clean-path shortcut,
+  /// per-outcome-pattern verdict memo), so an interval costs its draws
+  /// plus one bounded Dijkstra per distinct outcome pattern that slows a
+  /// clean earliest path -- not one per such sample.
   mutable routing::DecisionMemo decisionMemo_;
 };
 

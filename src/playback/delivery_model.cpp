@@ -75,7 +75,9 @@ void SampleOutcomeCache::beginEpoch() {
   }
 }
 
-int SampleOutcomeCache::find(std::uint64_t keyLo, std::uint64_t keyHi) {
+SampleOutcomeCache::Lookup SampleOutcomeCache::find(std::uint64_t keyLo,
+                                                    std::uint64_t keyHi,
+                                                    std::uint64_t& verdict) {
   std::uint64_t h = keyLo * 0x9E3779B97F4A7C15ULL + keyHi;
   h ^= h >> 29;
   h *= 0xBF58476D1CE4E5B9ULL;
@@ -88,17 +90,18 @@ int SampleOutcomeCache::find(std::uint64_t keyLo, std::uint64_t keyHi) {
       slot.keyHi = keyHi;
       slot.epoch = epoch_;
       pending_ = i;
-      return kMiss;
+      return Lookup::kMiss;
     }
     if (slot.keyLo == keyLo && slot.keyHi == keyHi) {
-      return slot.onTime ? 1 : 0;
+      verdict = slot.verdict;
+      return Lookup::kHit;
     }
   }
-  return kFull;
+  return Lookup::kFull;
 }
 
-void SampleOutcomeCache::store(bool onTime) {
-  slots_[pending_].onTime = onTime;
+void SampleOutcomeCache::store(std::uint64_t verdict) {
+  slots_[pending_].verdict = verdict;
 }
 
 }  // namespace detail
@@ -310,53 +313,86 @@ detail::McKernel resolveMcKernel(std::size_t memberCount) {
   return McKernel::kFusedScalar;
 }
 
-}  // namespace
+/// What one Monte-Carlo call derives before its sample loop (see
+/// planMonteCarlo). A verdict is the bitmask of receivers reached on time.
+struct McPlan {
+  std::size_t memberCount = 0;
+  /// Sample patterns fit the 128-bit key (<= 64 member edges) and
+  /// verdicts fit 64 bits (<= 64 receivers): the keyed, memoized sample
+  /// loop applies. Otherwise the unkeyed per-sample fallback runs.
+  bool patternMemo = false;
+  /// Loosest deadline among the receivers on time in the clean run; a
+  /// sample's Dijkstra need not look further (nobody else can be on time).
+  util::SimTime sampleDeadline = 0;
+  /// Clean-run verdict (patternMemo only).
+  std::uint64_t cleanVerdict = 0;
+  /// Clean earliest paths' member edges at the even bit of their 2-bit
+  /// key position (patternMemo only).
+  std::uint64_t cleanPathLo = 0;
+  std::uint64_t cleanPathHi = 0;
+};
 
-// dgcheck: hot
-double onTimeProbabilityMC(const graph::DisseminationGraph& dg,
-                           std::span<const double> lossRates,
-                           std::span<const util::SimTime> latencies,
-                           const DeliveryModelParams& params,
-                           int samples, util::Rng& rng,
-                           DeliveryWorkspace& ws) {
-  if (samples <= 0) return 0.0;
-  ws.prepare(dg.overlay());
-  int delivered = 0;
-
-  // Clean-sample shortcut: when every member edge draws its on-time
-  // transit outcome, the sampled array *equals* the latency array, so the
-  // per-sample Dijkstra would reproduce this no-loss run exactly --
-  // typically the majority of samples, since per-hop loss is well below 1
-  // even on problematic links. The RNG is still advanced identically for
-  // every sample, so results match the reference implementation bit for
-  // bit.
-  const bool cleanOnTime =
-      distancesWithin(dg, latencies, params.deadline, ws);
-
-  // Deviating samples repeat themselves: each member edge lands on one of
-  // three outcomes, so the sample's weight vector is captured by 2 bits
-  // per member edge (0 = on-time, 1 = recovered, 2 = lost). Identical
-  // patterns imply identical Dijkstra runs -- memoize the verdict per
-  // pattern for the duration of this call. Graphs with more than 64
-  // member edges overflow the 128-bit key and simply skip the memo.
+/// Set-up shared by both Monte-Carlo evaluators (the unicast one is the
+/// one-receiver case):
+///   - one clean (every edge on time) run bounded by the loosest deadline
+///     finalizes every receiver: one left beyond it is late for *every*
+///     deadline. Per-receiver clean verdicts land in ws.mcCleanOnTime;
+///   - the per-member sampling tables. Draws are classified on the raw
+///     53-bit integer instead of the double: sampleHopLatency draws
+///     u = (next() >> 11) * 2^-53 and compares u < thr. Both u and
+///     thr * 2^53 are exact doubles (a 53-bit integer scaled by a power of
+///     two), so u < thr is *equivalent* to the integer comparison
+///     (next() >> 11) < ceil(thr * 2^53) -- every draw classifies
+///     identically, bit for bit. With recovery disabled the recovered
+///     threshold is pinned to the on-time one so that band is empty;
+///   - the clean-on-time receivers' earliest paths, marked per member in
+///     ws.mcOnCleanPath. Sampled outcomes only ever slow an edge down
+///     (recovered > on-time, lost = never), which makes every verdict
+///     monotone in the clean one: a clean-late receiver is late in every
+///     sample, and if a sample's deviating edges all avoid the marked
+///     paths, those paths are intact and the clean verdict stands. Only
+///     samples that slow a marked path down need a memo lookup or a
+///     Dijkstra run.
+/// With the pattern memo on, the sampled weights are pre-filled with the
+/// clean outcome; each memo miss patches the deviating edges in and back
+/// out again.
+McPlan planMonteCarlo(const graph::DisseminationGraph& dg,
+                      std::span<const graph::NodeId> receivers,
+                      std::span<const util::SimTime> deadlines,
+                      std::span<const double> lossRates,
+                      std::span<const util::SimTime> latencies,
+                      const DeliveryModelParams& params,
+                      DeliveryWorkspace& ws) {
+  const graph::Graph& overlay = dg.overlay();
+  ws.prepare(overlay);
   const std::vector<graph::EdgeId>& members = dg.edges();
-  const std::size_t memberCount = members.size();
-  const bool patternMemo = memberCount <= 64;
-  if (patternMemo) ws.outcomeCache.beginEpoch();
+  const std::size_t receiverCount = receivers.size();
+  McPlan plan;
+  plan.memberCount = members.size();
+  plan.patternMemo = plan.memberCount <= 64 && receiverCount <= 64;
 
-  // Hoist the per-edge sampling arithmetic out of the sample loop, and
-  // classify each draw on the raw 53-bit integer instead of the double:
-  // sampleHopLatency draws u = (next() >> 11) * 2^-53 and compares
-  // u < thr. Both u and thr * 2^53 are exact doubles (a 53-bit integer
-  // scaled by a power of two), so u < thr is *equivalent* to the integer
-  // comparison (next() >> 11) < ceil(thr * 2^53) -- every draw classifies
-  // identically, bit for bit. With recovery disabled the recovered
-  // threshold is pinned to the on-time one so that band is empty.
+  util::SimTime maxDeadline = 0;
+  for (const util::SimTime d : deadlines) {
+    maxDeadline = std::max(maxDeadline, d);
+  }
+  distancesWithin(dg, latencies, maxDeadline, ws);
+  if (ws.mcCleanOnTime.size() < receiverCount)
+    ws.mcCleanOnTime.resize(receiverCount);
+  for (std::size_t r = 0; r < receiverCount; ++r) {
+    const bool onTime = ws.dist[receivers[r]] <= deadlines[r];
+    ws.mcCleanOnTime[r] = onTime ? 1 : 0;
+    if (!onTime) continue;
+    plan.sampleDeadline = std::max(plan.sampleDeadline, deadlines[r]);
+    if (plan.patternMemo) plan.cleanVerdict |= std::uint64_t{1} << r;
+  }
+
+  const std::size_t memberCount = plan.memberCount;
   if (ws.mcThrOnTime.size() < memberCount) {
     ws.mcThrOnTime.resize(memberCount);
     ws.mcThrRecovered.resize(memberCount);
     ws.mcLatency.resize(memberCount);
     ws.mcRecoveredLatency.resize(memberCount);
+    ws.mcOnCleanPath.resize(memberCount);
   }
   constexpr double kScale53 = 9007199254740992.0;  // 2^53
   for (std::size_t i = 0; i < memberCount; ++i) {
@@ -371,117 +407,111 @@ double onTimeProbabilityMC(const graph::DisseminationGraph& dg,
     ws.mcLatency[i] = lat;
     ws.mcRecoveredLatency[i] = 3 * lat + params.packetInterval;
   }
-  // Pre-fill the sampled weights with the clean (on-time) outcome; each
-  // memoized-pattern miss below only patches the deviating edges in and
-  // back out again. Alongside, mark the clean earliest path's member
-  // edges (in the key's even bit positions). Sampled outcomes only ever
-  // slow an edge down (recovered > on-time, lost = never), which makes
-  // the verdict monotone in the clean one:
-  //   - clean misses the deadline  -> every sample misses it too;
-  //   - clean on time and a sample's deviating edges all avoid the clean
-  //     earliest path -> that path is intact, the sample is on time.
-  // Only samples that actually slow the earliest path down need a memo
-  // lookup or a Dijkstra run.
-  std::uint64_t cleanPathLo = 0;
-  std::uint64_t cleanPathHi = 0;
-  if (patternMemo) {
+
+  std::fill_n(ws.mcOnCleanPath.begin(),
+              static_cast<std::ptrdiff_t>(memberCount), char{0});
+  for (std::size_t r = 0; r < receiverCount; ++r) {
+    if (ws.mcCleanOnTime[r] == 0) continue;
+    for (graph::NodeId n = receivers[r]; n != dg.source();) {
+      const graph::EdgeId e = ws.via[n];
+      const std::size_t i = static_cast<std::size_t>(
+          std::lower_bound(members.begin(), members.end(), e) -
+          members.begin());
+      ws.mcOnCleanPath[i] = 1;
+      n = overlay.edge(e).from;
+    }
+  }
+  if (!plan.patternMemo) {
+    // The unkeyed fallback draws one sample at a time into mcDraws.
+    if (ws.mcDraws.size() < memberCount) ws.mcDraws.resize(memberCount);
+  } else {
     for (std::size_t i = 0; i < memberCount; ++i) {
       ws.sampledHop[members[i]] = ws.mcLatency[i];
-    }
-    if (cleanOnTime) {
-      const graph::Graph& overlay = dg.overlay();
-      for (graph::NodeId n = dg.destination(); n != dg.source();) {
-        const graph::EdgeId e = ws.via[n];
-        const std::size_t i = static_cast<std::size_t>(
-            std::lower_bound(members.begin(), members.end(), e) -
-            members.begin());
-        (i < 32 ? cleanPathLo : cleanPathHi) |= std::uint64_t{1}
-                                                << (2 * (i & 31));
-        n = overlay.edge(e).from;
+      if (ws.mcOnCleanPath[i] != 0) {
+        (i < 32 ? plan.cleanPathLo : plan.cleanPathHi) |=
+            std::uint64_t{1} << (2 * (i & 31));
       }
     }
   }
+  return plan;
+}
 
-  // Verdict for one sample's 2-bit outcome-pattern key. Collapse each
-  // 2-bit code to its even bit (a pair is never 11) and intersect with
-  // the clean-path mask: empty means the clean earliest path is intact
-  // (covers the all-on-time case as well). Only samples that slow the
-  // clean earliest path down consult the memo / run Dijkstra.
-  const auto scoreKey = [&](std::uint64_t keyLo, std::uint64_t keyHi) {
-    if (!cleanOnTime) return false;
-    if ((((keyLo | (keyLo >> 1)) & cleanPathLo) |
-         ((keyHi | (keyHi >> 1)) & cleanPathHi)) == 0) {
-      return true;
+/// Verdict of one keyed sample. Collapse each 2-bit code to its even bit
+/// (a pair is never 11) and intersect with the clean-path mask: empty
+/// means every clean earliest path is intact (covers the all-on-time
+/// case as well) and the clean verdict stands. Otherwise the pattern's
+/// memoized verdict, or a fresh `evaluate()` over ws.sampledHop with the
+/// deviating edges patched in.
+template <typename EvaluateFn>
+std::uint64_t keyedVerdict(std::uint64_t keyLo, std::uint64_t keyHi,
+                           const McPlan& plan,
+                           const std::vector<graph::EdgeId>& members,
+                           DeliveryWorkspace& ws, EvaluateFn& evaluate) {
+  if ((((keyLo | (keyLo >> 1)) & plan.cleanPathLo) |
+       ((keyHi | (keyHi >> 1)) & plan.cleanPathHi)) == 0) {
+    return plan.cleanVerdict;
+  }
+  using Lookup = detail::SampleOutcomeCache::Lookup;
+  std::uint64_t verdict = 0;
+  const Lookup lookup = ws.outcomeCache.find(keyLo, keyHi, verdict);
+  if (lookup == Lookup::kHit) return verdict;
+  // A Dijkstra run is actually needed: patch the deviating edges into the
+  // pre-filled clean weights. A code pair is never 11, so every set key
+  // bit identifies one deviating edge -- even bit means recovered, odd
+  // bit means lost.
+  const auto patch = [&](std::uint64_t bits, std::size_t base, bool restore) {
+    while (bits != 0) {
+      const int b = std::countr_zero(bits);
+      bits &= bits - 1;
+      const std::size_t i = base + static_cast<std::size_t>(b >> 1);
+      ws.sampledHop[members[i]] =
+          restore ? ws.mcLatency[i]
+          : (b & 1) != 0 ? util::kNever
+                         : ws.mcRecoveredLatency[i];
     }
-    const int cached = ws.outcomeCache.find(keyLo, keyHi);
-    if (cached >= 0) return cached != 0;
-    // A Dijkstra run is actually needed: patch the deviating edges
-    // into the pre-filled clean weights. A code pair is never 11,
-    // so every set key bit identifies one deviating edge -- even
-    // bit means recovered, odd bit means lost.
-    const auto patch = [&](std::uint64_t bits, std::size_t base,
-                           bool restore) {
-      while (bits != 0) {
-        const int b = std::countr_zero(bits);
-        bits &= bits - 1;
-        const std::size_t i = base + static_cast<std::size_t>(b >> 1);
-        ws.sampledHop[members[i]] =
-            restore ? ws.mcLatency[i]
-            : (b & 1) != 0 ? util::kNever
-                           : ws.mcRecoveredLatency[i];
-      }
-    };
-    patch(keyLo, 0, false);
-    patch(keyHi, 32, false);
-    const bool onTime = onTimeUnder(dg, ws.sampledHop, params.deadline, ws);
-    patch(keyLo, 0, true);
-    patch(keyHi, 32, true);
-    if (cached == detail::SampleOutcomeCache::kMiss) {
-      ws.outcomeCache.store(onTime);
-    }
-    return onTime;
   };
+  patch(keyLo, 0, false);
+  patch(keyHi, 32, false);
+  verdict = evaluate();
+  patch(keyLo, 0, true);
+  patch(keyHi, 32, true);
+  if (lookup == Lookup::kMiss) ws.outcomeCache.store(verdict);
+  return verdict;
+}
 
+/// The keyed sample loop both evaluators share (plan.patternMemo only):
+/// draws every sample's member outcomes with the dispatched kernel, turns
+/// them into the sample's 2-bit outcome-pattern key (0 = on-time,
+/// 1 = recovered, 2 = lost per member edge) and passes the sample's
+/// verdict to `score`, in sample order. Identical patterns imply
+/// identical Dijkstra runs, so verdicts are memoized per pattern for the
+/// duration of the call. Every kernel consumes the same draws in the
+/// same order: `rng` ends advanced by exactly samples * memberCount draws
+/// and every verdict is bit-identical across kernels.
+// dgcheck: hot
+template <typename EvaluateFn, typename ScoreFn>
+void scoreKeyedSamples(const McPlan& plan,
+                       const std::vector<graph::EdgeId>& members,
+                       int samples, util::Rng& rng, DeliveryWorkspace& ws,
+                       EvaluateFn&& evaluate, ScoreFn&& score) {
+  const std::size_t memberCount = plan.memberCount;
+  ws.outcomeCache.beginEpoch();
   // Draw through a local generator so the four state words live in
   // registers for the whole loop nest (the caller's rng is advanced to
   // the same final state below).
   util::Rng localRng = rng;
-
-  const detail::McKernel kernel =
-      patternMemo ? resolveMcKernel(memberCount) : detail::McKernel::kAuto;
-
-  if (!patternMemo) {
-    // Too many member edges for a 128-bit pattern key: sample straight
-    // into the weight array.
-    for (int s = 0; s < samples; ++s) {
-      bool deviates = false;
-      for (std::size_t i = 0; i < memberCount; ++i) {
-        const std::uint64_t k = localRng.next() >> 11;
-        const util::SimTime hop = k < ws.mcThrOnTime[i] ? ws.mcLatency[i]
-                                  : k < ws.mcThrRecovered[i]
-                                      ? ws.mcRecoveredLatency[i]
-                                      : util::kNever;
-        ws.sampledHop[members[i]] = hop;
-        deviates |= hop != ws.mcLatency[i];
-      }
-      const bool onTime =
-          deviates && cleanOnTime
-              ? onTimeUnder(dg, ws.sampledHop, params.deadline, ws)
-              : cleanOnTime;
-      if (onTime) ++delivered;
-    }
-  } else if (kernel == detail::McKernel::kFusedScalar) {
-    // Fused draw-and-classify loop: 2-bit outcome code per member edge
-    // (0 = on-time, 1 = recovered, 2 = lost; the thresholds nest, so
-    // 1 + the second comparison is the band index). The on-time branch
-    // is the overwhelmingly common case -- with baseline loss rates it
-    // is taken ~99.99% of the time -- so the key-building work is kept
-    // off that path entirely, and the classify work hides under the
-    // serial RNG dependency chain.
+  const detail::McKernel kernel = resolveMcKernel(memberCount);
+  if (kernel == detail::McKernel::kFusedScalar) {
+    // Fused draw-and-classify loop (the thresholds nest, so 1 + the
+    // second comparison is the band index). The on-time branch is the
+    // overwhelmingly common case -- with baseline loss rates it is taken
+    // ~99.99% of the time -- so the key-building work is kept off that
+    // path entirely, and the classify work hides under the serial RNG
+    // dependency chain.
+    const std::size_t lowCount = std::min<std::size_t>(memberCount, 32);
     for (int s = 0; s < samples; ++s) {
       std::uint64_t keyLo = 0;
       std::uint64_t keyHi = 0;
-      const std::size_t lowCount = std::min<std::size_t>(memberCount, 32);
       for (std::size_t i = 0; i < lowCount; ++i) {
         const std::uint64_t k = localRng.next() >> 11;
         if (k >= ws.mcThrOnTime[i]) [[unlikely]] {
@@ -498,16 +528,13 @@ double onTimeProbabilityMC(const graph::DisseminationGraph& dg,
           keyHi |= code << (2 * (i - 32));
         }
       }
-      if (scoreKey(keyLo, keyHi)) ++delivered;
+      score(keyedVerdict(keyLo, keyHi, plan, members, ws, evaluate));
     }
   } else {
     // Batched SoA kernels: draw a whole block of samples into the draw
     // buffer (sample-major -- byte-for-byte the order the fused loop
     // consumes), classify the block into per-sample pattern keys, then
-    // score the keys in sample order. The RNG advances by exactly
-    // blockSamples * memberCount draws either way, so the caller-visible
-    // generator state and every verdict are bit-identical across
-    // kernels.
+    // score the keys in sample order.
     const std::size_t blockDraws =
         static_cast<std::size_t>(kMcBlockSamples) * memberCount;
     if (ws.mcDraws.size() < blockDraws) ws.mcDraws.resize(blockDraws);
@@ -536,14 +563,74 @@ double onTimeProbabilityMC(const graph::DisseminationGraph& dg,
                       ws.mcKeyLo.data(), ws.mcKeyHi.data());
 #endif
       for (int b = 0; b < blockSamples; ++b) {
-        if (scoreKey(ws.mcKeyLo[static_cast<std::size_t>(b)],
-                     ws.mcKeyHi[static_cast<std::size_t>(b)])) {
-          ++delivered;
-        }
+        score(keyedVerdict(ws.mcKeyLo[static_cast<std::size_t>(b)],
+                           ws.mcKeyHi[static_cast<std::size_t>(b)], plan,
+                           members, ws, evaluate));
       }
     }
   }
   rng = localRng;
+}
+
+/// One sample of the unkeyed fallback (graphs beyond the pattern key):
+/// classifies the sample's raw draws (one per member edge, in member
+/// order) straight into ws.sampledHop and returns true iff some deviating
+/// edge lies on a clean earliest path -- only then can the sample's
+/// verdict differ from the clean one.
+bool sampleUnkeyed(const std::uint64_t* draws, std::size_t memberCount,
+                   const std::vector<graph::EdgeId>& members,
+                   DeliveryWorkspace& ws) {
+  bool touches = false;
+  for (std::size_t i = 0; i < memberCount; ++i) {
+    const std::uint64_t k = draws[i] >> 11;
+    const util::SimTime hop = k < ws.mcThrOnTime[i] ? ws.mcLatency[i]
+                              : k < ws.mcThrRecovered[i]
+                                  ? ws.mcRecoveredLatency[i]
+                                  : util::kNever;
+    ws.sampledHop[members[i]] = hop;
+    touches |= hop != ws.mcLatency[i] && ws.mcOnCleanPath[i] != 0;
+  }
+  return touches;
+}
+
+}  // namespace
+
+// dgcheck: hot
+double onTimeProbabilityMC(const graph::DisseminationGraph& dg,
+                           std::span<const double> lossRates,
+                           std::span<const util::SimTime> latencies,
+                           const DeliveryModelParams& params,
+                           int samples, util::Rng& rng,
+                           DeliveryWorkspace& ws) {
+  if (samples <= 0) return 0.0;
+  const graph::NodeId destination = dg.destination();
+  const McPlan plan = planMonteCarlo(
+      dg, std::span<const graph::NodeId>(&destination, 1),
+      std::span<const util::SimTime>(&params.deadline, 1), lossRates,
+      latencies, params, ws);
+  const std::vector<graph::EdgeId>& members = dg.edges();
+  const bool cleanOnTime = ws.mcCleanOnTime[0] != 0;
+  int delivered = 0;
+  if (plan.patternMemo) {
+    scoreKeyedSamples(
+        plan, members, samples, rng, ws,
+        [&] {
+          return std::uint64_t{
+              onTimeUnder(dg, ws.sampledHop, params.deadline, ws)};
+        },
+        [&](std::uint64_t verdict) { delivered += static_cast<int>(verdict); });
+  } else {
+    util::Rng localRng = rng;
+    for (int s = 0; s < samples; ++s) {
+      localRng.nextBlock(ws.mcDraws.data(), plan.memberCount);
+      const bool onTime =
+          sampleUnkeyed(ws.mcDraws.data(), plan.memberCount, members, ws)
+              ? onTimeUnder(dg, ws.sampledHop, params.deadline, ws)
+              : cleanOnTime;
+      if (onTime) ++delivered;
+    }
+    rng = localRng;
+  }
   return static_cast<double>(delivered) / static_cast<double>(samples);
 }
 
@@ -716,95 +803,59 @@ void onTimeCountsMCGroup(const graph::DisseminationGraph& dg,
                          util::Rng& rng, DeliveryWorkspace& ws,
                          std::span<int> onTimeCounts,
                          std::span<int> deliveredHistogram) {
-  // dgcheck: setup begin
   const std::size_t receiverCount = receivers.size();
   std::fill(onTimeCounts.begin(), onTimeCounts.end(), 0);
   std::fill(deliveredHistogram.begin(), deliveredHistogram.end(), 0);
   if (samples <= 0) return;
-  ws.prepare(dg.overlay());
-
-  // One clean (all edges on time) run bounded by the loosest deadline
-  // finalizes every receiver: a receiver left beyond maxDeadline has true
-  // arrival beyond *every* deadline. Per-receiver clean verdicts are
-  // saved before the sample loop clobbers ws.dist.
-  util::SimTime maxDeadline = 0;
-  for (const util::SimTime d : deadlines) maxDeadline = std::max(maxDeadline, d);
-  distancesWithin(dg, latencies, maxDeadline, ws);
-  if (ws.groupCleanOnTime.size() < receiverCount)
-    ws.groupCleanOnTime.resize(receiverCount);
-  for (std::size_t r = 0; r < receiverCount; ++r) {
-    ws.groupCleanOnTime[r] = ws.dist[receivers[r]] <= deadlines[r] ? 1 : 0;
-  }
-
-  // Per-member sampling tables, identical to the unicast evaluator's (see
-  // onTimeProbabilityMC for the 53-bit threshold equivalence proof).
+  const McPlan plan = planMonteCarlo(dg, receivers, deadlines, lossRates,
+                                     latencies, params, ws);
   const std::vector<graph::EdgeId>& members = dg.edges();
-  const std::size_t memberCount = members.size();
-  if (ws.mcThrOnTime.size() < memberCount) {
-    ws.mcThrOnTime.resize(memberCount);
-    ws.mcThrRecovered.resize(memberCount);
-    ws.mcLatency.resize(memberCount);
-    ws.mcRecoveredLatency.resize(memberCount);
-  }
-  constexpr double kScale53 = 9007199254740992.0;  // 2^53
-  for (std::size_t i = 0; i < memberCount; ++i) {
-    const double p = lossRates[members[i]];
-    const util::SimTime lat = latencies[members[i]];
-    ws.mcThrOnTime[i] =
-        static_cast<std::uint64_t>(std::ceil((1.0 - p) * kScale53));
-    ws.mcThrRecovered[i] =
-        params.recoveryEnabled
-            ? static_cast<std::uint64_t>(std::ceil((1.0 - p * p) * kScale53))
-            : ws.mcThrOnTime[i];
-    ws.mcLatency[i] = lat;
-    ws.mcRecoveredLatency[i] = 3 * lat + params.packetInterval;
-  }
 
-  // Monotonicity shortcut, generalized from the unicast clean-path mask:
-  // sampled outcomes only ever slow edges down, so (a) a clean-late
-  // receiver stays late in every sample, and (b) if a sample's deviating
-  // edges all avoid every clean-on-time receiver's earliest path, those
-  // paths are intact and every clean verdict stands. Only samples that
-  // slow some clean earliest path down need a Dijkstra run.
-  if (ws.groupMemberOnCleanPath.size() < memberCount)
-    ws.groupMemberOnCleanPath.resize(memberCount);
-  std::fill_n(ws.groupMemberOnCleanPath.begin(),
-              static_cast<std::ptrdiff_t>(memberCount), char{0});
-  {
-    const graph::Graph& overlay = dg.overlay();
-    for (std::size_t r = 0; r < receiverCount; ++r) {
-      if (ws.groupCleanOnTime[r] == 0) continue;
-      for (graph::NodeId n = receivers[r]; n != dg.source();) {
-        const graph::EdgeId e = ws.via[n];
-        const std::size_t i = static_cast<std::size_t>(
-            std::lower_bound(members.begin(), members.end(), e) -
-            members.begin());
-        ws.groupMemberOnCleanPath[i] = 1;
-        n = overlay.edge(e).from;
-      }
+  if (plan.patternMemo) {
+    // Verdict = bitmask of receivers on time. Samples that keep the clean
+    // verdict (the vast majority) are only counted here and folded into
+    // the per-receiver counts once at the end.
+    int cleanSamples = 0;
+    scoreKeyedSamples(
+        plan, members, samples, rng, ws,
+        [&] {
+          distancesWithin(dg, ws.sampledHop, plan.sampleDeadline, ws);
+          std::uint64_t onTime = 0;
+          for (std::size_t r = 0; r < receiverCount; ++r) {
+            if (ws.dist[receivers[r]] <= deadlines[r])
+              onTime |= std::uint64_t{1} << r;
+          }
+          return onTime;
+        },
+        [&](std::uint64_t verdict) {
+          if (verdict == plan.cleanVerdict) {
+            ++cleanSamples;
+            return;
+          }
+          ++deliveredHistogram[static_cast<std::size_t>(
+              std::popcount(verdict))];
+          for (; verdict != 0; verdict &= verdict - 1) {
+            ++onTimeCounts[static_cast<std::size_t>(
+                std::countr_zero(verdict))];
+          }
+        });
+    deliveredHistogram[static_cast<std::size_t>(
+        std::popcount(plan.cleanVerdict))] += cleanSamples;
+    for (std::uint64_t bits = plan.cleanVerdict; bits != 0;
+         bits &= bits - 1) {
+      onTimeCounts[static_cast<std::size_t>(std::countr_zero(bits))] +=
+          cleanSamples;
     }
+    return;
   }
-  // dgcheck: setup end
 
+  // More than 64 member edges or receivers: score each sample directly.
   util::Rng localRng = rng;
   for (int s = 0; s < samples; ++s) {
-    bool deviates = false;
-    bool touches = false;
-    for (std::size_t i = 0; i < memberCount; ++i) {
-      const std::uint64_t k = localRng.next() >> 11;
-      const util::SimTime hop = k < ws.mcThrOnTime[i] ? ws.mcLatency[i]
-                                : k < ws.mcThrRecovered[i]
-                                    ? ws.mcRecoveredLatency[i]
-                                    : util::kNever;
-      ws.sampledHop[members[i]] = hop;
-      if (hop != ws.mcLatency[i]) {
-        deviates = true;
-        touches |= ws.groupMemberOnCleanPath[i] != 0;
-      }
-    }
     int deliveredCount = 0;
-    if (deviates && touches) {
-      distancesWithin(dg, ws.sampledHop, maxDeadline, ws);
+    localRng.nextBlock(ws.mcDraws.data(), plan.memberCount);
+    if (sampleUnkeyed(ws.mcDraws.data(), plan.memberCount, members, ws)) {
+      distancesWithin(dg, ws.sampledHop, plan.sampleDeadline, ws);
       for (std::size_t r = 0; r < receiverCount; ++r) {
         if (ws.dist[receivers[r]] <= deadlines[r]) {
           ++onTimeCounts[r];
@@ -813,7 +864,7 @@ void onTimeCountsMCGroup(const graph::DisseminationGraph& dg,
       }
     } else {
       for (std::size_t r = 0; r < receiverCount; ++r) {
-        if (ws.groupCleanOnTime[r] != 0) {
+        if (ws.mcCleanOnTime[r] != 0) {
           ++onTimeCounts[r];
           ++deliveredCount;
         }

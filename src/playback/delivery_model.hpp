@@ -70,29 +70,36 @@ class DaryHeap {
 /// of patterns ever occur across the 1000 samples. Caching the Dijkstra
 /// verdict per pattern skips the redundant re-runs while every RNG draw
 /// still happens, so results are bit-identical to evaluating each sample
-/// directly. Epoch-tagged open addressing: beginEpoch() is O(1), lookups
-/// probe a bounded window and simply decline to cache on contention.
+/// directly. A verdict is 64 bits: the unicast evaluator stores 0/1, the
+/// group evaluator the bitmask of receivers reached on time.
+/// Epoch-tagged open addressing: beginEpoch() is O(1), lookups probe a
+/// bounded window and simply decline to cache on contention.
 class SampleOutcomeCache {
  public:
-  static constexpr int kMiss = -1;  ///< reserved a slot; store() next
-  static constexpr int kFull = -2;  ///< probe window busy; do not store
+  enum class Lookup {
+    kHit,   ///< `verdict` holds the cached verdict
+    kMiss,  ///< reserved a slot; store() next
+    kFull,  ///< probe window busy; do not store
+  };
 
   /// Starts a new memo epoch, logically clearing all entries.
   void beginEpoch();
 
-  /// Returns 0/1 for a cached verdict. On kMiss the slot is reserved and
-  /// the caller MUST follow up with store(); on kFull it must not.
-  int find(std::uint64_t keyLo, std::uint64_t keyHi);
+  /// Looks a pattern up. On kHit the cached verdict is written to
+  /// `verdict`; on kMiss the slot is reserved and the caller MUST follow
+  /// up with store(); on kFull it must not.
+  Lookup find(std::uint64_t keyLo, std::uint64_t keyHi,
+              std::uint64_t& verdict);
 
   /// Fills the slot reserved by the preceding find() == kMiss.
-  void store(bool onTime);
+  void store(std::uint64_t verdict);
 
  private:
   struct Slot {
     std::uint64_t keyLo = 0;
     std::uint64_t keyHi = 0;
+    std::uint64_t verdict = 0;
     std::uint32_t epoch = 0;
-    bool onTime = false;
   };
   static constexpr std::size_t kSlots = 4096;  // power of two
   static constexpr std::size_t kMaxProbes = 8;
@@ -109,8 +116,9 @@ class SampleOutcomeCache {
 /// the fused kernel is the original draw-and-classify loop. All kernels
 /// consume draws in the identical order and produce bit-identical
 /// results -- kAuto picks per call based on runtime CPU support and the
-/// member-edge count, and the forced values let the equivalence suite pin
-/// every kernel against the frozen reference.
+/// member-edge count, and the forced values let the equivalence suites
+/// pin every kernel of both the unicast and the group evaluator against
+/// their frozen references.
 enum class McKernel { kAuto, kFusedScalar, kBlockScalar, kBlockAvx2 };
 
 /// Forces a kernel for testing (kAuto restores normal dispatch). Not
@@ -144,16 +152,18 @@ struct DeliveryWorkspace {
   /// Structure-of-arrays block buffers for the batched Monte-Carlo
   /// kernels: raw RNG draws for a block of samples (sample-major, so the
   /// draw order equals the reference's), and the per-sample 2-bit
-  /// outcome-pattern keys classified from them.
+  /// outcome-pattern keys classified from them. The unkeyed fallback
+  /// (more than 64 member edges) draws one sample at a time into mcDraws.
   std::vector<std::uint64_t> mcDraws;
   std::vector<std::uint64_t> mcKeyLo;
   std::vector<std::uint64_t> mcKeyHi;
 
-  /// Group-evaluator scratch: per-receiver clean-run verdicts and the
-  /// per-member-edge "lies on some clean-on-time receiver's earliest
-  /// path" mask (see onTimeCountsMCGroup).
-  std::vector<char> groupCleanOnTime;
-  std::vector<char> groupMemberOnCleanPath;
+  /// Clean-run scratch of both Monte-Carlo evaluators: per-receiver clean
+  /// verdicts and the per-member-edge "lies on some clean-on-time
+  /// receiver's earliest path" mark (the unicast evaluator is the
+  /// one-receiver case).
+  std::vector<char> mcCleanOnTime;
+  std::vector<char> mcOnCleanPath;
 
   /// Ensures the per-edge/per-node arrays cover `overlay`.
   void prepare(const graph::Graph& overlay);

@@ -1,6 +1,7 @@
 #include "routing/scheme.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -92,31 +93,29 @@ using graph::DisseminationGraph;
 /// weights, keep only those whose true latency meets the deadline, and if
 /// fewer than k survive, top up with deadline-feasible paths computed on
 /// pure latencies (loss-blind), which is exactly what the static schemes
-/// would use.
-std::vector<graph::Path> timelyDisjointPaths(const graph::Graph& overlay,
-                                             Flow flow,
-                                             const NetworkView& view,
-                                             const SchemeParams& params,
-                                             int k) {
-  const std::vector<util::SimTime> latencies(view.latencies().begin(),
-                                             view.latencies().end());
+/// would use. `penalized` is the view's routing weights; the min-cost-flow
+/// scratch comes from the calling scheme's workspace.
+std::vector<graph::Path> timelyDisjointPaths(
+    const graph::Graph& overlay, Flow flow, const NetworkView& view,
+    std::span<const util::SimTime> penalized, const SchemeParams& params,
+    int k, graph::DisjointPathsWorkspace& ws) {
+  const std::span<const util::SimTime> latencies = view.latencies();
   const auto feasible = [&](const graph::Path& path) {
     const util::SimTime latency = pathLatency(overlay, path, latencies);
     return latency != util::kNever && latency <= params.deadline;
   };
 
   std::vector<graph::Path> chosen;
-  const auto penalized = view.routingWeights(params.view);
   for (graph::Path& path :
        graph::nodeDisjointPaths(overlay, flow.source, flow.destination,
-                                penalized, k)
+                                penalized, k, ws)
            .paths) {
     if (feasible(path)) chosen.push_back(std::move(path));
   }
   if (static_cast<int>(chosen.size()) < k) {
     for (graph::Path& path :
          graph::nodeDisjointPaths(overlay, flow.source, flow.destination,
-                                  latencies, k)
+                                  latencies, k, ws)
              .paths) {
       if (static_cast<int>(chosen.size()) >= k) break;
       if (!feasible(path)) continue;
@@ -164,6 +163,16 @@ class CachedGraphScheme : public RoutingScheme {
   std::vector<util::SimTime> weightsScratch_;
   std::vector<graph::EdgeId> edgeScratch_;
   std::uint64_t lastFingerprint_ = NetworkView::kNoFingerprint;
+  /// Re-planning scratch: the view's routing weights and the disjoint-path
+  /// solver's network, reused by every recompute of this scheme.
+  std::vector<util::SimTime> penalizedScratch_;
+  graph::DisjointPathsWorkspace disjointWs_;
+
+  std::vector<graph::Path> timelyPaths(const NetworkView& view, int k) {
+    view.routingWeightsInto(params_.view, penalizedScratch_);
+    return timelyDisjointPaths(*overlay_, flow_, view, penalizedScratch_,
+                               params_, k, disjointWs_);
+  }
 
   void noteDecision(const NetworkView& view) {
     lastFingerprint_ = view.fingerprint();
@@ -241,7 +250,7 @@ class SinglePathScheme : public CachedGraphScheme {
     noteDecision(baselineView);
   }
 
-  // dgcheck: cold: decision path; steady-state selects are fixed-point no-ops, re-planning is amortized by the decision memo
+  // dgcheck: cold: decision path; steady-state selects are fixed-point no-ops, and a re-plan allocates only its returned paths and graph (solver scratch lives in the scheme's DisjointPathsWorkspace)
   const DisseminationGraph& select(const NetworkView& view) override {
     if (!dynamic_) return current_;
     return selectDynamic(view,
@@ -250,8 +259,7 @@ class SinglePathScheme : public CachedGraphScheme {
 
  private:
   bool recompute(const NetworkView& view) {
-    const auto paths =
-        timelyDisjointPaths(*overlay_, flow_, view, params_, 1);
+    const auto paths = timelyPaths(view, 1);
     // When the view offers no timely route, keep the previous graph:
     // sending on a possibly-degraded route beats sending on nothing.
     if (paths.empty()) return false;
@@ -285,7 +293,7 @@ class DisjointPathsScheme : public CachedGraphScheme {
     noteDecision(baselineView);
   }
 
-  // dgcheck: cold: decision path; steady-state selects are fixed-point no-ops, re-planning is amortized by the decision memo
+  // dgcheck: cold: decision path; steady-state selects are fixed-point no-ops, and a re-plan allocates only its returned paths and graph (solver scratch lives in the scheme's DisjointPathsWorkspace)
   const DisseminationGraph& select(const NetworkView& view) override {
     if (!dynamic_) return current_;
     return selectDynamic(view,
@@ -294,8 +302,7 @@ class DisjointPathsScheme : public CachedGraphScheme {
 
  private:
   bool recompute(const NetworkView& view) {
-    const auto paths = timelyDisjointPaths(*overlay_, flow_, view, params_,
-                                           params_.disjointPaths);
+    const auto paths = timelyPaths(view, params_.disjointPaths);
     if (paths.empty()) return false;  // keep previous graph
     DisseminationGraph next(*overlay_, flow_.source, flow_.destination);
     for (const graph::Path& path : paths) next.addPath(path);
@@ -378,7 +385,7 @@ class TargetedScheme : public RoutingScheme {
 
   bool steadyOnBaseline() const override { return steadyOnBaseline_; }
 
-  // dgcheck: cold: decision path; steady-state selects are fixed-point no-ops, allocation only on classification change (amortized by the decision memo)
+  // dgcheck: cold: decision path; each select's classification allocates one edge-flag vector, and a middle-problem re-plan allocates its returned paths and graph (solver scratch lives in the scheme's DisjointPathsWorkspace)
   const DisseminationGraph& select(const NetworkView& view) override {
     const FlowProblem detected =
         detector_.classify(view, flow_.source, flow_.destination);
@@ -421,12 +428,12 @@ class TargetedScheme : public RoutingScheme {
       // A mid-network problem: recompute two disjoint paths around it
       // (classic dynamic behaviour; middle problems are the minority and
       // rarely hit both precomputed paths, but recomputing is cheap).
-      const auto weights = view.routingWeights(params_.view);
-      if (weights != dynamicWeights_) {
-        dynamicWeights_ = weights;
-        const auto paths = timelyDisjointPaths(*overlay_, flow_, view,
-                                               params_,
-                                               params_.disjointPaths);
+      view.routingWeightsInto(params_.view, weightsScratch_);
+      if (weightsScratch_ != dynamicWeights_) {
+        std::swap(dynamicWeights_, weightsScratch_);
+        const auto paths =
+            timelyDisjointPaths(*overlay_, flow_, view, dynamicWeights_,
+                                params_, params_.disjointPaths, disjointWs_);
         if (!paths.empty()) {
           DisseminationGraph next(*overlay_, flow_.source,
                                   flow_.destination);
@@ -448,6 +455,8 @@ class TargetedScheme : public RoutingScheme {
   TargetedGraphs graphs_;
   DisseminationGraph dynamicFallback_;
   std::vector<util::SimTime> dynamicWeights_;
+  std::vector<util::SimTime> weightsScratch_;
+  graph::DisjointPathsWorkspace disjointWs_;
   FlowProblem lastProblem_;
   int sourceHold_ = 0;
   int destinationHold_ = 0;

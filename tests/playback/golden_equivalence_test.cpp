@@ -13,6 +13,7 @@
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
 #include "test_support.hpp"
+#include "topogen/topogen.hpp"
 #include "util/rng.hpp"
 
 namespace dg {
@@ -302,6 +303,39 @@ TEST(DeliveryEquivalence, AllKernelsMatchReferenceAcrossSeedsAndCounts) {
         playback::detail::setMcKernelForTest(
             playback::detail::McKernel::kAuto);
       }
+    }
+  }
+}
+
+// Beyond 64 member edges the pattern key does not fit and every sample
+// is scored directly (the unkeyed fallback); it too must match the
+// frozen reference draw for draw.
+TEST(DeliveryEquivalence, UnkeyedFallbackMatchesReference) {
+  const auto topology = topogen::generateTopology("scale-free:n=100,seed=7");
+  const graph::Graph& g = topology.graph();
+  const graph::DisseminationGraph flooding = graph::floodingGraph(g, 0, 1);
+  ASSERT_GT(flooding.edges().size(), 64u);
+  playback::DeliveryWorkspace ws;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    util::Rng setup(seed * 1979 + 11);
+    std::vector<double> losses(g.edgeCount());
+    std::vector<util::SimTime> latencies = g.baseLatencies();
+    for (graph::EdgeId e = 0; e < g.edgeCount(); ++e) {
+      losses[e] = setup.bernoulli(0.25) ? setup.uniform(0.0, 0.9) : 1e-4;
+      if (setup.bernoulli(0.1)) latencies[e] *= 4;
+    }
+    for (const bool recovery : {true, false}) {
+      playback::DeliveryModelParams params;
+      params.recoveryEnabled = recovery;
+      util::Rng refRng(seed);
+      const double reference = playback::onTimeProbabilityMCReference(
+          flooding, losses, latencies, params, 200, refRng);
+      util::Rng rng(seed);
+      EXPECT_EQ(playback::onTimeProbabilityMC(flooding, losses, latencies,
+                                              params, 200, rng, ws),
+                reference)
+          << "seed " << seed;
+      EXPECT_EQ(rng.next(), refRng.next()) << "seed " << seed;
     }
   }
 }
