@@ -178,7 +178,7 @@ class GroupPlaybackEngine {
   /// group evaluations are pure functions either way, and the
   /// per-receiver result vectors make the exact-key bookkeeping a poor
   /// trade. Within one Monte-Carlo interval the group evaluator has the
-  /// unicast one's machinery (batched classify, clean-path shortcut,
+  /// unicast one's machinery (lane-split SIMD draws, clean-path shortcut,
   /// per-outcome-pattern verdict memo), so an interval costs its draws
   /// plus one bounded Dijkstra per distinct outcome pattern that slows a
   /// clean earliest path -- not one per such sample.

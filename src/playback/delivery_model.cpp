@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <queue>
 #include <utility>
 #include <vector>
 
 #if defined(__x86_64__) && defined(__GNUC__)
-#define DG_MC_HAVE_AVX2_TARGET 1
-#include <immintrin.h>
+#define DG_MC_HAVE_SIMD_TARGETS 1
 #endif
 
 namespace dg::playback {
@@ -27,11 +27,16 @@ McKernel g_mcKernelOverride =  // dglint: ok(R3): test-only kernel pin
 void setMcKernelForTest(McKernel kernel) { g_mcKernelOverride = kernel; }
 
 bool mcKernelSupported(McKernel kernel) {
-  if (kernel != McKernel::kBlockAvx2) return true;
-#if DG_MC_HAVE_AVX2_TARGET
-  return __builtin_cpu_supports("avx2") != 0;
+#if DG_MC_HAVE_SIMD_TARGETS
+  if (kernel == McKernel::kLanes4Avx2) {
+    return __builtin_cpu_supports("avx2") != 0;
+  }
+  if (kernel == McKernel::kLanes8Avx512) {
+    return __builtin_cpu_supports("avx512f") != 0;
+  }
+  return true;
 #else
-  return false;
+  return kernel == McKernel::kAuto || kernel == McKernel::kFusedScalar;
 #endif
 }
 
@@ -197,120 +202,224 @@ bool distancesWithin(const graph::DisseminationGraph& dg,
   return ws.dist[dg.destination()] <= deadline;
 }
 
-/// Samples per batched block. Bounded so the draw buffer (block *
-/// members * 8 bytes) stays inside L1 even for 64-member graphs.
-constexpr int kMcBlockSamples = 32;
-
-/// Portable SoA classify pass: turns a block of raw draws (sample-major,
-/// `memberCount` draws per sample) into per-sample 2-bit outcome-pattern
-/// keys. Identical classification to the fused loop -- same thresholds,
-/// same 53-bit integer comparison -- just decoupled from the RNG
-/// advance.
-// dgcheck: hot
-void buildKeysScalar(const std::uint64_t* draws, std::size_t memberCount,
-                     int blockSamples, const std::uint64_t* thrOnTime,
-                     const std::uint64_t* thrRecovered,
-                     std::uint64_t* keyLo, std::uint64_t* keyHi) {
-  for (int b = 0; b < blockSamples; ++b) {
-    const std::uint64_t* d =
-        draws + static_cast<std::size_t>(b) * memberCount;
-    std::uint64_t key[2] = {0, 0};
-    for (std::size_t i = 0; i < memberCount; ++i) {
-      const std::uint64_t k = d[i] >> 11;
+/// Draws samples [first, last) serially from `rng` -- member by member,
+/// one sample after another -- into their 2-bit outcome-pattern keys
+/// (0 = on-time, 1 = recovered, 2 = lost per member edge) at
+/// keyLo/keyHi[s]. The thresholds nest, so 1 + the second comparison is
+/// the band index. The on-time branch is the overwhelmingly common case --
+/// with baseline loss rates it is taken ~99.99% of the time -- so the
+/// key-building work is kept off that path entirely, and the classify
+/// work hides under the serial RNG dependency chain.
+void drawSerialKeys(util::Rng& rng, std::size_t memberCount,
+                    const std::uint64_t* thrOnTime,
+                    const std::uint64_t* thrRecovered, std::size_t first,
+                    std::size_t last, std::uint64_t* keyLo,
+                    std::uint64_t* keyHi) {
+  const std::size_t lowCount = std::min<std::size_t>(memberCount, 32);
+  for (std::size_t s = first; s < last; ++s) {
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+    for (std::size_t i = 0; i < lowCount; ++i) {
+      const std::uint64_t k = rng.next() >> 11;
       if (k >= thrOnTime[i]) [[unlikely]] {
         const std::uint64_t code =
             1 + static_cast<std::uint64_t>(k >= thrRecovered[i]);
-        key[i >> 5] |= code << (2 * (i & 31));
+        lo |= code << (2 * i);
       }
     }
-    keyLo[b] = key[0];
-    keyHi[b] = key[1];
-  }
-}
-
-#if DG_MC_HAVE_AVX2_TARGET
-/// AVX2 classify pass: 4 member edges per vector, fully branchless. Both
-/// sides of the threshold comparisons are 53-bit integers, so the signed
-/// 64-bit compares are exact; per-lane the outcome code is
-/// 2 + (k < thrOnTime) + (k < thrRecovered) with the compares as 0/-1
-/// masks (0 = on-time, 1 = recovered, 2 = lost), shifted into key
-/// position with a variable shift and OR-folded across the block.
-// dgcheck: hot
-__attribute__((target("avx2"))) void buildKeysAvx2(
-    const std::uint64_t* draws, std::size_t memberCount, int blockSamples,
-    const std::uint64_t* thrOnTime, const std::uint64_t* thrRecovered,
-    std::uint64_t* keyLo, std::uint64_t* keyHi) {
-  const __m256i laneShift = _mm256_set_epi64x(6, 4, 2, 0);
-  const __m256i two = _mm256_set1_epi64x(2);
-  for (int b = 0; b < blockSamples; ++b) {
-    const std::uint64_t* d =
-        draws + static_cast<std::size_t>(b) * memberCount;
-    __m256i accLo = _mm256_setzero_si256();
-    __m256i accHi = _mm256_setzero_si256();
-    std::size_t i = 0;
-    for (; i + 4 <= memberCount; i += 4) {
-      const __m256i k = _mm256_srli_epi64(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d + i)), 11);
-      const __m256i tOn = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(thrOnTime + i));
-      const __m256i tRec = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(thrRecovered + i));
-      const __m256i onTimeMask = _mm256_cmpgt_epi64(tOn, k);    // k < tOn
-      const __m256i recMask = _mm256_cmpgt_epi64(tRec, k);      // k < tRec
-      const __m256i code = _mm256_add_epi64(
-          two, _mm256_add_epi64(onTimeMask, recMask));
-      const __m256i shift = _mm256_add_epi64(
-          _mm256_set1_epi64x(2 * static_cast<long long>(i & 31)),
-          laneShift);
-      const __m256i contrib = _mm256_sllv_epi64(code, shift);
-      if (i < 32) {
-        accLo = _mm256_or_si256(accLo, contrib);
-      } else {
-        accHi = _mm256_or_si256(accHi, contrib);
-      }
-    }
-    // Horizontal OR of the four lanes (a lambda would lose the target
-    // attribute, so spelled out for both accumulators).
-    const __m128i foldedLo = _mm_or_si128(_mm256_castsi256_si128(accLo),
-                                          _mm256_extracti128_si256(accLo, 1));
-    std::uint64_t kLo =
-        static_cast<std::uint64_t>(_mm_cvtsi128_si64(foldedLo)) |
-        static_cast<std::uint64_t>(_mm_extract_epi64(foldedLo, 1));
-    const __m128i foldedHi = _mm_or_si128(_mm256_castsi256_si128(accHi),
-                                          _mm256_extracti128_si256(accHi, 1));
-    std::uint64_t kHi =
-        static_cast<std::uint64_t>(_mm_cvtsi128_si64(foldedHi)) |
-        static_cast<std::uint64_t>(_mm_extract_epi64(foldedHi, 1));
-    for (; i < memberCount; ++i) {  // scalar tail (memberCount % 4)
-      const std::uint64_t k = d[i] >> 11;
+    for (std::size_t i = 32; i < memberCount; ++i) {
+      const std::uint64_t k = rng.next() >> 11;
       if (k >= thrOnTime[i]) [[unlikely]] {
         const std::uint64_t code =
             1 + static_cast<std::uint64_t>(k >= thrRecovered[i]);
-        (i < 32 ? kLo : kHi) |= code << (2 * (i & 31));
+        hi |= code << (2 * (i - 32));
       }
     }
-    keyLo[b] = kLo;
-    keyHi[b] = kHi;
+    keyLo[s] = lo;
+    keyHi[s] = hi;
   }
 }
-#endif  // DG_MC_HAVE_AVX2_TARGET
 
-/// Kernel dispatch: honor a test override, otherwise pick by measured
-/// profitability. The fused loop wins for small member counts (the
-/// classify work hides under the serial RNG dependency chain); the
-/// branchless AVX2 block pass wins once the per-sample classify is wide
-/// enough to amortize the draw-buffer round trip.
-detail::McKernel resolveMcKernel(std::size_t memberCount) {
+#if DG_MC_HAVE_SIMD_TARGETS
+// The lane kernels are one generic body over GCC vector types, compiled
+// once per instruction set: each entry point carries its target attribute
+// and the always-inline body takes it on -- 4 lanes in AVX2 registers, 8
+// in AVX-512 registers (where the rotates become single instructions).
+// Vectors only pass by reference, so no call boundary has a vector ABI.
+using Lanes4 = std::uint64_t __attribute__((vector_size(32)));
+using Lanes4Signed = std::int64_t __attribute__((vector_size(32)));
+using Lanes8 = std::uint64_t __attribute__((vector_size(64)));
+using Lanes8Signed = std::int64_t __attribute__((vector_size(64)));
+
+/// xoshiro256** on every lane: writes each lane's next output to `out`
+/// and steps its state. The multiplies are shift-adds
+/// (s1 * 5 = s1 + (s1 << 2), r * 9 = r + (r << 3)): two single-cycle
+/// operations where a 64-bit lane multiply takes several cycles, or does
+/// not exist (AVX2).
+template <typename V>
+__attribute__((always_inline)) inline void nextLanes(V& s0, V& s1, V& s2,
+                                                     V& s3, V& out) {
+  const V x5 = s1 + (s1 << 2);
+  const V r = (x5 << 7) | (x5 >> 57);
+  out = r + (r << 3);
+  const V t = s1 << 17;
+  s2 ^= s0;
+  s3 ^= s1;
+  s1 ^= s2;
+  s0 ^= s3;
+  s2 ^= t;
+  s3 = (s3 << 45) | (s3 >> 19);
+}
+
+/// Adds one member's outcome code to every lane's key: `bit` (code 1)
+/// once per band the draw lies beyond, on-time -> recovered -> lost. Both
+/// sides of the compares are 53-bit integers, so signed compares are
+/// exact.
+template <typename V, typename S>
+__attribute__((always_inline)) inline void addCode(
+    V& key, const V& draw, std::uint64_t thrOnTime,
+    std::uint64_t thrRecovered, std::uint64_t bit) {
+  const S k = (S)(draw >> 11);
+  const S late = k >= (S)(V{} + thrOnTime);
+  const S lost = k >= (S)(V{} + thrRecovered);
+  key += ((V)late & bit) + ((V)lost & bit);
+}
+
+/// The lane kernel (see McKernel) on W = sizeof(V) / 8 lanes. First one
+/// 256-step pass applies every lane's jump: a copy of the caller's state
+/// steps through the generator on every lane and is XORed into lane j's
+/// accumulator wherever lane j's polynomial has a 1. Then the lanes draw
+/// and classify q samples each in lock-step; every lane is at the same
+/// member at the same step, so the thresholds are broadcasts. Lane j's
+/// t-th key lands at keyLo/keyHi[t * W + j], the last lane's end state in
+/// `end`.
+// dgcheck: hot
+template <typename V, typename S>
+__attribute__((always_inline)) inline void laneKeys(
+    const util::Rng::State& seed, const detail::McLaneJumps& jumps,
+    std::size_t memberCount, std::size_t q, const std::uint64_t* thrOnTime,
+    const std::uint64_t* thrRecovered, std::uint64_t* keyLo,
+    std::uint64_t* keyHi, util::Rng::State& end) {
+  constexpr std::size_t kLanes = sizeof(V) / sizeof(std::uint64_t);
+  V laneBit = {};
+  for (std::size_t j = 0; j < kLanes; ++j) laneBit[j] = std::uint64_t{1} << j;
+  V s0 = V{} + seed[0];
+  V s1 = V{} + seed[1];
+  V s2 = V{} + seed[2];
+  V s3 = V{} + seed[3];
+  V a0 = {};
+  V a1 = {};
+  V a2 = {};
+  V a3 = {};
+  V draw = {};
+  for (std::size_t i = 0; i < 256; ++i) {
+    const V mask = (V)(((V{} + jumps.laneBits[i]) & laneBit) == laneBit);
+    a0 ^= s0 & mask;
+    a1 ^= s1 & mask;
+    a2 ^= s2 & mask;
+    a3 ^= s3 & mask;
+    nextLanes(s0, s1, s2, s3, draw);
+  }
+  const std::size_t lowCount = std::min<std::size_t>(memberCount, 32);
+  for (std::size_t t = 0; t < q; ++t) {
+    V lo = {};
+    V hi = {};
+    for (std::size_t i = 0; i < lowCount; ++i) {
+      nextLanes(a0, a1, a2, a3, draw);
+      addCode<V, S>(lo, draw, thrOnTime[i], thrRecovered[i],
+                    std::uint64_t{1} << (2 * i));
+    }
+    for (std::size_t i = 32; i < memberCount; ++i) {
+      nextLanes(a0, a1, a2, a3, draw);
+      addCode<V, S>(hi, draw, thrOnTime[i], thrRecovered[i],
+                    std::uint64_t{1} << (2 * (i - 32)));
+    }
+    std::memcpy(keyLo + kLanes * t, &lo, sizeof lo);
+    std::memcpy(keyHi + kLanes * t, &hi, sizeof hi);
+  }
+  end = {a0[kLanes - 1], a1[kLanes - 1], a2[kLanes - 1], a3[kLanes - 1]};
+}
+
+// dgcheck: hot
+__attribute__((target("avx2"))) void laneKeysAvx2(
+    const util::Rng::State& seed, const detail::McLaneJumps& jumps,
+    std::size_t memberCount, std::size_t q, const std::uint64_t* thrOnTime,
+    const std::uint64_t* thrRecovered, std::uint64_t* keyLo,
+    std::uint64_t* keyHi, util::Rng::State& end) {
+  laneKeys<Lanes4, Lanes4Signed>(seed, jumps, memberCount, q, thrOnTime,
+                                 thrRecovered, keyLo, keyHi, end);
+}
+
+// dgcheck: hot
+__attribute__((target("avx512f"))) void laneKeysAvx512(
+    const util::Rng::State& seed, const detail::McLaneJumps& jumps,
+    std::size_t memberCount, std::size_t q, const std::uint64_t* thrOnTime,
+    const std::uint64_t* thrRecovered, std::uint64_t* keyLo,
+    std::uint64_t* keyHi, util::Rng::State& end) {
+  laneKeys<Lanes8, Lanes8Signed>(seed, jumps, memberCount, q, thrOnTime,
+                                 thrRecovered, keyLo, keyHi, end);
+}
+
+/// The jump polynomials of a `lanes`-way split with `stride` draws per
+/// lane, cached in the workspace per member count. A sweep keeps its
+/// sample count, so each member count's split is built once per
+/// workspace: x^stride mod P once, then each lane's polynomial is the
+/// previous one times it.
+const detail::McLaneJumps& laneJumps(DeliveryWorkspace& ws,
+                                     std::size_t memberCount,
+                                     std::uint64_t stride, int lanes) {
+  if (ws.mcLaneJumps.size() <= memberCount) {
+    ws.mcLaneJumps.resize(memberCount + 1);
+  }
+  detail::McLaneJumps& split = ws.mcLaneJumps[memberCount];
+  if (split.lanes == lanes && split.stride == stride) return split;
+  split.stride = stride;
+  split.lanes = lanes;
+  split.laneBits.fill(0);
+  const util::JumpPoly step = util::jumpPoly(stride);
+  util::JumpPoly poly = {1, 0, 0, 0};  // lane 0: x^0
+  for (int j = 0; j < lanes; ++j) {
+    if (j > 0) poly = util::jumpPolyMul(poly, step);
+    for (std::size_t i = 0; i < 256; ++i) {
+      split.laneBits[i] |= static_cast<std::uint8_t>(
+          ((poly[i / 64] >> (i % 64)) & 1) << j);
+    }
+  }
+  return split;
+}
+#endif  // DG_MC_HAVE_SIMD_TARGETS
+
+/// Below this many draws per call (samples * memberCount) the serial
+/// kernel beats the lanes: their 256-step jump pass costs about as much
+/// as the draws it parallelizes. Measured on a 4-vCPU x86 VM (ltn12
+/// graphs of 1-64 members): the 8-lane kernel wins from ~400 draws, the
+/// 4-lane one from ~600.
+constexpr std::size_t kMinLaneDraws = 512;
+
+/// Kernel dispatch: honors a test pin the CPU can run, otherwise takes
+/// the widest lane kernel it runs once the call has kMinLaneDraws draws.
+/// Returns the lane count W, 1 for the fused serial kernel; with fewer
+/// samples than lanes the whole call runs serially.
+int resolveMcLanes(int samples, std::size_t memberCount) {
   using detail::McKernel;
-  const McKernel forced = detail::g_mcKernelOverride;
-  if (forced != McKernel::kAuto) return forced;
-#if DG_MC_HAVE_AVX2_TARGET
-  static const bool haveAvx2 = __builtin_cpu_supports("avx2") != 0;
-  if (haveAvx2 && memberCount >= 16) return McKernel::kBlockAvx2;
-#else
-  (void)memberCount;
-#endif
-  return McKernel::kFusedScalar;
+  McKernel kernel = detail::g_mcKernelOverride;
+  if (kernel == McKernel::kAuto) {
+    static const McKernel widest =
+        detail::mcKernelSupported(McKernel::kLanes8Avx512)
+            ? McKernel::kLanes8Avx512
+        : detail::mcKernelSupported(McKernel::kLanes4Avx2)
+            ? McKernel::kLanes4Avx2
+            : McKernel::kFusedScalar;
+    const bool enoughDraws =
+        static_cast<std::size_t>(samples) * memberCount >= kMinLaneDraws;
+    kernel = enoughDraws ? widest : McKernel::kFusedScalar;
+  } else if (!detail::mcKernelSupported(kernel)) {
+    kernel = McKernel::kFusedScalar;
+  }
+  const int lanes = kernel == McKernel::kLanes8Avx512 ? 8
+                    : kernel == McKernel::kLanes4Avx2 ? 4
+                                                      : 1;
+  return samples >= lanes ? lanes : 1;
 }
 
 /// What one Monte-Carlo call derives before its sample loop (see
@@ -480,14 +589,14 @@ std::uint64_t keyedVerdict(std::uint64_t keyLo, std::uint64_t keyHi,
 }
 
 /// The keyed sample loop both evaluators share (plan.patternMemo only):
-/// draws every sample's member outcomes with the dispatched kernel, turns
-/// them into the sample's 2-bit outcome-pattern key (0 = on-time,
-/// 1 = recovered, 2 = lost per member edge) and passes the sample's
+/// draws every sample's member outcomes with the dispatched kernel into
+/// the sample's 2-bit outcome-pattern key, then passes each sample's
 /// verdict to `score`, in sample order. Identical patterns imply
 /// identical Dijkstra runs, so verdicts are memoized per pattern for the
 /// duration of the call. Every kernel consumes the same draws in the
-/// same order: `rng` ends advanced by exactly samples * memberCount draws
-/// and every verdict is bit-identical across kernels.
+/// same order: `rng` ends advanced by exactly samples * memberCount draws,
+/// and since all keys exist before scoring starts, memo fills and
+/// `evaluate()` calls follow the sample order under every kernel.
 // dgcheck: hot
 template <typename EvaluateFn, typename ScoreFn>
 void scoreKeyedSamples(const McPlan& plan,
@@ -495,81 +604,59 @@ void scoreKeyedSamples(const McPlan& plan,
                        int samples, util::Rng& rng, DeliveryWorkspace& ws,
                        EvaluateFn&& evaluate, ScoreFn&& score) {
   const std::size_t memberCount = plan.memberCount;
-  ws.outcomeCache.beginEpoch();
+  const std::uint64_t* thrOnTime = ws.mcThrOnTime.data();
+  const std::uint64_t* thrRecovered = ws.mcThrRecovered.data();
+  const auto total = static_cast<std::size_t>(samples);
+  if (ws.mcKeyLo.size() < total) {
+    ws.mcKeyLo.resize(total);
+    ws.mcKeyHi.resize(total);
+  }
+  std::uint64_t* keyLo = ws.mcKeyLo.data();
+  std::uint64_t* keyHi = ws.mcKeyHi.data();
+  // W lanes of q samples each; the serial kernel is the one-lane case.
+  const auto width =
+      static_cast<std::size_t>(resolveMcLanes(samples, memberCount));
+  const std::size_t q = total / width;
   // Draw through a local generator so the four state words live in
   // registers for the whole loop nest (the caller's rng is advanced to
   // the same final state below).
   util::Rng localRng = rng;
-  const detail::McKernel kernel = resolveMcKernel(memberCount);
-  if (kernel == detail::McKernel::kFusedScalar) {
-    // Fused draw-and-classify loop (the thresholds nest, so 1 + the
-    // second comparison is the band index). The on-time branch is the
-    // overwhelmingly common case -- with baseline loss rates it is taken
-    // ~99.99% of the time -- so the key-building work is kept off that
-    // path entirely, and the classify work hides under the serial RNG
-    // dependency chain.
-    const std::size_t lowCount = std::min<std::size_t>(memberCount, 32);
-    for (int s = 0; s < samples; ++s) {
-      std::uint64_t keyLo = 0;
-      std::uint64_t keyHi = 0;
-      for (std::size_t i = 0; i < lowCount; ++i) {
-        const std::uint64_t k = localRng.next() >> 11;
-        if (k >= ws.mcThrOnTime[i]) [[unlikely]] {
-          const std::uint64_t code =
-              1 + static_cast<std::uint64_t>(k >= ws.mcThrRecovered[i]);
-          keyLo |= code << (2 * i);
-        }
-      }
-      for (std::size_t i = 32; i < memberCount; ++i) {
-        const std::uint64_t k = localRng.next() >> 11;
-        if (k >= ws.mcThrOnTime[i]) [[unlikely]] {
-          const std::uint64_t code =
-              1 + static_cast<std::uint64_t>(k >= ws.mcThrRecovered[i]);
-          keyHi |= code << (2 * (i - 32));
-        }
-      }
-      score(keyedVerdict(keyLo, keyHi, plan, members, ws, evaluate));
+  std::size_t serialFrom = 0;
+#if DG_MC_HAVE_SIMD_TARGETS
+  if (width > 1) {
+    const detail::McLaneJumps& jumps = laneJumps(
+        ws, memberCount, q * memberCount, static_cast<int>(width));
+    util::Rng::State end = {};
+    if (width == 8) {
+      laneKeysAvx512(localRng.state(), jumps, memberCount, q, thrOnTime,
+                     thrRecovered, keyLo, keyHi, end);
+    } else {
+      laneKeysAvx2(localRng.state(), jumps, memberCount, q, thrOnTime,
+                   thrRecovered, keyLo, keyHi, end);
     }
-  } else {
-    // Batched SoA kernels: draw a whole block of samples into the draw
-    // buffer (sample-major -- byte-for-byte the order the fused loop
-    // consumes), classify the block into per-sample pattern keys, then
-    // score the keys in sample order.
-    const std::size_t blockDraws =
-        static_cast<std::size_t>(kMcBlockSamples) * memberCount;
-    if (ws.mcDraws.size() < blockDraws) ws.mcDraws.resize(blockDraws);
-    if (ws.mcKeyLo.size() < static_cast<std::size_t>(kMcBlockSamples)) {
-      ws.mcKeyLo.resize(static_cast<std::size_t>(kMcBlockSamples));
-      ws.mcKeyHi.resize(static_cast<std::size_t>(kMcBlockSamples));
-    }
-    for (int s0 = 0; s0 < samples; s0 += kMcBlockSamples) {
-      const int blockSamples = std::min(kMcBlockSamples, samples - s0);
-      localRng.nextBlock(ws.mcDraws.data(),
-                         static_cast<std::size_t>(blockSamples) *
-                             memberCount);
-#if DG_MC_HAVE_AVX2_TARGET
-      if (kernel == detail::McKernel::kBlockAvx2) {
-        buildKeysAvx2(ws.mcDraws.data(), memberCount, blockSamples,
-                      ws.mcThrOnTime.data(), ws.mcThrRecovered.data(),
-                      ws.mcKeyLo.data(), ws.mcKeyHi.data());
-      } else {
-        buildKeysScalar(ws.mcDraws.data(), memberCount, blockSamples,
-                        ws.mcThrOnTime.data(), ws.mcThrRecovered.data(),
-                        ws.mcKeyLo.data(), ws.mcKeyHi.data());
-      }
-#else
-      buildKeysScalar(ws.mcDraws.data(), memberCount, blockSamples,
-                      ws.mcThrOnTime.data(), ws.mcThrRecovered.data(),
-                      ws.mcKeyLo.data(), ws.mcKeyHi.data());
+    // The last lane ended width * q samples into the stream, exactly where
+    // the serial leftovers start.
+    localRng.setState(end);
+    serialFrom = width * q;
+  }
 #endif
-      for (int b = 0; b < blockSamples; ++b) {
-        score(keyedVerdict(ws.mcKeyLo[static_cast<std::size_t>(b)],
-                           ws.mcKeyHi[static_cast<std::size_t>(b)], plan,
-                           members, ws, evaluate));
-      }
+  drawSerialKeys(localRng, memberCount, thrOnTime, thrRecovered, serialFrom,
+                 total, keyLo, keyHi);
+  rng = localRng;
+
+  ws.outcomeCache.beginEpoch();
+  // Sample order: lane j holds samples j * q .. j * q + q - 1, the serial
+  // leftovers follow.
+  for (std::size_t j = 0; j < width; ++j) {
+    for (std::size_t t = 0; t < q; ++t) {
+      const std::size_t slot = t * width + j;
+      score(keyedVerdict(keyLo[slot], keyHi[slot], plan, members, ws,
+                         evaluate));
     }
   }
-  rng = localRng;
+  for (std::size_t s = width * q; s < total; ++s) {
+    score(keyedVerdict(keyLo[s], keyHi[s], plan, members, ws, evaluate));
+  }
 }
 
 /// One sample of the unkeyed fallback (graphs beyond the pattern key):

@@ -12,6 +12,7 @@
 // deadline.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -109,17 +110,33 @@ class SampleOutcomeCache {
   std::size_t pending_ = 0;
 };
 
-/// Monte-Carlo classify-kernel selection. The batched evaluator draws
-/// RNG outcomes for a whole block of samples at once (structure-of-arrays
-/// draw buffer) and then classifies the block against the per-edge 53-bit
-/// thresholds either with a portable scalar pass or with an AVX2 pass;
-/// the fused kernel is the original draw-and-classify loop. All kernels
-/// consume draws in the identical order and produce bit-identical
-/// results -- kAuto picks per call based on runtime CPU support and the
-/// member-edge count, and the forced values let the equivalence suites
-/// pin every kernel of both the unicast and the group evaluator against
-/// their frozen references.
-enum class McKernel { kAuto, kFusedScalar, kBlockScalar, kBlockAvx2 };
+/// Monte-Carlo draw-kernel selection. Every kernel consumes the same
+/// draws in the same order, so results and the final RNG state are
+/// bit-identical across kernels:
+///   - kFusedScalar draws and classifies each sample from the one serial
+///     generator. It is the only path without AVX2, and it draws the
+///     leftover samples of the lane kernels.
+///   - kLanes4Avx2 and kLanes8Avx512 split the S samples into W = 4 or 8
+///     lanes of q = S / W consecutive samples. Lane j starts from the
+///     generator jumped j * q * memberCount draws ahead, all lanes draw and
+///     classify in lock-step SIMD, and the S mod W leftover samples
+///     continue serially from the last lane's end state -- exactly where
+///     the serial stream stands.
+/// kAuto picks the widest lane kernel the CPU runs, and the fused kernel
+/// for calls of fewer than 512 draws or fewer samples than lanes; the
+/// forced values let the equivalence suites pin every kernel of both the
+/// unicast and the group evaluator against their frozen references.
+enum class McKernel { kAuto, kFusedScalar, kLanes4Avx2, kLanes8Avx512 };
+
+/// Jump-ahead polynomials of one lane split -- W lanes, lane j starting
+/// j * stride draws into the stream -- transposed for the one-pass jump:
+/// bit j of laneBits[i] is the x^i coefficient of x^(j * stride) mod P
+/// (see util::Rng::jump).
+struct McLaneJumps {
+  std::uint64_t stride = 0;
+  int lanes = 0;  ///< 0 until filled
+  std::array<std::uint8_t, 256> laneBits = {};
+};
 
 /// Forces a kernel for testing (kAuto restores normal dispatch). Not
 /// thread-safe; flip it only from single-threaded test setup.
@@ -149,14 +166,15 @@ struct DeliveryWorkspace {
   std::vector<std::uint64_t> mcThrRecovered;
   std::vector<util::SimTime> mcLatency;
   std::vector<util::SimTime> mcRecoveredLatency;
-  /// Structure-of-arrays block buffers for the batched Monte-Carlo
-  /// kernels: raw RNG draws for a block of samples (sample-major, so the
-  /// draw order equals the reference's), and the per-sample 2-bit
-  /// outcome-pattern keys classified from them. The unkeyed fallback
+  /// Per-sample 2-bit outcome-pattern keys of one keyed Monte-Carlo
+  /// call, one slot per sample: lane j's t-th sample at t * W + j, the
+  /// serially drawn samples at their sample index. The unkeyed fallback
   /// (more than 64 member edges) draws one sample at a time into mcDraws.
   std::vector<std::uint64_t> mcDraws;
   std::vector<std::uint64_t> mcKeyLo;
   std::vector<std::uint64_t> mcKeyHi;
+  /// Lane jump polynomials, one cached split per member count.
+  std::vector<detail::McLaneJumps> mcLaneJumps;
 
   /// Clean-run scratch of both Monte-Carlo evaluators: per-receiver clean
   /// verdicts and the per-member-edge "lies on some clean-on-time

@@ -52,15 +52,17 @@ class ProblemDetector {
 
   /// True if `node` currently has a data-center-level problem.
   bool nodeProblem(const NetworkView& view, graph::NodeId node) const;
-  bool nodeProblem(const std::vector<char>& edgeFlags,
-                   graph::NodeId node) const;
 
   /// Classifies the situation for a flow. `middle` is set when any
-  /// problematic link touches neither src nor dst.
+  /// problematic link touches neither src nor dst. Each edge's flag is
+  /// evaluated where it is needed, so classifying allocates nothing.
   FlowProblem classify(const NetworkView& view, graph::NodeId src,
                        graph::NodeId dst) const;
 
  private:
+  /// True if directed edge `e` is problematic under the view.
+  bool edgeProblem(const NetworkView& view, graph::EdgeId e) const;
+
   const graph::Graph* graph_;
   DetectorParams params_;
   std::vector<util::SimTime> baseLatency_;

@@ -385,7 +385,7 @@ class TargetedScheme : public RoutingScheme {
 
   bool steadyOnBaseline() const override { return steadyOnBaseline_; }
 
-  // dgcheck: cold: decision path; each select's classification allocates one edge-flag vector, and a middle-problem re-plan allocates its returned paths and graph (solver scratch lives in the scheme's DisjointPathsWorkspace)
+  // dgcheck: cold: decision path; classification allocates nothing, and only a middle-problem re-plan allocates (its returned paths and graph; solver scratch lives in the scheme's DisjointPathsWorkspace)
   const DisseminationGraph& select(const NetworkView& view) override {
     const FlowProblem detected =
         detector_.classify(view, flow_.source, flow_.destination);

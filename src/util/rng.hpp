@@ -8,17 +8,101 @@
 // algorithms so results are identical across standard libraries.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <numbers>
 
 namespace dg::util {
+
+/// A polynomial over GF(2) of degree < 256: bit i % 64 of word i / 64 is
+/// the coefficient of x^i. Rng::jump() takes the polynomial x^n mod P,
+/// where P is the characteristic polynomial of the generator's linear
+/// state map T: by Cayley-Hamilton P(T) = 0, so T^n = (x^n mod P)(T).
+using JumpPoly = std::array<std::uint64_t, 4>;
+
+/// P without its leading x^256 term.
+inline constexpr JumpPoly kRngCharPoly = {
+    0x9D116F2BB0F0F001ULL, 0x0280002BCEFD1A5EULL, 0x04B4EDCF26259F85ULL,
+    0x0003C03C3F3ECB19ULL};
+
+namespace jump_detail {
+
+constexpr JumpPoly polyXor(const JumpPoly& a, const JumpPoly& b) {
+  return {a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2], a[3] ^ b[3]};
+}
+
+/// a * x^k for 0 < k < 64, dropping terms of degree >= 256.
+constexpr JumpPoly polyShl(const JumpPoly& a, int k) {
+  return {a[0] << k, (a[1] << k) | (a[0] >> (64 - k)),
+          (a[2] << k) | (a[1] >> (64 - k)),
+          (a[3] << k) | (a[2] >> (64 - k))};
+}
+
+// x^(256+j) mod P = kRngCharPoly * x^j needs no further reduction for
+// j < 4.
+static_assert(kRngCharPoly[3] >> 60 == 0);
+
+/// t(x) * x^256 mod P for every 4-bit t.
+inline constexpr std::array<JumpPoly, 16> kFold4 = [] {
+  std::array<JumpPoly, 16> fold = {};
+  for (std::size_t t = 1; t < 16; ++t) {
+    for (int j = 0; j < 4; ++j) {
+      if (((t >> j) & 1) == 0) continue;
+      fold[t] = polyXor(fold[t],
+                        j == 0 ? kRngCharPoly : polyShl(kRngCharPoly, j));
+    }
+  }
+  return fold;
+}();
+
+/// a * x^k mod P for 0 < k <= 4.
+constexpr JumpPoly timesXPow(const JumpPoly& a, int k) {
+  return polyXor(polyShl(a, k), kFold4[a[3] >> (64 - k)]);
+}
+
+}  // namespace jump_detail
+
+/// a * b mod P, four bits of b at a time.
+constexpr JumpPoly jumpPolyMul(const JumpPoly& a, const JumpPoly& b) {
+  using jump_detail::polyXor;
+  using jump_detail::timesXPow;
+  std::array<JumpPoly, 16> multiples = {};  // a * c mod P per 4-bit c
+  multiples[1] = a;
+  for (std::size_t c = 2; c < 16; ++c) {
+    multiples[c] = (c & (c - 1)) == 0
+                       ? timesXPow(multiples[c / 2], 1)
+                       : polyXor(multiples[c & (c - 1)],
+                                 multiples[c & (0 - c)]);
+  }
+  JumpPoly r = {};
+  for (std::size_t nibble = 64; nibble-- > 0;) {
+    r = polyXor(timesXPow(r, 4),
+                multiples[(b[nibble / 16] >> (4 * (nibble % 16))) & 15]);
+  }
+  return r;
+}
+
+/// x^n mod P: the polynomial that makes Rng::jump() skip n draws.
+constexpr JumpPoly jumpPoly(std::uint64_t n) {
+  JumpPoly r = {1, 0, 0, 0};
+  for (int bit = 63 - std::countl_zero(n); bit >= 0; --bit) {
+    r = jumpPolyMul(r, r);
+    if (((n >> bit) & 1) != 0) r = jump_detail::timesXPow(r, 1);
+  }
+  return r;
+}
 
 /// xoshiro256** 1.0 by Blackman & Vigna (public domain reference
 /// algorithm), seeded via splitmix64 so that any 64-bit seed produces a
 /// well-mixed initial state.
 class Rng {
  public:
+  /// The four state words.
+  using State = std::array<std::uint64_t, 4>;
+
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL) { reseed(seed); }
 
   void reseed(std::uint64_t seed) {
@@ -47,8 +131,8 @@ class Rng {
   }
 
   /// Fills out[0..n) with the next n raw 64-bit draws. Produces exactly
-  /// the sequence n consecutive next() calls would -- the batched
-  /// Monte-Carlo evaluator relies on this to stay draw-for-draw
+  /// the sequence n consecutive next() calls would -- the Monte-Carlo
+  /// evaluator's unkeyed fallback relies on this to stay draw-for-draw
   /// identical to the scalar reference -- but keeps the generator state
   /// in locals for the duration of the fill so the compiler can hold it
   /// in registers across the loop.
@@ -71,6 +155,25 @@ class Rng {
     state_[1] = s1;
     state_[2] = s2;
     state_[3] = s3;
+  }
+
+  const State& state() const { return state_; }
+  void setState(const State& state) { state_ = state; }
+
+  /// Advances the state exactly as n next() calls would, given
+  /// poly = jumpPoly(n): T^n s = sum over i of c_i T^i s, accumulated over
+  /// 256 state steps whatever n is. This is the arbitrary-distance jump of
+  /// Haramoto et al. (2008); the reference xoshiro256 jump() is the case
+  /// poly = x^(2^128) mod P.
+  // dgcheck: hot
+  void jump(const JumpPoly& poly) {
+    State acc = {};
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint64_t mask = 0 - ((poly[i / 64] >> (i % 64)) & 1);
+      for (std::size_t w = 0; w < 4; ++w) acc[w] ^= state_[w] & mask;
+      next();
+    }
+    state_ = acc;
   }
 
   /// Uniform double in [0, 1): uses the top 53 bits.
@@ -155,7 +258,8 @@ class Rng {
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
-  std::uint64_t state_[4] = {};
+
+  State state_ = {};
 };
 
 }  // namespace dg::util

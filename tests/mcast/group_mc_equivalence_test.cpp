@@ -2,7 +2,7 @@
 // clean-path shortcut, per-pattern receiver-mask memo) must reproduce the
 // plain per-sample evaluator below count for count -- same per-receiver
 // on-time counts, same delivered histogram, same final RNG state -- under
-// every classify-kernel pin, with and without recovery, for per-receiver
+// every kernel pin, with and without recovery, for per-receiver
 // deadlines, and on graphs that take the >64-member / >64-receiver
 // fallback.
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "graph/dissemination_graph.hpp"
+#include "mc_kernel_pins.hpp"
 #include "playback/delivery_model.hpp"
 #include "topogen/topogen.hpp"
 #include "trace/topology.hpp"
@@ -163,14 +164,18 @@ void referenceOnTimeCountsMCGroup(const graph::DisseminationGraph& dg,
 
 // ---------------------------------------------------------------------
 
+/// Every kernel pin this CPU runs.
 std::vector<detail::McKernel> allKernels() {
-  std::vector<detail::McKernel> kernels = {detail::McKernel::kAuto,
-                                           detail::McKernel::kFusedScalar,
-                                           detail::McKernel::kBlockScalar};
-  if (detail::mcKernelSupported(detail::McKernel::kBlockAvx2)) {
-    kernels.push_back(detail::McKernel::kBlockAvx2);
-  }
-  return kernels;
+  std::string missing;
+  return test::runnableMcKernels(missing);
+}
+
+/// The kernel pins this CPU cannot run, for the suites' closing
+/// GTEST_SKIP.
+std::string kernelsNotRunHere() {
+  std::string missing;
+  test::runnableMcKernels(missing);
+  return missing;
 }
 
 /// Restores automatic kernel dispatch however a test exits.
@@ -255,7 +260,7 @@ TEST(GroupMcEquivalence, MatchesFrozenOracleOnLtn12) {
   const graph::Graph& g = topology.graph();
   const graph::NodeId source = topology.at("NYC");
   DeliveryWorkspace ws;  // shared across every call: reuse must not leak
-  const int sampleCounts[] = {1, 31, 33, 1000};
+  const int sampleCounts[] = {1, 7, 8, 9, 31, 33, 1000, 1001};
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const Conditions c = randomConditions(g, seed);
     for (std::size_t receiverCount = 1; receiverCount <= 8; ++receiverCount) {
@@ -264,7 +269,7 @@ TEST(GroupMcEquivalence, MatchesFrozenOracleOnLtn12) {
       pickReceivers(g, source, receiverCount, seed * 100 + receiverCount,
                     receivers, deadlines);
       // Two graph shapes: the full flooding cover (64 members, both key
-      // words, the AVX2 dispatch range) and the union of each receiver's
+      // words) and the union of each receiver's
       // flooding graph pruned to half its deadline (few members).
       graph::DisseminationGraph flooding =
           graph::floodingGraph(g, source, receivers.front());
@@ -290,6 +295,9 @@ TEST(GroupMcEquivalence, MatchesFrozenOracleOnLtn12) {
         }
       }
     }
+  }
+  if (const std::string missing = kernelsNotRunHere(); !missing.empty()) {
+    GTEST_SKIP() << "kernels not run here: " << missing;
   }
 }
 
@@ -319,6 +327,9 @@ TEST(GroupMcEquivalence, LargeGraphsTakeTheUnkeyedFallback) {
         }
       }
     }
+  }
+  if (const std::string missing = kernelsNotRunHere(); !missing.empty()) {
+    GTEST_SKIP() << "kernels not run here: " << missing;
   }
 }
 
@@ -352,6 +363,9 @@ TEST(GroupMcEquivalence, SingleReceiverMatchesUnicastUnderEveryKernel) {
       EXPECT_EQ(histogram[1], onTime[0]);
       EXPECT_EQ(groupRng.next(), unicastRng.next()) << "seed " << seed;
     }
+  }
+  if (const std::string missing = kernelsNotRunHere(); !missing.empty()) {
+    GTEST_SKIP() << "kernels not run here: " << missing;
   }
 }
 

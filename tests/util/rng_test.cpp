@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace dg::util {
@@ -128,6 +131,70 @@ TEST(Rng, ForkStreamsIndependent) {
     if (childA.next() == childB.next()) ++equal;
   }
   EXPECT_LT(equal, 3);
+}
+
+// jump(jumpPoly(n)) must land exactly where n next() calls do: short
+// distances around the word and degree boundaries of the polynomial, the
+// Monte-Carlo lane strides, and random distances, from several seeds.
+TEST(RngJump, MatchesSerialStepping) {
+  std::vector<std::uint64_t> distances = {0,    1,     2,     63,    64,   255,
+                                          256,  257,   6000,  64000, 123457};
+  Rng pick(99);
+  for (int i = 0; i < 200; ++i) distances.push_back(pick.uniformInt(200000));
+  for (const std::uint64_t seed : {1ULL, 42ULL, 0xDEADBEEFULL}) {
+    for (const std::uint64_t n : distances) {
+      Rng serial(seed);
+      for (std::uint64_t i = 0; i < n; ++i) serial.next();
+      Rng jumped(seed);
+      jumped.jump(jumpPoly(n));
+      ASSERT_EQ(jumped.state(), serial.state())
+          << "seed " << seed << " distance " << n;
+      EXPECT_EQ(jumped.next(), serial.next());
+    }
+  }
+}
+
+// kRngCharPoly annihilates the state sequence: for every state s,
+// T^256 s = sum over i < 256 of p_i T^i s. A typo in the constant fails
+// here, not only through the Monte-Carlo suites.
+TEST(RngJump, CharacteristicPolynomialAnnihilatesStateSequence) {
+  for (const std::uint64_t seed : {3ULL, 77ULL, 123456789ULL}) {
+    Rng rng(seed);
+    Rng::State sum = {};
+    for (std::size_t i = 0; i < 256; ++i) {
+      if (((kRngCharPoly[i / 64] >> (i % 64)) & 1) != 0) {
+        for (std::size_t w = 0; w < 4; ++w) sum[w] ^= rng.state()[w];
+      }
+      rng.next();
+    }
+    EXPECT_EQ(sum, rng.state()) << "seed " << seed;
+  }
+}
+
+// The reference xoshiro256 jump() and long_jump() are x^(2^128) and
+// x^(2^192) mod P: squaring x that often must reproduce their published
+// constants.
+TEST(RngJump, ReproducesReferenceJumpConstants) {
+  JumpPoly poly = {2, 0, 0, 0};  // x
+  for (int i = 0; i < 128; ++i) poly = jumpPolyMul(poly, poly);
+  EXPECT_EQ(poly, (JumpPoly{0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
+                            0xa9582618e03fc9aaULL, 0x39abdc4529b1661cULL}));
+  for (int i = 0; i < 64; ++i) poly = jumpPolyMul(poly, poly);
+  EXPECT_EQ(poly, (JumpPoly{0x76e15d3efefdcbbfULL, 0xc5004e441c522fb3ULL,
+                            0x77710069854ee241ULL, 0x39109bb02acbe635ULL}));
+}
+
+TEST(RngJump, PolynomialArithmetic) {
+  static_assert(jumpPoly(0) == JumpPoly{1, 0, 0, 0});
+  static_assert(jumpPoly(255) == JumpPoly{0, 0, 0, 1ULL << 63});
+  // x^256 = P without its leading term.
+  static_assert(jumpPoly(256) == kRngCharPoly);
+  // x^a * x^b = x^(a+b).
+  for (const auto& [a, b] : {std::pair{5ULL, 7ULL}, {300ULL, 999ULL},
+                             {64000ULL, 123457ULL}}) {
+    EXPECT_EQ(jumpPolyMul(jumpPoly(a), jumpPoly(b)),
+              jumpPoly(a + b));
+  }
 }
 
 }  // namespace
