@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <memory>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
+#include "playback/experiment.hpp"
 #include "store/reader.hpp"
 #include "util/logging.hpp"
 #include "util/stats.hpp"
@@ -206,29 +208,76 @@ GroupExperimentResult runPackedGroupExperiment(
       t = std::make_unique<telemetry::Telemetry>(telemetry->trace.capacity());
   }
 
+  // Chunks clamped to the group's window, as in the unicast runner.
+  const auto taskRange = [&](std::size_t task) {
+    const std::size_t chunk = task % chunkCount;
+    const auto [windowFirst, windowLast] =
+        windows[task / chunkCount / schemeCount];
+    return std::pair{
+        std::max(chunk * chunkIntervals, windowFirst),
+        std::min({chunk * chunkIntervals + chunkIntervals, intervalCount,
+                  windowLast})};
+  };
+
+  // Phase-1 plan: one decision context per receiver of each adaptive job
+  // -- its unicast equivalent for source->receiver -- so groups sharing
+  // a source-receiver pair share one replay. Static kinds carry no
+  // decision state and need none.
+  playback::ReplayPlan plan;
+  std::vector<std::vector<std::size_t>> jobContexts(jobs);
+  for (std::size_t job = 0; job < jobs; ++job) {
+    const Group& group = config.groups[job / schemeCount];
+    const GroupSchemeKind kind = config.schemes[job % schemeCount];
+    if (!isAdaptive(kind)) continue;
+    for (std::size_t i = 0; i < group.receivers.size(); ++i) {
+      jobContexts[job].push_back(plan.context(
+          engine.decisionMemoMutable(), unicastEquivalent(kind),
+          receiverFlow(group, i),
+          receiverSchemeParams(group, i, config.schemeParams)));
+    }
+  }
+  for (std::size_t task = 0; task < tasks; ++task) {
+    const auto [first, last] = taskRange(task);
+    if (first == 0 || first >= last) continue;
+    for (const std::size_t context : jobContexts[task / chunkCount])
+      plan.addStop(context, first);
+  }
+  plan.seal();
+
+  std::atomic<std::size_t> nextContext{0};
   std::atomic<std::size_t> next{0};
+  std::barrier phases(static_cast<std::ptrdiff_t>(threadCount));
   const auto worker = [&] {
+    for (std::size_t i = nextContext++; i < plan.replayCount();
+         i = nextContext++) {
+      playback::ReplayPlan::Context& c = plan.replayContext(i);
+      c.checkpoints =
+          engine.replayCheckpoints(c.kind, c.flow, c.params, c.stops);
+    }
+    phases.arrive_and_wait();
+
     // Worker-private reader and cursor feeds; two sources because the
     // decision cursor lags the truth cursor near chunk boundaries.
     store::PackedTraceReader workerReader =
         store::PackedTraceReader::open(packedPath);
     store::PackedConditionSource decisionSource(workerReader);
     store::PackedConditionSource truthSource(workerReader);
+    std::vector<const routing::DecisionCheckpoint*> starts;
     for (;;) {
       const std::size_t task = next.fetch_add(1);
       if (task >= tasks) return;
       const std::size_t job = task / chunkCount;
-      const std::size_t chunk = task % chunkCount;
-      const auto [windowFirst, windowLast] = windows[job / schemeCount];
-      const std::size_t first =
-          std::max(chunk * chunkIntervals, windowFirst);
-      const std::size_t last = std::min(
-          {chunk * chunkIntervals + chunkIntervals, intervalCount,
-           windowLast});
+      const auto [first, last] = taskRange(task);
       if (first >= last) continue;
+      starts.clear();
+      if (first > 0) {
+        for (const std::size_t context : jobContexts[job])
+          starts.push_back(&plan.at(context, first));
+      }
       partials[task] = engine.runChunkPartial(
           config.groups[job / schemeCount], config.schemes[job % schemeCount],
-          config.schemeParams, first, last, &decisionSource, &truthSource,
+          config.schemeParams, first, last, starts, &decisionSource,
+          &truthSource,
           telemetry != nullptr ? taskTelemetry[task].get() : nullptr);
     }
   };
@@ -260,7 +309,9 @@ GroupExperimentResult runPackedGroupExperiment(
 
   summarizeSchemes(result, config);
   DG_LOG(Info) << "packed group experiment complete: " << jobs << " runs, "
-               << chunkCount << " chunks, " << threadCount << " threads";
+               << chunkCount << " chunks, " << threadCount << " threads, "
+               << plan.replayCount() << " contexts replayed, "
+               << plan.checkpointCount() << " checkpoints";
   return result;
 }
 

@@ -74,6 +74,10 @@ GroupExperimentResult runGroupExperiment(
 /// condition sources, chunk-aligned accumulation blocks, ascending-chunk
 /// fold -- bit-identical at any thread count, telemetry exports
 /// byte-identical (same contract as playback::runPackedExperiment).
+/// Phase 1 replays each receiver decision context (unicast equivalent,
+/// source->receiver, receiver params) once, so groups that share a
+/// source-receiver pair share one replay; phase-2 tasks of adaptive kinds
+/// restore their receivers from its checkpoints.
 GroupExperimentResult runPackedGroupExperiment(
     const graph::Graph& overlay, const std::string& packedPath,
     const GroupExperimentConfig& config,

@@ -3,8 +3,11 @@
 #include <span>
 #include <stdexcept>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "graph/dissemination_graph.hpp"
+#include "playback/playback.hpp"
 #include "routing/network_view.hpp"
 #include "trace/condition_timeline.hpp"
 
@@ -20,30 +23,6 @@ std::string jsonEscape(std::string_view text) {
     out += c;
   }
   return out;
-}
-
-/// Replays decisions over [0, interval] exactly as the playback engines'
-/// warm-up loop does (minus the steady-span jump, which only skips
-/// fixed-point selects), returning the selection in force at `interval`.
-template <typename Scheme>
-const graph::DisseminationGraph& replaySelect(
-    Scheme& scheme, const trace::Trace& trace,
-    const routing::NetworkView& baselineView,
-    const trace::ConditionIndex& index, trace::ConditionTimeline& cursor,
-    std::size_t interval, std::size_t staleness) {
-  const graph::DisseminationGraph* dg = nullptr;
-  for (std::size_t t = 0; t <= interval; ++t) {
-    if (t < staleness || !trace.hasDeviation(t - staleness)) {
-      dg = &scheme.select(baselineView);
-    } else {
-      const std::size_t viewInterval = t - staleness;
-      cursor.seek(viewInterval);
-      const routing::NetworkView view = routing::NetworkView::borrowing(
-          cursor, index.contentId(viewInterval));
-      dg = &scheme.select(view);
-    }
-  }
-  return *dg;
 }
 
 std::string renderDot(const graph::DisseminationGraph& dg,
@@ -107,6 +86,16 @@ void validateRequest(const trace::Trace& trace,
     throw std::invalid_argument("graph dump: negative staleness");
 }
 
+/// Replays (kind, flow, params) over [0, interval]: the checkpoint just
+/// after `interval` holds the selection in force there.
+routing::DecisionCheckpoint replayThrough(
+    const playback::DecisionReplay& replay, std::size_t interval,
+    routing::SchemeKind kind, routing::Flow flow,
+    const routing::SchemeParams& params) {
+  const std::size_t stops[] = {interval + 1};
+  return std::move(replay.run(kind, flow, params, nullptr, stops)[0]);
+}
+
 }  // namespace
 
 DumpFormat parseDumpFormat(std::string_view name) {
@@ -123,15 +112,14 @@ std::string dumpUnicastGraph(const graph::Graph& overlay,
                              const routing::SchemeParams& schemeParams,
                              const GraphDumpRequest& request) {
   validateRequest(trace, request);
-  auto scheme = routing::makeScheme(kind, overlay, flow, schemeParams);
-  const routing::NetworkView baselineView =
-      routing::NetworkView::baseline(trace);
-  scheme->initialize(baselineView);
   const trace::ConditionIndex index(trace);
-  trace::ConditionTimeline cursor(trace);
-  const graph::DisseminationGraph& dg = replaySelect(
-      *scheme, trace, baselineView, index, cursor, request.interval,
-      static_cast<std::size_t>(request.viewStaleness));
+  const playback::DecisionReplay replay(
+      overlay, trace, index, static_cast<std::size_t>(request.viewStaleness));
+  graph::DisseminationGraph dg(overlay, flow.source, flow.destination);
+  for (const graph::EdgeId e :
+       replayThrough(replay, request.interval, kind, flow, schemeParams)
+           .lastEdges)
+    dg.addEdge(e);
   const graph::NodeId receivers[] = {flow.destination};
   return request.format == DumpFormat::kDot
              ? renderDot(dg, topology, flow.source, receivers)
@@ -147,14 +135,25 @@ std::string dumpGroupGraph(const graph::Graph& overlay,
                            const GraphDumpRequest& request) {
   validateRequest(trace, request);
   auto scheme = makeGroupScheme(kind, overlay, group, schemeParams);
-  const routing::NetworkView baselineView =
-      routing::NetworkView::baseline(trace);
-  scheme->initialize(baselineView);
-  const trace::ConditionIndex index(trace);
-  trace::ConditionTimeline cursor(trace);
-  const graph::DisseminationGraph& dg = replaySelect(
-      *scheme, trace, baselineView, index, cursor, request.interval,
-      static_cast<std::size_t>(request.viewStaleness));
+  scheme->initialize(routing::NetworkView::baseline(trace));
+  if (isAdaptive(kind)) {
+    const trace::ConditionIndex index(trace);
+    const playback::DecisionReplay replay(
+        overlay, trace, index,
+        static_cast<std::size_t>(request.viewStaleness));
+    std::vector<routing::DecisionCheckpoint> checkpoints;
+    for (std::size_t i = 0; i < group.receivers.size(); ++i) {
+      checkpoints.push_back(replayThrough(
+          replay, request.interval, unicastEquivalent(kind),
+          receiverFlow(group, i),
+          receiverSchemeParams(group, i, schemeParams)));
+    }
+    std::vector<const routing::DecisionCheckpoint*> starts;
+    for (const routing::DecisionCheckpoint& c : checkpoints)
+      starts.push_back(&c);
+    scheme->restoreReceivers(starts);
+  }
+  const graph::DisseminationGraph& dg = scheme->current();
   return request.format == DumpFormat::kDot
              ? renderDot(dg, topology, group.source, group.receivers)
              : renderJson(dg, topology, group.source, group.receivers,

@@ -75,25 +75,26 @@ GroupPlaybackEngine::GroupPlaybackEngine(const graph::Graph& overlay,
     : overlay_(&overlay),
       trace_(&trace),
       params_(params),
-      conditionIndex_(trace) {
+      conditionIndex_(trace),
+      replay_(overlay, trace, conditionIndex_,
+              static_cast<std::size_t>(
+                  std::max(params.base.viewStaleness, 0))) {
   if (trace.edgeCount() != overlay.edgeCount())
     throw std::invalid_argument(
         "GroupPlaybackEngine: trace edge count does not match overlay");
   if (params_.base.viewStaleness < 0)
     throw std::invalid_argument("GroupPlaybackEngine: negative staleness");
-  for (std::size_t t = 0; t < trace.intervalCount(); ++t) {
-    if (trace.hasDeviation(t)) deviatingIntervals_.push_back(t);
-  }
 }
 
-std::size_t GroupPlaybackEngine::nextDeviatingDecision(
-    std::size_t fromInterval, std::size_t staleness) const {
-  const std::size_t fromView =
-      fromInterval > staleness ? fromInterval - staleness : 0;
-  const auto it = std::lower_bound(deviatingIntervals_.begin(),
-                                   deviatingIntervals_.end(), fromView);
-  if (it == deviatingIntervals_.end()) return trace_->intervalCount();
-  return std::max(fromInterval, *it + staleness);
+std::vector<routing::DecisionCheckpoint>
+GroupPlaybackEngine::replayCheckpoints(routing::SchemeKind kind,
+                                       routing::Flow flow,
+                                       const routing::SchemeParams& params,
+                                       std::span<const std::size_t> stops)
+    const {
+  return replay_.run(kind, flow, params,
+                     params_.base.decisionMemo ? &decisionMemo_ : nullptr,
+                     stops);
 }
 
 GroupSchemeResult GroupPlaybackEngine::run(
@@ -142,15 +143,42 @@ GroupSchemeResult GroupPlaybackEngine::runCore(
   return finalizePartial(group, kind, scoreIntervals(spec));
 }
 
-// dgcheck: hot
 GroupRunPartial GroupPlaybackEngine::runChunkPartial(
     const Group& group, GroupSchemeKind kind,
     const routing::SchemeParams& schemeParams, std::size_t first,
     std::size_t last, trace::ConditionSource* decisionSource,
     trace::ConditionSource* truthSource,
     telemetry::Telemetry* telemetry) const {
+  std::vector<std::vector<routing::DecisionCheckpoint>> checkpoints;
+  std::vector<const routing::DecisionCheckpoint*> starts;
+  if (first > 0 && isAdaptive(kind)) {
+    const std::size_t stops[] = {first};
+    for (std::size_t i = 0; i < group.receivers.size(); ++i) {
+      checkpoints.push_back(replayCheckpoints(
+          unicastEquivalent(kind), receiverFlow(group, i),
+          receiverSchemeParams(group, i, schemeParams), stops));
+    }
+    for (const auto& receiver : checkpoints) starts.push_back(&receiver[0]);
+  }
+  return runChunkPartial(group, kind, schemeParams, first, last, starts,
+                         decisionSource, truthSource, telemetry);
+}
+
+// dgcheck: hot
+GroupRunPartial GroupPlaybackEngine::runChunkPartial(
+    const Group& group, GroupSchemeKind kind,
+    const routing::SchemeParams& schemeParams, std::size_t first,
+    std::size_t last,
+    std::span<const routing::DecisionCheckpoint* const> receiverStarts,
+    trace::ConditionSource* decisionSource,
+    trace::ConditionSource* truthSource,
+    telemetry::Telemetry* telemetry) const {
   if (first > last || last > trace_->intervalCount())
     throw std::out_of_range("GroupPlaybackEngine::runChunkPartial: bad range");
+  if (receiverStarts.empty() == (first > 0 && isAdaptive(kind)))
+    throw std::invalid_argument(
+        "GroupPlaybackEngine::runChunkPartial: receiver checkpoints are "
+        "required exactly when first > 0 and the kind is adaptive");
   if (!params_.base.conditionCursor)
     throw std::logic_error(
         "GroupPlaybackEngine::runChunkPartial requires conditionCursor mode");
@@ -160,6 +188,7 @@ GroupRunPartial GroupPlaybackEngine::runChunkPartial(
   const routing::NetworkView baselineView =
       routing::NetworkView::baseline(*trace_);
   scheme->initialize(baselineView);
+  if (!receiverStarts.empty()) scheme->restoreReceivers(receiverStarts);
 
   std::optional<trace::ConditionTimeline> decisionCursor;
   std::optional<trace::ConditionTimeline> truthCursor;
@@ -174,30 +203,6 @@ GroupRunPartial GroupPlaybackEngine::runChunkPartial(
     truthCursor.emplace(*trace_);
   }
 
-  // Warm-up replay over [0, first), jumping clean steady spans exactly as
-  // the unicast engine does (telemetry is detached here, so skipped
-  // fixed-point selects are unobservable).
-  const auto staleness = static_cast<std::size_t>(params_.base.viewStaleness);
-  const graph::DisseminationGraph* dg = nullptr;
-  std::size_t t = 0;
-  while (t < first) {
-    if (t < staleness || !trace_->hasDeviation(t - staleness)) {
-      dg = &scheme->select(baselineView);
-      if (scheme->steadyOnBaseline()) {
-        t = nextDeviatingDecision(t + 1, staleness);
-        continue;
-      }
-      ++t;
-    } else {
-      const std::size_t viewInterval = t - staleness;
-      decisionCursor->seek(viewInterval);
-      const routing::NetworkView view = routing::NetworkView::borrowing(
-          *decisionCursor, conditionIndex_.contentId(viewInterval));
-      dg = &scheme->select(view);
-      ++t;
-    }
-  }
-
   ScoreSpec spec;
   spec.scheme = scheme.get();
   spec.baselineView = &baselineView;
@@ -205,13 +210,16 @@ GroupRunPartial GroupPlaybackEngine::runChunkPartial(
   spec.kind = kind;
   spec.first = first;
   spec.last = last;
-  spec.warmupUntil = staleness;  // scheme history starts at interval 0
+  // Scheme history starts at interval 0.
+  spec.warmupUntil = static_cast<std::size_t>(params_.base.viewStaleness);
   spec.decisionCursor = &*decisionCursor;
   spec.truthCursor = &*truthCursor;
   spec.telemetry = telemetry;
   spec.reuseCleanEvals = true;
-  if (telemetry != nullptr && dg != nullptr) {
-    spec.lastSelectedEdges = dg->edges();
+  if (telemetry != nullptr && first > 0) {
+    // GraphSwitch continuity: the previous chunk ended with this
+    // selection in force.
+    spec.lastSelectedEdges = scheme->current().edges();
     spec.haveSelected = true;
   }
   return scoreIntervals(spec);

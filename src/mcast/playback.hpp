@@ -1,7 +1,7 @@
 // Group playback: replays a condition trace for one receiver set under
 // one group scheme. Structure and replay semantics mirror
 // playback::PlaybackEngine interval for interval -- same decision
-// staleness, same warm-up replay, same steady fast path, same blocked
+// staleness, same decision replay, same steady fast path, same blocked
 // accumulation contract -- with the evaluation generalized to N receiver
 // deadlines per send: per-receiver miss/latency plus group-level
 // delivered-to-all and delivered-to-k accounting.
@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -106,10 +107,33 @@ class GroupPlaybackEngine {
                              std::size_t first, std::size_t last,
                              telemetry::Telemetry* telemetry = nullptr) const;
 
+  /// The decision replay of one receiver context -- (unicastEquivalent
+  /// of the group kind, receiverFlow, receiverSchemeParams) -- over the
+  /// engine's trace, with the engine's decision memo attached (see
+  /// playback::DecisionReplay::run). Groups that share a source-receiver
+  /// pair share its checkpoints.
+  std::vector<routing::DecisionCheckpoint> replayCheckpoints(
+      routing::SchemeKind kind, routing::Flow flow,
+      const routing::SchemeParams& params,
+      std::span<const std::size_t> stops) const;
+
   /// Chunk-parallel building block, mirroring
-  /// PlaybackEngine::runChunkPartial (warm-up replay over [0, first) with
-  /// steady-span jumps, worker-private condition sources, GraphSwitch
-  /// continuity). Requires conditionCursor mode.
+  /// PlaybackEngine::runChunkPartial (start from checkpoints,
+  /// worker-private condition sources, GraphSwitch continuity).
+  /// `receiverStarts` holds each receiver's checkpoint at `first` from
+  /// replayCheckpoints -- empty when first == 0 or the kind is static
+  /// (!isAdaptive). Requires conditionCursor mode.
+  GroupRunPartial runChunkPartial(
+      const Group& group, GroupSchemeKind kind,
+      const routing::SchemeParams& schemeParams, std::size_t first,
+      std::size_t last,
+      std::span<const routing::DecisionCheckpoint* const> receiverStarts,
+      trace::ConditionSource* decisionSource,
+      trace::ConditionSource* truthSource,
+      telemetry::Telemetry* telemetry) const;
+
+  /// Single-task form: replays each receiver's context to {first} itself,
+  /// then scores from those checkpoints.
   GroupRunPartial runChunkPartial(
       const Group& group, GroupSchemeKind kind,
       const routing::SchemeParams& schemeParams, std::size_t first,
@@ -127,6 +151,9 @@ class GroupPlaybackEngine {
     return conditionIndex_;
   }
   const routing::DecisionMemo& decisionMemo() const { return decisionMemo_; }
+  /// Mutable handle, for interning decision contexts (the packed runner's
+  /// replay plan).
+  routing::DecisionMemo& decisionMemoMutable() const { return decisionMemo_; }
 
  private:
   /// One interval's group evaluation. Hoisted outside the scoring loop
@@ -163,14 +190,11 @@ class GroupPlaybackEngine {
 
   GroupRunPartial scoreIntervals(ScoreSpec& spec) const;
 
-  std::size_t nextDeviatingDecision(std::size_t fromInterval,
-                                    std::size_t staleness) const;
-
   const graph::Graph* overlay_;
   const trace::Trace* trace_;
   GroupPlaybackParams params_;
   trace::ConditionIndex conditionIndex_;
-  std::vector<std::size_t> deviatingIntervals_;
+  playback::DecisionReplay replay_;
 
   /// Cross-job decision memo shared by the per-receiver sub-schemes
   /// (keyed by their unicast-equivalent contexts). Group runs do not

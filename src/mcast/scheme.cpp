@@ -57,6 +57,27 @@ routing::SchemeKind unicastEquivalent(GroupSchemeKind kind) {
   return routing::SchemeKind::StaticSinglePath;
 }
 
+bool isAdaptive(GroupSchemeKind kind) {
+  switch (kind) {
+    case GroupSchemeKind::kDynamicTrees:
+    case GroupSchemeKind::kDynamicMesh:
+    case GroupSchemeKind::kTargetedReceivers:
+      return true;
+    case GroupSchemeKind::kStaticTrees:
+    case GroupSchemeKind::kStaticMesh:
+    case GroupSchemeKind::kGroupFlooding:
+      return false;
+  }
+  return false;
+}
+
+routing::SchemeParams receiverSchemeParams(
+    const Group& group, std::size_t i, const routing::SchemeParams& params) {
+  routing::SchemeParams receiver = params;
+  receiver.deadline = receiverDeadline(group, i, params.deadline);
+  return receiver;
+}
+
 GroupScheme::GroupScheme(const graph::Graph& overlay, Group group,
                          routing::SchemeParams params)
     : overlay_(overlay), group_(std::move(group)), params_(params) {
@@ -69,10 +90,12 @@ void GroupScheme::setTelemetry(telemetry::Telemetry* telemetry,
   groupLabel_ = std::move(groupLabel);
 }
 
-routing::SchemeParams GroupScheme::receiverParams(std::size_t i) const {
-  routing::SchemeParams params = params_;
-  params.deadline = receiverDeadline(group_, i, params_.deadline);
-  return params;
+void GroupScheme::restoreReceivers(
+    std::span<const routing::DecisionCheckpoint* const> receivers) {
+  if (!receivers.empty())
+    throw std::invalid_argument(
+        "GroupScheme::restoreReceivers: static group schemes have no "
+        "decision state");
 }
 
 namespace {
@@ -130,6 +153,20 @@ class SubUnionScheme : public GroupScheme {
   bool steadyOnBaseline() const override {
     return std::all_of(subs_.begin(), subs_.end(),
                        [](const auto& sub) { return sub->steadyOnBaseline(); });
+  }
+
+  const graph::DisseminationGraph& current() const override { return union_; }
+
+  void restoreReceivers(
+      std::span<const routing::DecisionCheckpoint* const> receivers) override {
+    if (receivers.size() != subs_.size())
+      throw std::invalid_argument(
+          "SubUnionScheme::restoreReceivers: one checkpoint per receiver");
+    for (std::size_t i = 0; i < subs_.size(); ++i) {
+      subs_[i]->restoreState(receivers[i]->state);
+      subEdges_[i] = receivers[i]->lastEdges;
+    }
+    rebuildUnion();
   }
 
   void setTelemetry(telemetry::Telemetry* telemetry,
@@ -211,6 +248,8 @@ class StaticUnionScheme : public GroupScheme {
   // Like the unicast static schemes, select() never mutates state, so the
   // baseline is trivially a fixed point.
   bool steadyOnBaseline() const override { return true; }
+
+  const graph::DisseminationGraph& current() const override { return union_; }
 
  private:
   GroupSchemeKind kind_;

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,6 +44,17 @@ std::vector<GroupSchemeKind> allGroupSchemeKinds();
 /// flow under `unicastEquivalent(kind)` -- pinned by test.
 routing::SchemeKind unicastEquivalent(GroupSchemeKind kind);
 
+/// True for the kinds whose select() carries decision state through time
+/// (one unicast sub-scheme per receiver). Static kinds freeze their union
+/// at initialize(), so a mid-trace task of theirs needs no replay.
+bool isAdaptive(GroupSchemeKind kind);
+
+/// The unicast scheme params of receiver i: `params` with the deadline
+/// swapped for the receiver's own. With receiverFlow() and
+/// unicastEquivalent() this names the receiver's decision context.
+routing::SchemeParams receiverSchemeParams(const Group& group, std::size_t i,
+                                           const routing::SchemeParams& params);
+
 class GroupScheme {
  public:
   GroupScheme(const graph::Graph& overlay, Group group,
@@ -61,6 +73,16 @@ class GroupScheme {
   /// True when selecting against the healthy baseline is a fixed point,
   /// letting the playback engine skip re-selection on clean intervals.
   virtual bool steadyOnBaseline() const { return false; }
+  /// The selection in force: the last select()'s result, or after
+  /// initialize() / restoreReceivers() what the next baseline select()
+  /// would return.
+  virtual const graph::DisseminationGraph& current() const = 0;
+  /// Adaptive kinds, right after initialize(): restores receiver i's
+  /// sub-scheme from `receivers[i]`, a checkpoint of its unicast context
+  /// (see playback::DecisionReplay), then rebuilds the union once. Static
+  /// kinds have no decision state and accept only an empty span.
+  virtual void restoreReceivers(
+      std::span<const routing::DecisionCheckpoint* const> receivers);
 
   virtual void setTelemetry(telemetry::Telemetry* telemetry,
                             std::string groupLabel);
@@ -71,8 +93,9 @@ class GroupScheme {
   const Group& group() const { return group_; }
 
  protected:
-  /// params_ with the deadline swapped for receiver i's own.
-  routing::SchemeParams receiverParams(std::size_t i) const;
+  routing::SchemeParams receiverParams(std::size_t i) const {
+    return receiverSchemeParams(group_, i, params_);
+  }
 
   const graph::Graph& overlay_;
   Group group_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -111,6 +112,41 @@ void recordExperimentMetrics(telemetry::Telemetry& telemetry,
 
 }  // namespace
 
+std::size_t ReplayPlan::context(routing::DecisionMemo& memo,
+                                routing::SchemeKind kind, routing::Flow flow,
+                                const routing::SchemeParams& params) {
+  const auto [it, added] =
+      index_.emplace(memo.contextKey(kind, flow, params), contexts_.size());
+  if (added) contexts_.push_back(Context{kind, flow, params, {}, {}});
+  return it->second;
+}
+
+void ReplayPlan::seal() {
+  replayed_.clear();
+  for (std::size_t i = 0; i < contexts_.size(); ++i) {
+    std::vector<std::size_t>& stops = contexts_[i].stops;
+    if (stops.empty()) continue;
+    std::sort(stops.begin(), stops.end());
+    stops.erase(std::unique(stops.begin(), stops.end()), stops.end());
+    replayed_.push_back(i);
+  }
+}
+
+std::size_t ReplayPlan::checkpointCount() const {
+  std::size_t count = 0;
+  for (const std::size_t i : replayed_) count += contexts_[i].stops.size();
+  return count;
+}
+
+const routing::DecisionCheckpoint& ReplayPlan::at(std::size_t context,
+                                                  std::size_t first) const {
+  const Context& c = contexts_[context];
+  const auto it = std::lower_bound(c.stops.begin(), c.stops.end(), first);
+  if (it == c.stops.end() || *it != first)
+    throw std::logic_error("ReplayPlan::at: no checkpoint at this start");
+  return c.checkpoints.at(static_cast<std::size_t>(it - c.stops.begin()));
+}
+
 // dgcheck: worker
 ExperimentResult runExperiment(const graph::Graph& overlay,
                                const trace::Trace& trace,
@@ -119,8 +155,9 @@ ExperimentResult runExperiment(const graph::Graph& overlay,
   if (config.flows.empty() || config.schemes.empty())
     throw std::invalid_argument("runExperiment: empty flows or schemes");
 
-  // Windowed jobs replay through runChunkPartial (full-history warm-up,
-  // same semantics as the packed runner), which requires cursor mode.
+  // Windowed jobs replay their decisions to the window start and score
+  // from that checkpoint (runChunkPartial, same semantics as the packed
+  // runner), which requires cursor mode.
   const bool windowed = !config.flowWindows.empty();
   PlaybackParams playback = config.playback;
   if (windowed) playback.conditionCursor = true;
@@ -256,8 +293,50 @@ ExperimentResult runPackedExperiment(const graph::Graph& overlay,
       t = std::make_unique<telemetry::Telemetry>(telemetry->trace.capacity());
   }
 
+  // Clamp each chunk to its flow's active window; chunks entirely outside
+  // leave their partial empty (merging an empty partial is a no-op).
+  // Accumulation blocks sit at absolute chunk boundaries, so the clamped
+  // fold still reproduces the single-threaded blocked run over the window
+  // -- and the range depends only on the task index, preserving thread
+  // invariance.
+  const auto taskRange = [&](std::size_t task) {
+    const std::size_t chunk = task % chunkCount;
+    const auto [windowFirst, windowLast] =
+        windows[task / chunkCount / schemeCount];
+    return std::pair{
+        std::max(chunk * chunkIntervals, windowFirst),
+        std::min({chunk * chunkIntervals + chunkIntervals, intervalCount,
+                  windowLast})};
+  };
+
+  // Phase-1 plan: one decision context per job, checkpointed at every
+  // mid-trace task start.
+  ReplayPlan plan;
+  std::vector<std::size_t> jobContext(jobs);
+  for (std::size_t job = 0; job < jobs; ++job) {
+    jobContext[job] = plan.context(
+        engine.decisionMemoMutable(), config.schemes[job % schemeCount],
+        config.flows[job / schemeCount], config.schemeParams);
+  }
+  for (std::size_t task = 0; task < tasks; ++task) {
+    const auto [first, last] = taskRange(task);
+    if (first > 0 && first < last)
+      plan.addStop(jobContext[task / chunkCount], first);
+  }
+  plan.seal();
+
+  std::atomic<std::size_t> nextContext{0};
   std::atomic<std::size_t> next{0};
+  std::barrier phases(static_cast<std::ptrdiff_t>(threadCount));
   const auto worker = [&] {
+    for (std::size_t i = nextContext++; i < plan.replayCount();
+         i = nextContext++) {
+      ReplayPlan::Context& c = plan.replayContext(i);
+      c.checkpoints =
+          engine.replayCheckpoints(c.kind, c.flow, c.params, c.stops);
+    }
+    phases.arrive_and_wait();
+
     // Worker-private reader and cursor feeds: chunk decode state is never
     // shared across threads. Two sources because the decision cursor lags
     // the truth cursor by the view staleness, so near a chunk boundary
@@ -270,23 +349,13 @@ ExperimentResult runPackedExperiment(const graph::Graph& overlay,
       const std::size_t task = next.fetch_add(1);
       if (task >= tasks) return;
       const std::size_t job = task / chunkCount;
-      const std::size_t chunk = task % chunkCount;
-      // Clamp the chunk to the flow's active window; chunks entirely
-      // outside leave their partial empty (merging an empty partial is a
-      // no-op). Accumulation blocks sit at absolute chunk boundaries, so
-      // the clamped fold still reproduces the single-threaded blocked
-      // run over the window -- and the skip decision depends only on the
-      // task index, preserving thread invariance.
-      const auto [windowFirst, windowLast] = windows[job / schemeCount];
-      const std::size_t first =
-          std::max(chunk * chunkIntervals, windowFirst);
-      const std::size_t last = std::min(
-          {chunk * chunkIntervals + chunkIntervals, intervalCount,
-           windowLast});
+      const auto [first, last] = taskRange(task);
       if (first >= last) continue;
       partials[task] = engine.runChunkPartial(
           config.flows[job / schemeCount], config.schemes[job % schemeCount],
-          config.schemeParams, first, last, &decisionSource, &truthSource,
+          config.schemeParams, first, last,
+          first > 0 ? &plan.at(jobContext[job], first) : nullptr,
+          &decisionSource, &truthSource,
           telemetry != nullptr ? taskTelemetry[task].get() : nullptr);
     }
   };
@@ -328,7 +397,9 @@ ExperimentResult runPackedExperiment(const graph::Graph& overlay,
   captureStages(engine, result);
   summarizeSchemes(result, config);
   DG_LOG(Info) << "packed experiment complete: " << jobs << " runs, "
-               << chunkCount << " chunks, " << threadCount << " threads";
+               << chunkCount << " chunks, " << threadCount << " threads, "
+               << plan.replayCount() << " contexts replayed, "
+               << plan.checkpointCount() << " checkpoints";
   return result;
 }
 

@@ -2,7 +2,9 @@
 // gap-coverage aggregation (experiment E3 / the paper's headline table).
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "playback/memo_cache.hpp"
@@ -24,10 +26,10 @@ struct ExperimentConfig {
   /// Per-flow active windows for open-loop fleet workloads. Empty =
   /// every flow scores the whole trace (the historical behavior).
   /// Otherwise must parallel `flows` with a non-empty clamped window per
-  /// flow. Windowed jobs roll routing-decision state forward over the
-  /// pre-window history exactly like the packed runner's chunk warm-up,
-  /// so the two runners agree bit for bit when their accumulation block
-  /// lengths match.
+  /// flow. Windowed jobs start from a decision replay over the pre-window
+  /// history exactly like the packed runner's mid-trace tasks, so the two
+  /// runners agree bit for bit when their accumulation block lengths
+  /// match.
   std::vector<FlowWindow> flowWindows;
   std::vector<routing::SchemeKind> schemes = routing::allSchemeKinds();
   routing::SchemeParams schemeParams;
@@ -90,6 +92,53 @@ struct ExperimentResult {
   }
 };
 
+/// The decision contexts of a packed sweep whose tasks start mid-trace,
+/// each with the ascending task starts to checkpoint. Phase 1 of the
+/// packed runners replays every context once (DecisionReplay::run) and
+/// phase-2 tasks restore their start state from here, so a context shared
+/// by several tasks -- the chunks of one job, or groups with a common
+/// source-receiver pair -- is replayed once per sweep instead of once per
+/// task. Checkpoints are pure functions of (context, stop), so results do
+/// not depend on which worker replays which context.
+class ReplayPlan {
+ public:
+  struct Context {
+    routing::SchemeKind kind{};
+    routing::Flow flow;
+    routing::SchemeParams params;
+    std::vector<std::size_t> stops;
+    std::vector<routing::DecisionCheckpoint> checkpoints;
+  };
+
+  /// The index of context (kind, flow, params), added on first sight.
+  /// Contexts are identified by memo.contextKey, which interns exactly.
+  std::size_t context(routing::DecisionMemo& memo, routing::SchemeKind kind,
+                      routing::Flow flow, const routing::SchemeParams& params);
+  /// Notes a task of `context` that starts at first > 0.
+  void addStop(std::size_t context, std::size_t first) {
+    contexts_[context].stops.push_back(first);
+  }
+  /// Sorts and dedupes every context's stops and drops the contexts no
+  /// task starts mid-trace in (their indices stay valid). Call once,
+  /// after the last addStop().
+  void seal();
+
+  /// Contexts with at least one stop after seal().
+  std::size_t replayCount() const { return replayed_.size(); }
+  /// The i-th context to replay (phase 1 fills its checkpoints).
+  Context& replayContext(std::size_t i) { return contexts_[replayed_[i]]; }
+  std::size_t checkpointCount() const;
+
+  /// The checkpoint of `context` at `first`, which must have been added.
+  const routing::DecisionCheckpoint& at(std::size_t context,
+                                        std::size_t first) const;
+
+ private:
+  std::unordered_map<std::uint64_t, std::size_t> index_;
+  std::vector<Context> contexts_;
+  std::vector<std::size_t> replayed_;
+};
+
 /// Runs every (flow, scheme) pair of the config over the trace;
 /// deterministic regardless of thread count. When `telemetry` is given,
 /// each worker job records into its own private Telemetry and the
@@ -106,9 +155,12 @@ ExperimentResult runExperiment(const graph::Graph& overlay,
 /// the work unit is (flow, scheme, chunk) rather than (flow, scheme), so
 /// a sweep saturates cores even with a single flow/scheme. Each worker
 /// thread opens its own PackedTraceReader and feeds its cursors from
-/// private PackedConditionSources (decode state is never shared); decision
-/// state is rolled forward per chunk via the schemes' steadyOnBaseline()
-/// fast path. PlaybackParams::conditionCursor is forced on and
+/// private PackedConditionSources (decode state is never shared). One
+/// worker pool runs in two phases: phase 1 replays each distinct decision
+/// context once over the in-memory trace, checkpointing its state at every
+/// task start (ReplayPlan); after a barrier, phase 2 runs the chunk tasks,
+/// each restoring its checkpoint instead of re-running warm-up.
+/// PlaybackParams::conditionCursor is forced on and
 /// accumBlockIntervals is forced to the container's chunk length, so the
 /// per-job fold of chunk partials (done in ascending chunk order)
 /// reproduces the single-threaded blocked run bit for bit at any thread

@@ -51,35 +51,109 @@ void RunPartial::merge(RunPartial&& later) {
   }
 }
 
+DecisionReplay::DecisionReplay(const graph::Graph& overlay,
+                               const trace::Trace& trace,
+                               const trace::ConditionIndex& index,
+                               std::size_t staleness)
+    : overlay_(&overlay),
+      trace_(&trace),
+      index_(&index),
+      staleness_(staleness) {
+  for (std::size_t t = 0; t < trace.intervalCount(); ++t) {
+    if (trace.hasDeviation(t)) deviatingIntervals_.push_back(t);
+  }
+}
+
+std::size_t DecisionReplay::nextDeviatingDecision(
+    std::size_t fromInterval) const {
+  // The decision at t sees interval t - staleness, so the first candidate
+  // deviation is at view interval max(fromInterval, staleness) -
+  // staleness.
+  const std::size_t fromView =
+      fromInterval > staleness_ ? fromInterval - staleness_ : 0;
+  const auto it = std::lower_bound(deviatingIntervals_.begin(),
+                                   deviatingIntervals_.end(), fromView);
+  if (it == deviatingIntervals_.end()) return trace_->intervalCount();
+  return std::max(fromInterval, *it + staleness_);
+}
+
+// dgcheck: cold: runs once per (context, sweep); allocates one checkpoint per stop
+std::vector<routing::DecisionCheckpoint> DecisionReplay::run(
+    routing::SchemeKind kind, routing::Flow flow,
+    const routing::SchemeParams& params, routing::DecisionMemo* memo,
+    std::span<const std::size_t> stops) const {
+  auto scheme = routing::makeScheme(kind, *overlay_, flow, params);
+  if (memo != nullptr)
+    scheme->setDecisionMemo(memo, memo->contextKey(kind, flow, params));
+  const routing::NetworkView baselineView =
+      routing::NetworkView::baseline(*trace_);
+  scheme->initialize(baselineView);
+  trace::ConditionTimeline cursor(*trace_);
+
+  std::vector<routing::DecisionCheckpoint> checkpoints;
+  checkpoints.reserve(stops.size());
+  const graph::DisseminationGraph* dg = nullptr;
+  std::size_t t = 0;
+  std::size_t previous = 0;
+  for (const std::size_t stop : stops) {
+    if (stop <= previous || stop > trace_->intervalCount())
+      throw std::out_of_range("DecisionReplay::run: stops must ascend in "
+                              "(0, intervalCount]");
+    previous = stop;
+    // A steady-span jump may carry t past `stop`: the state is at its
+    // fixed point across the whole span, so it is the state at `stop`.
+    while (t < stop) {
+      if (t < staleness_ || !trace_->hasDeviation(t - staleness_)) {
+        dg = &scheme->select(baselineView);
+        if (scheme->steadyOnBaseline()) {
+          t = nextDeviatingDecision(t + 1);
+          continue;
+        }
+        ++t;
+      } else {
+        const std::size_t viewInterval = t - staleness_;
+        cursor.seek(viewInterval);
+        const routing::NetworkView view = routing::NetworkView::borrowing(
+            cursor, index_->contentId(viewInterval));
+        dg = &scheme->select(view);
+        ++t;
+      }
+    }
+    checkpoints.push_back({scheme->saveState(), dg->edges()});
+  }
+  return checkpoints;
+}
+
 PlaybackEngine::PlaybackEngine(const graph::Graph& overlay,
                                const trace::Trace& trace,
                                PlaybackParams params)
     : overlay_(&overlay),
       trace_(&trace),
       params_(params),
-      conditionIndex_(trace) {
+      conditionIndex_(trace),
+      replay_(overlay, trace, conditionIndex_,
+              static_cast<std::size_t>(std::max(params.viewStaleness, 0))) {
   if (trace.edgeCount() != overlay.edgeCount())
     throw std::invalid_argument(
         "PlaybackEngine: trace edge count does not match overlay");
   if (params_.viewStaleness < 0)
     throw std::invalid_argument("PlaybackEngine: negative staleness");
-  for (std::size_t t = 0; t < trace.intervalCount(); ++t) {
-    if (trace.hasDeviation(t)) deviatingIntervals_.push_back(t);
-  }
 }
 
-std::size_t PlaybackEngine::nextDeviatingDecision(std::size_t fromInterval,
-                                                  std::size_t staleness)
-    const {
-  // The decision at t sees interval t - staleness, so the first candidate
-  // deviation is at view interval max(fromInterval, staleness) -
-  // staleness.
-  const std::size_t fromView =
-      fromInterval > staleness ? fromInterval - staleness : 0;
-  const auto it = std::lower_bound(deviatingIntervals_.begin(),
-                                   deviatingIntervals_.end(), fromView);
-  if (it == deviatingIntervals_.end()) return trace_->intervalCount();
-  return std::max(fromInterval, *it + staleness);
+std::vector<routing::DecisionCheckpoint> PlaybackEngine::replayCheckpoints(
+    routing::SchemeKind kind, routing::Flow flow,
+    const routing::SchemeParams& schemeParams,
+    std::span<const std::size_t> stops) const {
+  const std::int64_t t0 = params_.collectStageTimings ? util::nowNanos() : 0;
+  std::vector<routing::DecisionCheckpoint> checkpoints =
+      replay_.run(kind, flow, schemeParams,
+                  params_.decisionMemo ? &decisionMemo_ : nullptr, stops);
+  if (params_.collectStageTimings) {
+    stageTimings_.memoNs.fetch_add(
+        static_cast<std::uint64_t>(util::nowNanos() - t0),
+        std::memory_order_relaxed);
+  }
+  return checkpoints;
 }
 
 std::optional<PlaybackEngine::IntervalEval> PlaybackEngine::findEval(
@@ -164,15 +238,37 @@ FlowSchemeResult PlaybackEngine::runCore(
   return finalizePartial(flow, kind, scoreIntervals(spec));
 }
 
-// dgcheck: hot
 RunPartial PlaybackEngine::runChunkPartial(
     routing::Flow flow, routing::SchemeKind kind,
     const routing::SchemeParams& schemeParams, std::size_t first,
     std::size_t last, trace::ConditionSource* decisionSource,
     trace::ConditionSource* truthSource,
     telemetry::Telemetry* telemetry) const {
+  if (first == 0) {
+    return runChunkPartial(flow, kind, schemeParams, first, last, nullptr,
+                           decisionSource, truthSource, telemetry);
+  }
+  const std::size_t stops[] = {first};
+  const std::vector<routing::DecisionCheckpoint> start =
+      replayCheckpoints(kind, flow, schemeParams, stops);
+  return runChunkPartial(flow, kind, schemeParams, first, last, &start[0],
+                         decisionSource, truthSource, telemetry);
+}
+
+// dgcheck: hot
+RunPartial PlaybackEngine::runChunkPartial(
+    routing::Flow flow, routing::SchemeKind kind,
+    const routing::SchemeParams& schemeParams, std::size_t first,
+    std::size_t last, const routing::DecisionCheckpoint* start,
+    trace::ConditionSource* decisionSource,
+    trace::ConditionSource* truthSource,
+    telemetry::Telemetry* telemetry) const {
   if (first > last || last > trace_->intervalCount())
     throw std::out_of_range("PlaybackEngine::runChunkPartial: bad range");
+  if ((first == 0) != (start == nullptr))
+    throw std::invalid_argument(
+        "PlaybackEngine::runChunkPartial: a start checkpoint is required "
+        "exactly when first > 0");
   if (!params_.conditionCursor)
     throw std::logic_error(
         "PlaybackEngine::runChunkPartial requires conditionCursor mode");
@@ -185,6 +281,7 @@ RunPartial PlaybackEngine::runChunkPartial(
   const routing::NetworkView baselineView =
       routing::NetworkView::baseline(*trace_);
   scheme->initialize(baselineView);
+  if (start != nullptr) scheme->restoreState(start->state);
 
   std::optional<trace::ConditionTimeline> decisionCursor;
   std::optional<trace::ConditionTimeline> truthCursor;
@@ -199,31 +296,6 @@ RunPartial PlaybackEngine::runChunkPartial(
     truthCursor.emplace(*trace_);
   }
 
-  // Warm-up replay: roll the scheme's decision state over [0, first)
-  // exactly as a full run would -- telemetry is detached, so skipped
-  // fixed-point selects are unobservable -- jumping over clean steady
-  // spans straight to the next interval whose decision view deviates.
-  const auto staleness = static_cast<std::size_t>(params_.viewStaleness);
-  const graph::DisseminationGraph* dg = nullptr;
-  std::size_t t = 0;
-  while (t < first) {
-    if (t < staleness || !trace_->hasDeviation(t - staleness)) {
-      dg = &scheme->select(baselineView);
-      if (scheme->steadyOnBaseline()) {
-        t = nextDeviatingDecision(t + 1, staleness);
-        continue;
-      }
-      ++t;
-    } else {
-      const std::size_t viewInterval = t - staleness;
-      decisionCursor->seek(viewInterval);
-      const routing::NetworkView view = routing::NetworkView::borrowing(
-          *decisionCursor, conditionIndex_.contentId(viewInterval));
-      dg = &scheme->select(view);
-      ++t;
-    }
-  }
-
   ScoreSpec spec;
   spec.scheme = scheme.get();
   spec.baselineView = &baselineView;
@@ -231,16 +303,17 @@ RunPartial PlaybackEngine::runChunkPartial(
   spec.kind = kind;
   spec.first = first;
   spec.last = last;
-  spec.warmupUntil = staleness;  // scheme history starts at interval 0
+  // Scheme history starts at interval 0.
+  spec.warmupUntil = static_cast<std::size_t>(params_.viewStaleness);
   spec.decisionCursor = &*decisionCursor;
   spec.truthCursor = &*truthCursor;
   spec.telemetry = telemetry;
   spec.timelineOut = nullptr;
   spec.reuseCleanEvals = true;
-  if (telemetry != nullptr && dg != nullptr) {
+  if (telemetry != nullptr && start != nullptr) {
     // GraphSwitch continuity: the previous chunk ended with this
     // selection in force.
-    spec.lastSelectedEdges = dg->edges();
+    spec.lastSelectedEdges = start->lastEdges;
     spec.haveSelected = true;
   }
   return scoreIntervals(spec);

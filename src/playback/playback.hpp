@@ -29,6 +29,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -152,6 +153,49 @@ struct StageTimings {
   std::atomic<std::uint64_t> mergeNs{0};
 };
 
+/// Rolls routing-decision state forward from interval 0, exactly as a
+/// full run's decisions would: the view lags by the staleness, decisions
+/// before any deviation is visible use the baseline view, and clean
+/// steady spans are jumped in O(log deviations) via the schemes'
+/// steadyOnBaseline() fixed-point contract (no telemetry is attached, so
+/// skipped fixed-point selects are unobservable). Views come from the
+/// in-memory trace, so no packed chunk is decoded. This is the only code
+/// that rolls scheme state over a prefix [0, first); both engines and
+/// both packed runners start mid-trace tasks from its checkpoints.
+///
+/// Group schemes restore each receiver's sub-scheme from the checkpoint
+/// of its unicast context. A group run makes extra select() calls on
+/// sub-schemes that are steady on baseline (while another receiver is
+/// not); the steadyOnBaseline() contract makes those calls no-ops, so the
+/// per-receiver replay reaches the state the group would.
+class DecisionReplay {
+ public:
+  DecisionReplay(const graph::Graph& overlay, const trace::Trace& trace,
+                 const trace::ConditionIndex& index, std::size_t staleness);
+
+  /// Replays the context (kind, flow, params) once over [0, stops.back())
+  /// and returns one checkpoint per stop, in order: the scheme's state
+  /// when interval `stop` is about to be decided, and the selection in
+  /// force. `stops` must be ascending and > 0. `memo` (nullable) is
+  /// attached under the context's key, as in a scoring run.
+  std::vector<routing::DecisionCheckpoint> run(
+      routing::SchemeKind kind, routing::Flow flow,
+      const routing::SchemeParams& params, routing::DecisionMemo* memo,
+      std::span<const std::size_t> stops) const;
+
+ private:
+  /// Smallest interval t >= fromInterval whose *decision* view (t -
+  /// staleness) carries a deviation; trace end if none.
+  std::size_t nextDeviatingDecision(std::size_t fromInterval) const;
+
+  const graph::Graph* overlay_;
+  const trace::Trace* trace_;
+  const trace::ConditionIndex* index_;
+  std::size_t staleness_;
+  /// Sorted intervals that deviate from baseline (for steady-span jumps).
+  std::vector<std::size_t> deviatingIntervals_;
+};
+
 class PlaybackEngine {
  public:
   PlaybackEngine(const graph::Graph& overlay, const trace::Trace& trace,
@@ -181,14 +225,21 @@ class PlaybackEngine {
                                    const routing::SchemeParams& schemeParams,
                                    std::size_t first, std::size_t last) const;
 
+  /// The decision replay of one context over the engine's trace (see
+  /// DecisionReplay::run), with the engine's decision memo attached.
+  /// Counted in StageTimings::memoNs when stage timings are on.
+  std::vector<routing::DecisionCheckpoint> replayCheckpoints(
+      routing::SchemeKind kind, routing::Flow flow,
+      const routing::SchemeParams& schemeParams,
+      std::span<const std::size_t> stops) const;
+
   /// Chunk-parallel building block: replays [first, last) and returns the
-  /// partial accumulation, after rolling the scheme's decision state
-  /// forward over [0, first) exactly as a full run would (telemetry
-  /// detached, clean steady spans skipped in O(log deviations) via the
-  /// schemes' steadyOnBaseline() fixed-point contract). `decisionSource`
-  /// and `truthSource` (nullable -> replay from the in-memory trace) let
-  /// each worker cursor over its own PackedConditionSource so no decode
-  /// state is shared across threads. Requires conditionCursor mode.
+  /// partial accumulation, starting from `start` -- the checkpoint at
+  /// `first` of this (kind, flow, params) context from replayCheckpoints,
+  /// null iff first == 0. `decisionSource` and `truthSource` (nullable ->
+  /// replay from the in-memory trace) let each worker cursor over its own
+  /// PackedConditionSource so no decode state is shared across threads.
+  /// Requires conditionCursor mode.
   ///
   /// With params().accumBlockIntervals == B > 0 and chunks aligned to B,
   /// merging the partials of a run's chunks in ascending order yields the
@@ -197,6 +248,16 @@ class PlaybackEngine {
   /// boundaries reset the per-run "last classification" trace-event
   /// dedup, so chunked trace *event* streams can differ from unchunked
   /// ones (counters and results do not).
+  RunPartial runChunkPartial(routing::Flow flow, routing::SchemeKind kind,
+                             const routing::SchemeParams& schemeParams,
+                             std::size_t first, std::size_t last,
+                             const routing::DecisionCheckpoint* start,
+                             trace::ConditionSource* decisionSource,
+                             trace::ConditionSource* truthSource,
+                             telemetry::Telemetry* telemetry) const;
+
+  /// Single-task form: replays this context to {first} itself, then
+  /// scores from that checkpoint.
   RunPartial runChunkPartial(routing::Flow flow, routing::SchemeKind kind,
                              const routing::SchemeParams& schemeParams,
                              std::size_t first, std::size_t last,
@@ -269,7 +330,8 @@ class PlaybackEngine {
     std::vector<double>* timelineOut = nullptr;
     bool reuseCleanEvals = true;
     /// GraphSwitch continuity across chunk boundaries: the selection in
-    /// force at the end of warm-up (updated in place by the loop).
+    /// force at `first`, from the start checkpoint (updated in place by
+    /// the loop).
     std::vector<graph::EdgeId> lastSelectedEdges;
     bool haveSelected = false;
   };
@@ -287,12 +349,6 @@ class PlaybackEngine {
   /// evaluation, accumulation) over [spec.first, spec.last).
   RunPartial scoreIntervals(ScoreSpec& spec) const;
 
-  /// Smallest interval t >= fromInterval whose *decision* view (t -
-  /// staleness) carries a deviation; trace end if none. O(log
-  /// deviations) via the sorted deviation list built at construction.
-  std::size_t nextDeviatingDecision(std::size_t fromInterval,
-                                    std::size_t staleness) const;
-
   std::optional<IntervalEval> findEval(const EvalKey& key) const;
   void storeEval(const EvalKey& key, const IntervalEval& eval) const;
 
@@ -300,8 +356,7 @@ class PlaybackEngine {
   const trace::Trace* trace_;
   PlaybackParams params_;
   trace::ConditionIndex conditionIndex_;
-  /// Sorted intervals that deviate from baseline (for steady-span jumps).
-  std::vector<std::size_t> deviatingIntervals_;
+  DecisionReplay replay_;
   mutable StageTimings stageTimings_;
 
   // Cross-job memos. Mutable + internally synchronized: one const engine

@@ -41,7 +41,8 @@ std::uint64_t DecisionMemo::contextKey(SchemeKind kind, const Flow& flow,
 }
 
 std::optional<std::uint32_t> DecisionMemo::findDecision(
-    std::uint64_t contextKey, std::uint64_t viewFingerprint) {
+    std::uint64_t contextKey, std::uint64_t viewFingerprint,
+    std::vector<graph::EdgeId>& out) {
   const std::scoped_lock lock(mutex_);
   const auto it = decisions_.find(packKey(contextKey, viewFingerprint));
   if (it == decisions_.end()) {
@@ -49,6 +50,10 @@ std::optional<std::uint32_t> DecisionMemo::findDecision(
     return std::nullopt;
   }
   ++hits_;
+  if (it->second != kNoRoute) {
+    const std::vector<graph::EdgeId>& list = *edgeLists_[it->second];
+    out.assign(list.begin(), list.end());
+  }
   return it->second;
 }
 
@@ -68,13 +73,6 @@ std::uint32_t DecisionMemo::internEdgeList(
       std::move(key), static_cast<std::uint32_t>(edgeLists_.size()));
   if (inserted) edgeLists_.push_back(&it->first);
   return it->second;
-}
-
-void DecisionMemo::edgeListInto(std::uint32_t id,
-                                std::vector<graph::EdgeId>& out) const {
-  const std::scoped_lock lock(mutex_);
-  const std::vector<graph::EdgeId>& list = *edgeLists_.at(id);
-  out.assign(list.begin(), list.end());
 }
 
 DecisionMemo::Snapshot DecisionMemo::snapshot() const {

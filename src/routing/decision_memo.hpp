@@ -54,9 +54,12 @@ class DecisionMemo {
 
   /// Looks up the decision for (context, view fingerprint). Returns the
   /// interned edge-list id, kNoRoute for a memoized no-route decision,
-  /// or nullopt on a miss.
+  /// or nullopt on a miss. For an edge-list id the list is copied into
+  /// `out` (cleared first) under the same lock; otherwise `out` is left
+  /// alone. One lock per hit keeps the shared memo's traffic down.
   std::optional<std::uint32_t> findDecision(std::uint64_t contextKey,
-                                            std::uint64_t viewFingerprint);
+                                            std::uint64_t viewFingerprint,
+                                            std::vector<graph::EdgeId>& out);
 
   void storeDecision(std::uint64_t contextKey, std::uint64_t viewFingerprint,
                      std::uint32_t edgeListId);
@@ -64,9 +67,6 @@ class DecisionMemo {
   /// Interns an edge list (sorted member edges of a dissemination graph);
   /// equal lists map to the same id.
   std::uint32_t internEdgeList(std::span<const graph::EdgeId> edges);
-
-  /// Copies the interned list `id` into `out` (cleared first).
-  void edgeListInto(std::uint32_t id, std::vector<graph::EdgeId>& out) const;
 
   struct Stats {
     std::uint64_t decisionHits = 0;

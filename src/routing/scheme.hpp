@@ -66,6 +66,36 @@ struct SchemeParams {
 
 class DecisionMemo;
 
+/// A scheme's decision state as a value: everything select() reads back
+/// from its own earlier calls. One layout serves every scheme; each saves
+/// the fields it has and leaves the rest at their defaults.
+struct SchemeState {
+  /// Cached-graph schemes: the current selection. Targeted redundancy:
+  /// the middle-problem fallback graph.
+  std::vector<graph::EdgeId> edges;
+  /// Cached-graph schemes: the routing weights of the last unfingerprinted
+  /// decision. Targeted redundancy: the weights of the last middle-problem
+  /// re-plan.
+  std::vector<util::SimTime> weights;
+  /// Cached-graph schemes: the fingerprint of the last decision's view.
+  std::uint64_t lastFingerprint = NetworkView::kNoFingerprint;
+  /// Targeted redundancy: the hold-down state machine.
+  FlowProblem lastProblem;
+  int sourceHold = 0;
+  int destinationHold = 0;
+  bool steadyOnBaseline = false;
+
+  bool operator==(const SchemeState&) const = default;
+};
+
+/// A scheme's state at one stop of a decision replay, plus the member
+/// edges of the selection in force there (GraphSwitch continuity across
+/// chunk boundaries, and the input of a group scheme's union).
+struct DecisionCheckpoint {
+  SchemeState state;
+  std::vector<graph::EdgeId> lastEdges;
+};
+
 class RoutingScheme {
  public:
   RoutingScheme(const graph::Graph& overlay, Flow flow, SchemeParams params)
@@ -92,10 +122,22 @@ class RoutingScheme {
   /// uses this to elide per-interval select() calls across clean steady
   /// spans (only while telemetry is detached -- classification counters
   /// must still tick per call when attached) and to bulk-skip clean
-  /// prefixes during chunk-parallel warm-up replay. Schemes that cannot
+  /// spans during the decision replay (playback::DecisionReplay). It
+  /// also makes the extra selects a group scheme issues to steady
+  /// receivers no-ops, which lets group tasks restore from the unicast
+  /// replay's checkpoints. Schemes that cannot
   /// promise a fixed point return false (the default), which is always
   /// safe.
   virtual bool steadyOnBaseline() const { return false; }
+
+  /// The decision state as a value. restoreState() must be applied to a
+  /// freshly initialize()d scheme of the same (kind, flow, params); that
+  /// scheme then selects exactly as the one whose state was saved would
+  /// have. Precomputed structure (initialize()'s output), telemetry and
+  /// the memo attachment are not part of the state. This is how chunk
+  /// tasks start mid-trace without replaying [0, first) themselves.
+  virtual SchemeState saveState() const = 0;
+  virtual void restoreState(const SchemeState& state) = 0;
 
   const graph::Graph& overlay() const { return *overlay_; }
   Flow flow() const { return flow_; }
@@ -114,11 +156,13 @@ class RoutingScheme {
 
   /// Attaches a shared decision memo (nullable). `contextKey` must come
   /// from DecisionMemo::contextKey for this scheme's exact (kind, flow,
-  /// params). Schemes whose selection is a pure function of the view
-  /// consult the memo for fingerprinted views; stateful schemes (targeted
-  /// redundancy) ignore it. Selection results are bit-identical with and
-  /// without a memo attached.
-  void setDecisionMemo(DecisionMemo* memo, std::uint64_t contextKey) {
+  /// params). Only decisions that are pure functions of a fingerprinted
+  /// view go through the memo: the dynamic schemes' re-plans, and the
+  /// targeted scheme's middle-problem re-plan, which is
+  /// dynamic-two-disjoint's re-plan and shares its context. The targeted
+  /// hold-down state machine itself never does. Selection results are
+  /// bit-identical with and without a memo attached.
+  virtual void setDecisionMemo(DecisionMemo* memo, std::uint64_t contextKey) {
     memo_ = memo;
     memoContext_ = contextKey;
   }

@@ -83,6 +83,18 @@ namespace {
 
 using graph::DisseminationGraph;
 
+/// Makes `dg` the graph of exactly `edges` (same overlay and flow);
+/// leaves it alone when it already is. Graphs are equal iff their member
+/// edges are, so a memoized or checkpointed edge list reproduces the
+/// graph it came from.
+void assignEdges(DisseminationGraph& dg,
+                 const std::vector<graph::EdgeId>& edges) {
+  if (dg.edges() == edges) return;
+  DisseminationGraph next(dg.overlay(), dg.source(), dg.destination());
+  for (const graph::EdgeId e : edges) next.addEdge(e);
+  dg = std::move(next);
+}
+
 /// Deadline-constrained path selection shared by the dynamic schemes.
 ///
 /// Routing weights penalize lossy links, which can make a detour look
@@ -157,6 +169,20 @@ class CachedGraphScheme : public RoutingScheme {
     return lastFingerprint_ == NetworkView::kBaselineFingerprint;
   }
 
+  SchemeState saveState() const override {
+    SchemeState state;
+    state.edges = current_.edges();
+    state.weights = cachedWeights_;
+    state.lastFingerprint = lastFingerprint_;
+    return state;
+  }
+
+  void restoreState(const SchemeState& state) override {
+    assignEdges(current_, state.edges);
+    cachedWeights_ = state.weights;
+    lastFingerprint_ = state.lastFingerprint;
+  }
+
  protected:
   DisseminationGraph current_;
   std::vector<util::SimTime> cachedWeights_;
@@ -179,13 +205,6 @@ class CachedGraphScheme : public RoutingScheme {
     view.routingWeightsInto(params_.view, cachedWeights_);
   }
 
-  void rebuildCurrent(const std::vector<graph::EdgeId>& edges) {
-    if (current_.edges() == edges) return;
-    DisseminationGraph next(*overlay_, flow_.source, flow_.destination);
-    for (const graph::EdgeId e : edges) next.addEdge(e);
-    current_ = std::move(next);
-  }
-
   /// Selection driver for dynamic schemes. `recompute(view)` must install
   /// the newly selected graph into current_ and return true, or return
   /// false when the view offers no timely route (keeping the previous
@@ -198,11 +217,10 @@ class CachedGraphScheme : public RoutingScheme {
     if (fp != NetworkView::kNoFingerprint) {
       if (fp == lastFingerprint_) return current_;
       if (memo_ != nullptr) {
-        if (const auto id = memo_->findDecision(memoContext_, fp)) {
-          if (*id != DecisionMemo::kNoRoute) {
-            memo_->edgeListInto(*id, edgeScratch_);
-            rebuildCurrent(edgeScratch_);
-          }
+        if (const auto id =
+                memo_->findDecision(memoContext_, fp, edgeScratch_)) {
+          if (*id != DecisionMemo::kNoRoute)
+            assignEdges(current_, edgeScratch_);
           cachedWeights_.clear();
           lastFingerprint_ = fp;
           return current_;
@@ -385,6 +403,37 @@ class TargetedScheme : public RoutingScheme {
 
   bool steadyOnBaseline() const override { return steadyOnBaseline_; }
 
+  SchemeState saveState() const override {
+    SchemeState state;
+    state.edges = dynamicFallback_.edges();
+    state.weights = dynamicWeights_;
+    state.lastProblem = lastProblem_;
+    state.sourceHold = sourceHold_;
+    state.destinationHold = destinationHold_;
+    state.steadyOnBaseline = steadyOnBaseline_;
+    return state;
+  }
+
+  void restoreState(const SchemeState& state) override {
+    assignEdges(dynamicFallback_, state.edges);
+    dynamicWeights_ = state.weights;
+    lastProblem_ = state.lastProblem;
+    sourceHold_ = state.sourceHold;
+    destinationHold_ = state.destinationHold;
+    steadyOnBaseline_ = state.steadyOnBaseline;
+  }
+
+  /// The middle-problem re-plan is dynamic-two-disjoint's re-plan, so it
+  /// is memoized under that scheme's context for the same flow and
+  /// params: the two schemes share every middle-problem decision.
+  void setDecisionMemo(DecisionMemo* memo, std::uint64_t contextKey) override {
+    RoutingScheme::setDecisionMemo(memo, contextKey);
+    if (memo != nullptr) {
+      replanContext_ =
+          memo->contextKey(SchemeKind::DynamicTwoDisjoint, flow_, params_);
+    }
+  }
+
   // dgcheck: cold: decision path; classification allocates nothing, and only a middle-problem re-plan allocates (its returned paths and graph; solver scratch lives in the scheme's DisjointPathsWorkspace)
   const DisseminationGraph& select(const NetworkView& view) override {
     const FlowProblem detected =
@@ -431,15 +480,7 @@ class TargetedScheme : public RoutingScheme {
       view.routingWeightsInto(params_.view, weightsScratch_);
       if (weightsScratch_ != dynamicWeights_) {
         std::swap(dynamicWeights_, weightsScratch_);
-        const auto paths =
-            timelyDisjointPaths(*overlay_, flow_, view, dynamicWeights_,
-                                params_, params_.disjointPaths, disjointWs_);
-        if (!paths.empty()) {
-          DisseminationGraph next(*overlay_, flow_.source,
-                                  flow_.destination);
-          for (const graph::Path& path : paths) next.addPath(path);
-          dynamicFallback_ = std::move(next);
-        }
+        replanMiddle(view);
       }
       return dynamicFallback_;
     }
@@ -451,12 +492,45 @@ class TargetedScheme : public RoutingScheme {
   const TargetedGraphs& graphs() const { return graphs_; }
 
  private:
+  /// Re-plans the fallback on dynamicWeights_ (the view's routing
+  /// weights), consulting the memo for fingerprinted views. When the view
+  /// offers no timely route, the previous fallback stays.
+  void replanMiddle(const NetworkView& view) {
+    const std::uint64_t fp = view.fingerprint();
+    const bool memoized =
+        memo_ != nullptr && fp != NetworkView::kNoFingerprint;
+    if (memoized) {
+      if (const auto id =
+              memo_->findDecision(replanContext_, fp, edgeScratch_)) {
+        if (*id != DecisionMemo::kNoRoute)
+          assignEdges(dynamicFallback_, edgeScratch_);
+        return;
+      }
+    }
+    const auto paths =
+        timelyDisjointPaths(*overlay_, flow_, view, dynamicWeights_, params_,
+                            params_.disjointPaths, disjointWs_);
+    if (!paths.empty()) {
+      DisseminationGraph next(*overlay_, flow_.source, flow_.destination);
+      for (const graph::Path& path : paths) next.addPath(path);
+      dynamicFallback_ = std::move(next);
+    }
+    if (memoized) {
+      const std::uint32_t id =
+          paths.empty() ? DecisionMemo::kNoRoute
+                        : memo_->internEdgeList(dynamicFallback_.edges());
+      memo_->storeDecision(replanContext_, fp, id);
+    }
+  }
+
   ProblemDetector detector_;
   TargetedGraphs graphs_;
   DisseminationGraph dynamicFallback_;
   std::vector<util::SimTime> dynamicWeights_;
   std::vector<util::SimTime> weightsScratch_;
+  std::vector<graph::EdgeId> edgeScratch_;
   graph::DisjointPathsWorkspace disjointWs_;
+  std::uint64_t replanContext_ = 0;
   FlowProblem lastProblem_;
   int sourceHold_ = 0;
   int destinationHold_ = 0;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -164,6 +165,73 @@ TEST(GroupExperiment, NarrowWindowScoresOnlyItsIntervals) {
     EXPECT_LE(windowed.at(g, 0, 1).problematicIntervals,
               whole.at(g, 0, 1).problematicIntervals);
   }
+}
+
+TEST(GroupExperiment, SharedReceiverContextsAcrossWindowsMatchInMemoryRun) {
+  // Two groups share the NYC->SJC receiver context under different
+  // windows; the first window starts mid-chunk, the second on a chunk
+  // boundary. The packed sweep replays that context once for both groups
+  // and must still match the in-memory runner, which replays per job --
+  // and be identical at 1 and 4 threads, telemetry exports included.
+  const trace::Topology topology = trace::Topology::ltn12();
+  const trace::Trace tr = experimentTrace(topology.graph());
+  const std::size_t chunk = 64;
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "mcast_shared.dgtrace")
+          .string();
+  store::WriterOptions options;
+  options.chunkIntervals = chunk;
+  store::packTrace(tr, path, options);
+
+  GroupExperimentConfig config;
+  Group a;
+  a.source = topology.at("NYC");
+  a.receivers = {topology.at("SJC"), topology.at("LAX")};
+  Group b;
+  b.source = topology.at("NYC");
+  b.receivers = {topology.at("SEA"), topology.at("SJC"), topology.at("ATL")};
+  config.groups = {a, b};
+  config.groupWindows = {GroupWindow{chunk + 7, tr.intervalCount() - 30},
+                         GroupWindow{3 * chunk, tr.intervalCount()}};
+  config.playback.base.mcSamples = 100;
+
+  config.threads = 4;
+  telemetry::Telemetry packed4;
+  const GroupExperimentResult at4 =
+      runPackedGroupExperiment(topology.graph(), path, config, &packed4);
+  config.threads = 1;
+  telemetry::Telemetry packed1;
+  const GroupExperimentResult at1 =
+      runPackedGroupExperiment(topology.graph(), path, config, &packed1);
+  expectResultsIdentical(at4, at1);
+  EXPECT_EQ(telemetry::toPrometheus(packed4.metrics),
+            telemetry::toPrometheus(packed1.metrics));
+  EXPECT_EQ(telemetry::toJson(packed4.trace), telemetry::toJson(packed1.trace));
+
+  // The in-memory runner scores each window in one task, so its graph
+  // switch counts see no chunk boundary: equal counts mean every chunk
+  // task took over the selection in force from its checkpoint. (Float
+  // histogram sums differ in their last bits: the fold order differs.)
+  GroupExperimentConfig blocked = config;
+  blocked.threads = 2;
+  blocked.playback.base.conditionCursor = true;
+  blocked.playback.base.accumBlockIntervals = chunk;
+  telemetry::Telemetry inMemoryTelemetry;
+  expectResultsIdentical(at4, runGroupExperiment(topology.graph(), tr, blocked,
+                                                 &inMemoryTelemetry));
+  const auto switches = [](const telemetry::Telemetry& t) {
+    std::map<std::string, double> out;
+    for (const auto& [key, value] :
+         telemetry::parsePrometheus(telemetry::toPrometheus(t.metrics))) {
+      if (key.starts_with("dg_mcast_graph_switches_total")) out[key] = value;
+    }
+    return out;
+  };
+  const std::map<std::string, double> packedSwitches = switches(packed4);
+  EXPECT_EQ(packedSwitches, switches(inMemoryTelemetry));
+  double total = 0.0;
+  for (const auto& [key, value] : packedSwitches) total += value;
+  EXPECT_GT(total, 0.0);
 }
 
 TEST(GroupExperiment, RejectsMalformedConfigs) {

@@ -5,6 +5,7 @@
 // evaluation paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -217,6 +218,93 @@ TEST(GroupPlayback, ChunkPartialsFoldToBlockedRunExactly) {
     for (std::size_t r = 0; r < whole.receivers.size(); ++r) {
       EXPECT_EQ(chunked.receivers[r].unavailability,
                 whole.receivers[r].unavailability)
+          << groupSchemeName(kind) << " receiver " << r;
+      EXPECT_EQ(chunked.receivers[r].averageLatencyUs,
+                whole.receivers[r].averageLatencyUs)
+          << groupSchemeName(kind) << " receiver " << r;
+    }
+  }
+}
+
+TEST(GroupPlayback, RestoredReceiverCheckpointsFoldToRunRange) {
+  // Each receiver's unicast context is replayed once, checkpointed at
+  // every chunk start; each chunk restores its three receivers from those
+  // checkpoints and scores. Folded in order, the partials must reproduce
+  // runRange over the whole trace bit for bit.
+  const trace::Topology topology = trace::Topology::ltn12();
+  const trace::SyntheticTrace synth = lossyTrace(topology.graph());
+  const std::size_t intervals = synth.trace.intervalCount();
+  const std::size_t block = 90;
+
+  GroupPlaybackParams params;
+  params.base.mcSamples = 200;
+  params.base.accumBlockIntervals = block;
+  const GroupPlaybackEngine engine(topology.graph(), synth.trace, params);
+
+  Group group;
+  group.source = topology.at("NYC");
+  group.receivers = {topology.at("SJC"), topology.at("LAX"),
+                     topology.at("SEA")};
+  group.deadlines = {util::milliseconds(65), util::milliseconds(80),
+                     util::milliseconds(55)};
+  const routing::SchemeParams schemeParams;
+  std::vector<std::size_t> stops;
+  for (std::size_t first = block; first < intervals; first += block)
+    stops.push_back(first);
+
+  for (const GroupSchemeKind kind :
+       {GroupSchemeKind::kDynamicTrees, GroupSchemeKind::kDynamicMesh,
+        GroupSchemeKind::kTargetedReceivers}) {
+    std::vector<std::vector<routing::DecisionCheckpoint>> checkpoints;
+    for (std::size_t i = 0; i < group.receivers.size(); ++i) {
+      checkpoints.push_back(engine.replayCheckpoints(
+          unicastEquivalent(kind), receiverFlow(group, i),
+          receiverSchemeParams(group, i, schemeParams), stops));
+      ASSERT_EQ(checkpoints.back().size(), stops.size());
+    }
+    GroupRunPartial folded;
+    for (std::size_t c = 0; c * block < intervals; ++c) {
+      const std::size_t first = c * block;
+      const std::size_t last = std::min(first + block, intervals);
+      std::vector<const routing::DecisionCheckpoint*> starts;
+      if (c > 0) {
+        for (const auto& receiver : checkpoints)
+          starts.push_back(&receiver[c - 1]);
+      }
+      folded.merge(engine.runChunkPartial(group, kind, schemeParams, first,
+                                          last, starts, nullptr, nullptr,
+                                          nullptr));
+    }
+    const GroupSchemeResult chunked =
+        engine.finalizePartial(group, kind, std::move(folded));
+    const GroupSchemeResult whole =
+        engine.runRange(group, kind, schemeParams, 0, intervals);
+
+    EXPECT_EQ(chunked.unavailabilityAll, whole.unavailabilityAll)
+        << groupSchemeName(kind);
+    EXPECT_EQ(chunked.unavailabilityK, whole.unavailabilityK)
+        << groupSchemeName(kind);
+    EXPECT_EQ(chunked.unavailableAllSeconds, whole.unavailableAllSeconds)
+        << groupSchemeName(kind);
+    EXPECT_EQ(chunked.problematicIntervals, whole.problematicIntervals)
+        << groupSchemeName(kind);
+    EXPECT_EQ(chunked.averageCost, whole.averageCost) << groupSchemeName(kind);
+    ASSERT_EQ(chunked.problems.size(), whole.problems.size());
+    for (std::size_t p = 0; p < whole.problems.size(); ++p) {
+      EXPECT_EQ(chunked.problems[p].interval, whole.problems[p].interval);
+      EXPECT_EQ(chunked.problems[p].missProbability,
+                whole.problems[p].missProbability);
+    }
+    ASSERT_EQ(chunked.receivers.size(), whole.receivers.size());
+    for (std::size_t r = 0; r < whole.receivers.size(); ++r) {
+      EXPECT_EQ(chunked.receivers[r].unavailability,
+                whole.receivers[r].unavailability)
+          << groupSchemeName(kind) << " receiver " << r;
+      EXPECT_EQ(chunked.receivers[r].unavailableSeconds,
+                whole.receivers[r].unavailableSeconds)
+          << groupSchemeName(kind) << " receiver " << r;
+      EXPECT_EQ(chunked.receivers[r].problematicIntervals,
+                whole.receivers[r].problematicIntervals)
           << groupSchemeName(kind) << " receiver " << r;
       EXPECT_EQ(chunked.receivers[r].averageLatencyUs,
                 whole.receivers[r].averageLatencyUs)
