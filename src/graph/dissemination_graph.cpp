@@ -30,6 +30,14 @@ void DisseminationGraph::unite(const DisseminationGraph& other) {
   for (const EdgeId id : other.edges_) addEdge(id);
 }
 
+void DisseminationGraph::clear() {
+  for (const EdgeId id : edges_) {
+    member_[id] = 0;
+    outEdges_[graph_->edge(id).from].clear();
+  }
+  edges_.clear();
+}
+
 std::vector<NodeId> DisseminationGraph::reachableNodes() const {
   std::vector<char> seen(graph_->nodeCount(), 0);
   std::queue<NodeId> frontier;
@@ -83,13 +91,11 @@ std::vector<util::SimTime> DisseminationGraph::earliestArrival(
   return dist;
 }
 
-// dgcheck: cold: evaluation path; results ride the eval memo and the clean-interval cache, so steady-state intervals never reach it
 util::SimTime DisseminationGraph::latencyToDestination(
     std::span<const util::SimTime> weights) const {
   return earliestArrival(weights)[destination_];
 }
 
-// dgcheck: cold: evaluation path; results are cached in the per-chunk eval memo, so steady-state intervals never reach it
 int DisseminationGraph::cost(std::span<const util::SimTime> weights) const {
   // Determine each node's first-arrival predecessor under `weights`; the
   // no-echo rule suppresses the transmission back to that predecessor.
@@ -128,7 +134,6 @@ int DisseminationGraph::cost(std::span<const util::SimTime> weights) const {
   return transmissions;
 }
 
-// dgcheck: cold: evaluation path; results are cached in the per-chunk eval memo, so steady-state intervals never reach it
 int DisseminationGraph::cost() const {
   const auto weights = graph_->baseLatencies();
   return cost(weights);

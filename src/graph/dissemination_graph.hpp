@@ -34,6 +34,8 @@ class DisseminationGraph {
   void addPath(const Path& path);
   /// Adds every edge of another dissemination graph (same overlay/flow).
   void unite(const DisseminationGraph& other);
+  /// Removes every edge, keeping the storage for the next build.
+  void clear();
 
   bool contains(EdgeId id) const { return member_[id]; }
   std::size_t edgeCount() const { return edges_.size(); }

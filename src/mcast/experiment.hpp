@@ -1,7 +1,7 @@
-// Group experiment runner: the groups x group-schemes sweep over one
-// trace, mirroring the unicast experiment runner's determinism contract
-// (byte-identical telemetry exports and bit-identical results at any
-// thread count).
+// Group experiment runners: the groups x group-schemes sweep over one
+// trace, run by the unicast runners' task scheduler (playback::runSweep)
+// under the same determinism contract (byte-identical telemetry exports
+// and bit-identical results at any thread count).
 #pragma once
 
 #include <string>
@@ -10,16 +10,14 @@
 #include "mcast/group.hpp"
 #include "mcast/playback.hpp"
 #include "mcast/scheme.hpp"
+#include "playback/experiment.hpp"
 #include "routing/scheme.hpp"
 
 namespace dg::mcast {
 
 /// Half-open interval range a group is active over; lastInterval values
 /// beyond the trace end are clamped to it.
-struct GroupWindow {
-  std::size_t firstInterval = 0;
-  std::size_t lastInterval = static_cast<std::size_t>(-1);
-};
+using GroupWindow = playback::FlowWindow;
 
 struct GroupExperimentConfig {
   std::vector<Group> groups;
@@ -62,22 +60,16 @@ struct GroupExperimentResult {
 };
 
 /// Runs every (group, scheme) pair over the trace; deterministic
-/// regardless of thread count (private per-job telemetry, sequential
-/// job-order merge -- same discipline as playback::runExperiment).
+/// regardless of thread count (see playback::runSweep).
 GroupExperimentResult runGroupExperiment(
     const graph::Graph& overlay, const trace::Trace& trace,
     const GroupExperimentConfig& config,
     telemetry::Telemetry* telemetry = nullptr);
 
 /// Chunk-parallel variant over a packed dgtrace file: the work unit is
-/// (group, scheme, chunk); per-worker PackedTraceReader + private
-/// condition sources, chunk-aligned accumulation blocks, ascending-chunk
-/// fold -- bit-identical at any thread count, telemetry exports
-/// byte-identical (same contract as playback::runPackedExperiment).
-/// Phase 1 replays each receiver decision context (unicast equivalent,
-/// source->receiver, receiver params) once, so groups that share a
-/// source-receiver pair share one replay; phase-2 tasks of adaptive kinds
-/// restore their receivers from its checkpoints.
+/// (group, scheme, chunk), with the contract of
+/// playback::runPackedExperiment. Groups that share a source-receiver
+/// pair share one decision replay.
 GroupExperimentResult runPackedGroupExperiment(
     const graph::Graph& overlay, const std::string& packedPath,
     const GroupExperimentConfig& config,

@@ -86,14 +86,43 @@ void validateRequest(const trace::Trace& trace,
     throw std::invalid_argument("graph dump: negative staleness");
 }
 
-/// Replays (kind, flow, params) over [0, interval]: the checkpoint just
-/// after `interval` holds the selection in force there.
-routing::DecisionCheckpoint replayThrough(
-    const playback::DecisionReplay& replay, std::size_t interval,
-    routing::SchemeKind kind, routing::Flow flow,
-    const routing::SchemeParams& params) {
-  const std::size_t stops[] = {interval + 1};
-  return std::move(replay.run(kind, flow, params, nullptr, stops)[0]);
+/// Renders the graph `kind` has in force for `group` at
+/// request.interval, labeled `schemeName`. Adaptive kinds restore each
+/// receiver from its decision replay through the interval: the checkpoint
+/// just after `interval` holds the selection in force there. Static kinds
+/// freeze their union at baseline.
+std::string dumpGraph(const graph::Graph& overlay, const trace::Trace& trace,
+                      const trace::Topology& topology, const Group& group,
+                      GroupSchemeKind kind,
+                      const routing::SchemeParams& schemeParams,
+                      std::string_view schemeName,
+                      const GraphDumpRequest& request) {
+  validateRequest(trace, request);
+  auto scheme = makeGroupScheme(kind, overlay, group, schemeParams);
+  scheme->initialize(routing::NetworkView::baseline(trace));
+  if (isAdaptive(kind)) {
+    const trace::ConditionIndex index(trace);
+    const playback::DecisionReplay replay(
+        overlay, trace, index,
+        static_cast<std::size_t>(request.viewStaleness));
+    const std::size_t stops[] = {request.interval + 1};
+    std::vector<routing::DecisionCheckpoint> checkpoints;
+    for (std::size_t i = 0; i < group.receivers.size(); ++i) {
+      checkpoints.push_back(std::move(
+          replay.run(unicastEquivalent(kind), receiverFlow(group, i),
+                     receiverSchemeParams(group, i, schemeParams), nullptr,
+                     stops)[0]));
+    }
+    std::vector<const routing::DecisionCheckpoint*> starts;
+    for (const routing::DecisionCheckpoint& c : checkpoints)
+      starts.push_back(&c);
+    scheme->restoreReceivers(starts);
+  }
+  const graph::DisseminationGraph& dg = scheme->current();
+  return request.format == DumpFormat::kDot
+             ? renderDot(dg, topology, group.source, group.receivers)
+             : renderJson(dg, topology, group.source, group.receivers,
+                          schemeName, request.interval);
 }
 
 }  // namespace
@@ -111,20 +140,10 @@ std::string dumpUnicastGraph(const graph::Graph& overlay,
                              routing::Flow flow, routing::SchemeKind kind,
                              const routing::SchemeParams& schemeParams,
                              const GraphDumpRequest& request) {
-  validateRequest(trace, request);
-  const trace::ConditionIndex index(trace);
-  const playback::DecisionReplay replay(
-      overlay, trace, index, static_cast<std::size_t>(request.viewStaleness));
-  graph::DisseminationGraph dg(overlay, flow.source, flow.destination);
-  for (const graph::EdgeId e :
-       replayThrough(replay, request.interval, kind, flow, schemeParams)
-           .lastEdges)
-    dg.addEdge(e);
-  const graph::NodeId receivers[] = {flow.destination};
-  return request.format == DumpFormat::kDot
-             ? renderDot(dg, topology, flow.source, receivers)
-             : renderJson(dg, topology, flow.source, receivers,
-                          routing::schemeName(kind), request.interval);
+  return dumpGraph(overlay, trace, topology,
+                   oneReceiverGroup(flow),
+                   groupEquivalent(kind), schemeParams,
+                   routing::schemeName(kind), request);
 }
 
 std::string dumpGroupGraph(const graph::Graph& overlay,
@@ -133,31 +152,8 @@ std::string dumpGroupGraph(const graph::Graph& overlay,
                            GroupSchemeKind kind,
                            const routing::SchemeParams& schemeParams,
                            const GraphDumpRequest& request) {
-  validateRequest(trace, request);
-  auto scheme = makeGroupScheme(kind, overlay, group, schemeParams);
-  scheme->initialize(routing::NetworkView::baseline(trace));
-  if (isAdaptive(kind)) {
-    const trace::ConditionIndex index(trace);
-    const playback::DecisionReplay replay(
-        overlay, trace, index,
-        static_cast<std::size_t>(request.viewStaleness));
-    std::vector<routing::DecisionCheckpoint> checkpoints;
-    for (std::size_t i = 0; i < group.receivers.size(); ++i) {
-      checkpoints.push_back(replayThrough(
-          replay, request.interval, unicastEquivalent(kind),
-          receiverFlow(group, i),
-          receiverSchemeParams(group, i, schemeParams)));
-    }
-    std::vector<const routing::DecisionCheckpoint*> starts;
-    for (const routing::DecisionCheckpoint& c : checkpoints)
-      starts.push_back(&c);
-    scheme->restoreReceivers(starts);
-  }
-  const graph::DisseminationGraph& dg = scheme->current();
-  return request.format == DumpFormat::kDot
-             ? renderDot(dg, topology, group.source, group.receivers)
-             : renderJson(dg, topology, group.source, group.receivers,
-                          groupSchemeName(kind), request.interval);
+  return dumpGraph(overlay, trace, topology, group, kind, schemeParams,
+                   groupSchemeName(kind), request);
 }
 
 }  // namespace dg::mcast

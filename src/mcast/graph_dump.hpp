@@ -1,8 +1,8 @@
 // Dissemination-graph dump: exports the graph any scheme (unicast or
 // group) has in force at a given interval, as Graphviz DOT or JSON, for
 // the `dgnet graph dump` debug command. The selection is reproduced by
-// replaying decisions over [0, interval] exactly as the playback engines
-// do (same baseline view, same decision staleness), so the dumped graph
+// replaying decisions over [0, interval] exactly as the playback engine
+// does (same baseline view, same decision staleness), so the dumped graph
 // is the one the engine would score that interval with.
 #pragma once
 
@@ -31,7 +31,8 @@ struct GraphDumpRequest {
 };
 
 /// Dumps the graph a unicast routing scheme has selected at
-/// request.interval.
+/// request.interval: the graph of the flow's one-receiver group under the
+/// scheme's group equivalent.
 std::string dumpUnicastGraph(const graph::Graph& overlay,
                              const trace::Trace& trace,
                              const trace::Topology& topology,

@@ -37,6 +37,10 @@ void validateGroup(const Group& group, std::size_t nodeCount) {
   }
 }
 
+Group oneReceiverGroup(routing::Flow flow) {
+  return Group{flow.source, {flow.destination}, {}};
+}
+
 routing::Flow receiverFlow(const Group& group, std::size_t i) {
   return routing::Flow{group.source, group.receivers[i]};
 }

@@ -47,6 +47,10 @@ void validateGroup(const Group& group, std::size_t nodeCount);
 /// The unicast flow of one receiver: source -> receivers[i].
 routing::Flow receiverFlow(const Group& group, std::size_t i);
 
+/// A unicast flow as a group: {flow.source; flow.destination}, default
+/// deadline.
+Group oneReceiverGroup(routing::Flow flow);
+
 /// Receiver i's deadline, or `fallback` when the group carries none.
 util::SimTime receiverDeadline(const Group& group, std::size_t i,
                                util::SimTime fallback);

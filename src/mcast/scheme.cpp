@@ -57,6 +57,13 @@ routing::SchemeKind unicastEquivalent(GroupSchemeKind kind) {
   return routing::SchemeKind::StaticSinglePath;
 }
 
+GroupSchemeKind groupEquivalent(routing::SchemeKind kind) {
+  for (const GroupSchemeKind group : allGroupSchemeKinds()) {
+    if (unicastEquivalent(group) == kind) return group;
+  }
+  throw std::invalid_argument("groupEquivalent: unknown scheme kind");
+}
+
 bool isAdaptive(GroupSchemeKind kind) {
   switch (kind) {
     case GroupSchemeKind::kDynamicTrees:
@@ -127,7 +134,7 @@ class SubUnionScheme : public GroupScheme {
     // The extra select() after initialize() is a fixed-point no-op for
     // every unicast scheme (the cached schemes hit the fingerprint fast
     // path; targeted re-derives the identical classification), so the
-    // per-interval selections match a unicast engine run exactly.
+    // per-interval selections match the unicast scheme's exactly.
     for (std::size_t i = 0; i < subs_.size(); ++i) {
       subs_[i]->initialize(baselineView);
       subEdges_[i] = subs_[i]->select(baselineView).edges();
@@ -188,13 +195,12 @@ class SubUnionScheme : public GroupScheme {
   }
 
  private:
+  /// Rebuilds the union in place, reusing its storage.
   void rebuildUnion() {
-    graph::DisseminationGraph next(overlay_, group_.source,
-                                   group_.receivers.front());
+    union_.clear();
     for (const auto& edges : subEdges_) {
-      for (const graph::EdgeId e : edges) next.addEdge(e);
+      for (const graph::EdgeId e : edges) union_.addEdge(e);
     }
-    union_ = std::move(next);
   }
 
   GroupSchemeKind kind_;

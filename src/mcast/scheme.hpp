@@ -44,6 +44,10 @@ std::vector<GroupSchemeKind> allGroupSchemeKinds();
 /// flow under `unicastEquivalent(kind)` -- pinned by test.
 routing::SchemeKind unicastEquivalent(GroupSchemeKind kind);
 
+/// The group kind whose unicastEquivalent() is `kind`: a unicast flow
+/// under `kind` is the one-receiver group under this kind.
+GroupSchemeKind groupEquivalent(routing::SchemeKind kind);
+
 /// True for the kinds whose select() carries decision state through time
 /// (one unicast sub-scheme per receiver). Static kinds freeze their union
 /// at initialize(), so a mid-trace task of theirs needs no replay.

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -680,16 +679,13 @@ bool sampleUnkeyed(const std::uint64_t* draws, std::size_t memberCount,
   return touches;
 }
 
-}  // namespace
-
-// dgcheck: hot
-double onTimeProbabilityMC(const graph::DisseminationGraph& dg,
-                           std::span<const double> lossRates,
-                           std::span<const util::SimTime> latencies,
-                           const DeliveryModelParams& params,
-                           int samples, util::Rng& rng,
-                           DeliveryWorkspace& ws) {
-  if (samples <= 0) return 0.0;
+/// The unicast sample loop: how many of `samples` (> 0) reach
+/// dg.destination() within params.deadline.
+int onTimeSamples(const graph::DisseminationGraph& dg,
+                  std::span<const double> lossRates,
+                  std::span<const util::SimTime> latencies,
+                  const DeliveryModelParams& params, int samples,
+                  util::Rng& rng, DeliveryWorkspace& ws) {
   const graph::NodeId destination = dg.destination();
   const McPlan plan = planMonteCarlo(
       dg, std::span<const graph::NodeId>(&destination, 1),
@@ -718,7 +714,22 @@ double onTimeProbabilityMC(const graph::DisseminationGraph& dg,
     }
     rng = localRng;
   }
-  return static_cast<double>(delivered) / static_cast<double>(samples);
+  return delivered;
+}
+
+}  // namespace
+
+// dgcheck: hot
+double onTimeProbabilityMC(const graph::DisseminationGraph& dg,
+                           std::span<const double> lossRates,
+                           std::span<const util::SimTime> latencies,
+                           const DeliveryModelParams& params,
+                           int samples, util::Rng& rng,
+                           DeliveryWorkspace& ws) {
+  if (samples <= 0) return 0.0;
+  return static_cast<double>(onTimeSamples(dg, lossRates, latencies, params,
+                                           samples, rng, ws)) /
+         static_cast<double>(samples);
 }
 
 double onTimeProbabilityMC(const graph::DisseminationGraph& dg,
@@ -880,6 +891,27 @@ void groupCleanArrivals(const graph::DisseminationGraph& dg,
   }
 }
 
+int groupTransmissionCost(const graph::DisseminationGraph& dg,
+                          std::span<const util::SimTime> latencies,
+                          const DeliveryWorkspace& ws) {
+  const graph::Graph& overlay = dg.overlay();
+  int transmissions = 0;
+  for (graph::NodeId u = 0; u < overlay.nodeCount(); ++u) {
+    if (ws.dist[u] == util::kNever) continue;  // never receives the packet
+    // The no-echo rule suppresses the transmission back to the node the
+    // first copy arrived from.
+    const graph::NodeId from = u == dg.source()
+                                   ? graph::kInvalidNode
+                                   : overlay.edge(ws.via[u]).from;
+    for (const graph::EdgeId e : dg.outEdges(u)) {
+      if (latencies[e] == util::kNever) continue;
+      if (overlay.edge(e).to == from) continue;
+      ++transmissions;
+    }
+  }
+  return transmissions;
+}
+
 // dgcheck: hot
 void onTimeCountsMCGroup(const graph::DisseminationGraph& dg,
                          std::span<const graph::NodeId> receivers,
@@ -894,6 +926,18 @@ void onTimeCountsMCGroup(const graph::DisseminationGraph& dg,
   std::fill(onTimeCounts.begin(), onTimeCounts.end(), 0);
   std::fill(deliveredHistogram.begin(), deliveredHistogram.end(), 0);
   if (samples <= 0) return;
+  if (receiverCount == 1 && receivers[0] == dg.destination()) {
+    // One receiver (a unicast flow): the unicast sample loop draws and
+    // decides exactly as the loop below (pinned by test) and costs about a
+    // third less per call on small graphs.
+    DeliveryModelParams unicast = params;
+    unicast.deadline = deadlines[0];
+    onTimeCounts[0] = onTimeSamples(dg, lossRates, latencies, unicast,
+                                    samples, rng, ws);
+    deliveredHistogram[0] = samples - onTimeCounts[0];
+    deliveredHistogram[1] = onTimeCounts[0];
+    return;
+  }
   const McPlan plan = planMonteCarlo(dg, receivers, deadlines, lossRates,
                                      latencies, params, ws);
   const std::vector<graph::EdgeId>& members = dg.edges();
@@ -904,7 +948,7 @@ void onTimeCountsMCGroup(const graph::DisseminationGraph& dg,
     // the per-receiver counts once at the end.
     int cleanSamples = 0;
     scoreKeyedSamples(
-        plan, members, samples, rng, ws,
+        plan, members, samples, rng, ws,  // dgcheck: ok(R6): the one-receiver branch above returns; exactly one callee draws from this rng
         [&] {
           distancesWithin(dg, ws.sampledHop, plan.sampleDeadline, ws);
           std::uint64_t onTime = 0;
@@ -960,98 +1004,6 @@ void onTimeCountsMCGroup(const graph::DisseminationGraph& dg,
     ++deliveredHistogram[static_cast<std::size_t>(deliveredCount)];
   }
   rng = localRng;
-}
-
-// ---------------------------------------------------------------------
-// Reference implementations: the pre-optimization code, frozen. Do not
-// "improve" these -- their entire value is being the unchanged baseline
-// the optimized versions are proven bit-identical against.
-// ---------------------------------------------------------------------
-
-// dgcheck: cold: frozen reference implementation; exists to be the unoptimized baseline the fast path is proven bit-identical against
-double onTimeProbabilityMCReference(const graph::DisseminationGraph& dg,
-                                    std::span<const double> lossRates,
-                                    std::span<const util::SimTime> latencies,
-                                    const DeliveryModelParams& params,
-                                    int samples, util::Rng& rng) {
-  if (samples <= 0) return 0.0;
-  const graph::Graph& overlay = dg.overlay();
-  std::vector<util::SimTime> sampled(overlay.edgeCount(), util::kNever);
-  std::vector<util::SimTime> dist(overlay.nodeCount());
-  int delivered = 0;
-
-  for (int s = 0; s < samples; ++s) {
-    for (const graph::EdgeId e : dg.edges()) {
-      sampled[e] = sampleHopLatency(lossRates[e], latencies[e], params, rng);  // dgcheck: ok(R6): reference impl; sequential draws are the frozen spec the fast path is proven bit-identical against
-    }
-    std::fill(dist.begin(), dist.end(), util::kNever);
-    using Entry = std::pair<util::SimTime, graph::NodeId>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
-    dist[dg.source()] = 0;
-    queue.push({0, dg.source()});
-    bool onTime = false;
-    while (!queue.empty()) {
-      const auto [d, u] = queue.top();
-      queue.pop();
-      if (d > dist[u]) continue;
-      if (u == dg.destination()) {
-        onTime = d <= params.deadline;
-        break;
-      }
-      if (d > params.deadline) break;
-      for (const graph::EdgeId e : dg.outEdges(u)) {
-        if (sampled[e] == util::kNever) continue;
-        const graph::NodeId v = overlay.edge(e).to;
-        const util::SimTime nd = d + sampled[e];
-        if (nd < dist[v]) {
-          dist[v] = nd;
-          queue.push({nd, v});
-        }
-      }
-    }
-    if (onTime) ++delivered;
-  }
-  return static_cast<double>(delivered) / static_cast<double>(samples);
-}
-
-// dgcheck: cold: frozen reference implementation; exists to be the unoptimized baseline the fast path is proven bit-identical against
-double missProbabilityNearLosslessReference(
-    const graph::DisseminationGraph& dg, std::span<const double> lossRates,
-    std::span<const util::SimTime> latencies,
-    const DeliveryModelParams& params) {
-  const graph::Graph& overlay = dg.overlay();
-  std::vector<util::SimTime> dist(overlay.nodeCount(), util::kNever);
-  std::vector<graph::EdgeId> via(overlay.nodeCount(), graph::kInvalidEdge);
-  using Entry = std::pair<util::SimTime, graph::NodeId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
-  dist[dg.source()] = 0;
-  queue.push({0, dg.source()});
-  while (!queue.empty()) {
-    const auto [d, u] = queue.top();
-    queue.pop();
-    if (d > dist[u]) continue;
-    for (const graph::EdgeId e : dg.outEdges(u)) {
-      const util::SimTime w = latencies[e];
-      if (w == util::kNever) continue;
-      const graph::NodeId v = overlay.edge(e).to;
-      if (d + w < dist[v]) {
-        dist[v] = d + w;
-        via[v] = e;
-        queue.push({d + w, v});
-      }
-    }
-  }
-  const util::SimTime at = dist[dg.destination()];
-  if (at == util::kNever || at > params.deadline) return 1.0;
-
-  double residual = 0.0;
-  for (graph::NodeId n = dg.destination(); n != dg.source();) {
-    const graph::EdgeId e = via[n];
-    const double p = lossRates[e];
-    residual += params.recoveryEnabled ? p * p : p;
-    n = overlay.edge(e).from;
-  }
-  return std::min(residual, 1.0);
 }
 
 }  // namespace dg::playback

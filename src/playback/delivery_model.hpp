@@ -268,6 +268,16 @@ void groupCleanArrivals(const graph::DisseminationGraph& dg,
                         DeliveryWorkspace& workspace,
                         std::span<util::SimTime> arrivalOut);
 
+/// Transmissions per packet, DisseminationGraph::cost(latencies), read
+/// off the earliest-arrival tree the last missGroupNearLossless or
+/// groupCleanArrivals call left in `workspace` for the same graph and
+/// latencies: the workspace's Dijkstra pops and relaxes exactly as
+/// cost()'s own, so every node has the same first-arrival predecessor.
+/// Allocation-free.
+int groupTransmissionCost(const graph::DisseminationGraph& dg,
+                          std::span<const util::SimTime> latencies,
+                          const DeliveryWorkspace& workspace);
+
 /// Monte-Carlo group evaluation: for each sample every member edge draws
 /// its hop outcome exactly as the unicast evaluator does (identical RNG
 /// stream; `rng` is advanced by samples * memberCount draws), and every
@@ -285,20 +295,5 @@ void onTimeCountsMCGroup(const graph::DisseminationGraph& dg,
                          util::Rng& rng, DeliveryWorkspace& workspace,
                          std::span<int> onTimeCounts,
                          std::span<int> deliveredHistogram);
-
-/// Pre-optimization reference implementations (per-call vector
-/// allocations, per-sample std::priority_queue, no clean-sample
-/// shortcut). Kept as the baseline arm of the throughput benchmark and
-/// for the equivalence tests, which assert the optimized versions above
-/// are bit-identical to these on every input.
-double onTimeProbabilityMCReference(const graph::DisseminationGraph& dg,
-                                    std::span<const double> lossRates,
-                                    std::span<const util::SimTime> latencies,
-                                    const DeliveryModelParams& params,
-                                    int samples, util::Rng& rng);
-double missProbabilityNearLosslessReference(
-    const graph::DisseminationGraph& dg, std::span<const double> lossRates,
-    std::span<const util::SimTime> latencies,
-    const DeliveryModelParams& params);
 
 }  // namespace dg::playback

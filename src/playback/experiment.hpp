@@ -1,10 +1,13 @@
-// Experiment runner: the full flows x schemes sweep over one trace, with
-// gap-coverage aggregation (experiment E3 / the paper's headline table).
+// Experiment runners: the full units x schemes sweep over one trace --
+// unicast flows here (with gap-coverage aggregation, experiment E3 / the
+// paper's headline table), receiver groups in mcast/experiment.hpp -- all
+// driven by one task scheduler, runSweep.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "playback/memo_cache.hpp"
@@ -44,7 +47,6 @@ struct ExperimentConfig {
   /// Packed runner only: when non-empty, the persistent decision-memo
   /// sidecar at this path is loaded (and validated against the trace's
   /// content fingerprint) before the sweep and rewritten afterwards.
-  /// Ignored when PlaybackParams::decisionMemo is off.
   std::string memoCachePath;
 };
 
@@ -73,7 +75,7 @@ struct ExperimentResult {
   /// Packed runner, when ExperimentConfig::memoCachePath was set: what
   /// happened to the sidecar on load (kMissing also when no path given).
   MemoCacheLoadResult memoCacheLoad = MemoCacheLoadResult::kMissing;
-  /// Decision-memo traffic of this run (hit rates; packed runner only).
+  /// Decision-memo traffic of this run (hit rates).
   routing::DecisionMemo::Stats memoStats;
   /// Per-stage wall-clock totals summed over all workers (populated when
   /// PlaybackParams::collectStageTimings is set; see StageTimings).
@@ -92,52 +94,63 @@ struct ExperimentResult {
   }
 };
 
-/// The decision contexts of a packed sweep whose tasks start mid-trace,
-/// each with the ascending task starts to checkpoint. Phase 1 of the
-/// packed runners replays every context once (DecisionReplay::run) and
-/// phase-2 tasks restore their start state from here, so a context shared
-/// by several tasks -- the chunks of one job, or groups with a common
-/// source-receiver pair -- is replayed once per sweep instead of once per
-/// task. Checkpoints are pure functions of (context, stop), so results do
-/// not depend on which worker replays which context.
-class ReplayPlan {
- public:
-  struct Context {
-    routing::SchemeKind kind{};
-    routing::Flow flow;
-    routing::SchemeParams params;
-    std::vector<std::size_t> stops;
-    std::vector<routing::DecisionCheckpoint> checkpoints;
-  };
-
-  /// The index of context (kind, flow, params), added on first sight.
-  /// Contexts are identified by memo.contextKey, which interns exactly.
-  std::size_t context(routing::DecisionMemo& memo, routing::SchemeKind kind,
-                      routing::Flow flow, const routing::SchemeParams& params);
-  /// Notes a task of `context` that starts at first > 0.
-  void addStop(std::size_t context, std::size_t first) {
-    contexts_[context].stops.push_back(first);
-  }
-  /// Sorts and dedupes every context's stops and drops the contexts no
-  /// task starts mid-trace in (their indices stay valid). Call once,
-  /// after the last addStop().
-  void seal();
-
-  /// Contexts with at least one stop after seal().
-  std::size_t replayCount() const { return replayed_.size(); }
-  /// The i-th context to replay (phase 1 fills its checkpoints).
-  Context& replayContext(std::size_t i) { return contexts_[replayed_[i]]; }
-  std::size_t checkpointCount() const;
-
-  /// The checkpoint of `context` at `first`, which must have been added.
-  const routing::DecisionCheckpoint& at(std::size_t context,
-                                        std::size_t first) const;
-
- private:
-  std::unordered_map<std::uint64_t, std::size_t> index_;
-  std::vector<Context> contexts_;
-  std::vector<std::size_t> replayed_;
+/// One sweep for the scheduler: every (unit, scheme) job, job index
+/// unit * schemes.size() + scheme. A unicast sweep passes its flows as
+/// one-receiver groups and its schemes as their group equivalents, with
+/// `flowUnits` set: tasks then score through the engine's flow entry
+/// points and the runner-level metrics are dg_playback_jobs_total and
+/// dg_playback_job_unavailable_seconds (dg_mcast_* for groups).
+struct SweepSpec {
+  std::span<const mcast::Group> units;
+  std::span<const mcast::GroupSchemeKind> schemes;
+  routing::SchemeParams schemeParams;
+  /// Per-unit active windows; empty = every unit scores the whole
+  /// trace, otherwise parallel to `units` with non-empty clamped windows.
+  std::span<const FlowWindow> windows;
+  GroupPlaybackParams playback;
+  /// Worker threads; 0 = hardware concurrency.
+  unsigned threads = 0;
+  bool flowUnits = false;
+  /// Packed sweeps only: the decision-memo sidecar (see
+  /// ExperimentConfig::memoCachePath).
+  std::string memoCachePath;
 };
+
+/// What a sweep reports besides its per-job partials.
+struct SweepStats {
+  MemoCacheLoadResult memoCacheLoad = MemoCacheLoadResult::kMissing;
+  routing::DecisionMemo::Stats memoStats;
+  ExperimentResult::StageBreakdown stages;
+};
+
+/// The one task scheduler behind every runner. The work unit is a (unit,
+/// scheme, chunk) task. With `packedPath` empty the sweep replays the
+/// in-memory `trace`, one task per job over its window (chunk boundaries
+/// would reset the per-run classification-event dedup and change the
+/// trace export). Otherwise it reads the packed dgtrace file: every job is
+/// split at the container's chunks, each worker thread opens its own
+/// PackedTraceReader and feeds its cursors from private
+/// PackedConditionSources (decode state is never shared),
+/// PlaybackParams::conditionCursor is forced on and accumBlockIntervals is
+/// forced to the chunk length, and the decision-memo sidecar applies.
+///
+/// One worker pool runs in two phases: phase 1 replays each distinct
+/// decision context -- (unicast equivalent, source->receiver, receiver
+/// params) for every receiver of an adaptive job -- once over the
+/// in-memory trace, checkpointing it at every task start; after a
+/// barrier, phase 2 runs the tasks, each restoring its checkpoints instead
+/// of re-running warm-up, with one private Telemetry per task. Each job's
+/// partials are then folded in ascending chunk order -- the same merge
+/// tree as a single-threaded blocked run -- and handed to `finish` in job
+/// order, and the task telemetry is merged into `telemetry` in task
+/// order. Results and every export are therefore identical at any thread
+/// count.
+SweepStats runSweep(
+    const graph::Graph& overlay, const trace::Trace* trace,
+    const std::string& packedPath, const SweepSpec& spec,
+    telemetry::Telemetry* telemetry,
+    const std::function<void(const PlaybackEngine& engine, std::size_t job,
+                             RunPartial&& total)>& finish);
 
 /// Runs every (flow, scheme) pair of the config over the trace;
 /// deterministic regardless of thread count. When `telemetry` is given,
@@ -153,22 +166,12 @@ ExperimentResult runExperiment(const graph::Graph& overlay,
 
 /// Chunk-parallel variant of runExperiment over a packed dgtrace file:
 /// the work unit is (flow, scheme, chunk) rather than (flow, scheme), so
-/// a sweep saturates cores even with a single flow/scheme. Each worker
-/// thread opens its own PackedTraceReader and feeds its cursors from
-/// private PackedConditionSources (decode state is never shared). One
-/// worker pool runs in two phases: phase 1 replays each distinct decision
-/// context once over the in-memory trace, checkpointing its state at every
-/// task start (ReplayPlan); after a barrier, phase 2 runs the chunk tasks,
-/// each restoring its checkpoint instead of re-running warm-up.
-/// PlaybackParams::conditionCursor is forced on and
-/// accumBlockIntervals is forced to the container's chunk length, so the
-/// per-job fold of chunk partials (done in ascending chunk order)
-/// reproduces the single-threaded blocked run bit for bit at any thread
-/// count. Telemetry follows the runExperiment discipline: per-task
-/// private instruments, merged sequentially in task order -- metric
-/// exports are byte-identical for any `threads` (chunk boundaries reset
-/// trace-event dedup, so *event* streams differ from the unchunked
-/// runner's, deterministically).
+/// a sweep saturates cores even with a single flow/scheme (see runSweep).
+/// The per-job fold of chunk partials reproduces the single-threaded
+/// blocked run bit for bit at any thread count, and metric exports are
+/// byte-identical for any `threads` (chunk boundaries reset trace-event
+/// dedup, so *event* streams differ from the unchunked runner's,
+/// deterministically).
 ///
 /// When config.memoCachePath is non-empty, the decision-memo sidecar is
 /// loaded (validated against the trace's content fingerprint; a bad file

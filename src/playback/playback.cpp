@@ -1,10 +1,13 @@
 #include "playback/playback.hpp"
 
 #include <algorithm>
+#include <array>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "routing/network_view.hpp"
 #include "util/rng.hpp"
 #include "util/wall_clock.hpp"
 
@@ -12,29 +15,78 @@ namespace dg::playback {
 
 namespace {
 
-/// Deterministic per-(flow, scheme, interval) RNG stream so results do
-/// not depend on evaluation order.
-std::uint64_t mixSeed(std::uint64_t seed, routing::Flow flow,
-                      routing::SchemeKind kind, std::size_t interval) {
+/// Deterministic per-(unit, scheme, interval) RNG stream, folding in every
+/// receiver (in group order) and the scheme's unicast equivalent, so
+/// results do not depend on evaluation order. A flow's stream is that of
+/// its one-receiver group: (seed, source, destination, unicast kind,
+/// interval).
+std::uint64_t unitMixSeed(std::uint64_t seed, const mcast::Group& group,
+                          mcast::GroupSchemeKind kind, std::size_t interval) {
   std::uint64_t x = seed;
   const auto mix = [&x](std::uint64_t v) {
     x ^= v + 0x9E3779B97F4A7C15ULL + (x << 6) + (x >> 2);
   };
-  mix(flow.source);
-  mix(flow.destination);
-  mix(static_cast<std::uint64_t>(kind));
+  mix(group.source);
+  for (const graph::NodeId r : group.receivers) mix(r);
+  mix(static_cast<std::uint64_t>(mcast::unicastEquivalent(kind)));
   mix(interval);
   return x;
 }
 
 }  // namespace
 
+struct PlaybackEngine::UnitNames {
+  const char* unitKey;
+  const char* intervals;
+  const char* mcIntervals;
+  const char* mcSamples;
+  const char* graphSwitches;
+  const char* missHistogram;
+};
+
+const PlaybackEngine::UnitNames PlaybackEngine::kFlowNames{
+    "flow",
+    "dg_playback_intervals_total",
+    "dg_playback_mc_intervals_total",
+    "dg_playback_mc_samples_total",
+    "dg_routing_graph_switches_total",
+    "dg_playback_miss_probability"};
+
+const PlaybackEngine::UnitNames PlaybackEngine::kGroupNames{
+    "group",
+    "dg_mcast_intervals_total",
+    "dg_mcast_mc_intervals_total",
+    "dg_mcast_mc_samples_total",
+    "dg_mcast_graph_switches_total",
+    "dg_mcast_miss_all_probability"};
+
+void RunPartial::resize(std::size_t receiverCount) {
+  if (receiverMiss.size() == receiverCount) return;
+  receiverMiss.resize(receiverCount);
+  receiverLatency.resize(receiverCount);
+  receiverUnavailableSeconds.resize(receiverCount, 0.0);
+  receiverProblematic.resize(receiverCount, 0);
+}
+
 // dgcheck: cold: runs once per chunk at merge time, not per interval
 void RunPartial::merge(RunPartial&& later) {
-  missMean.merge(later.missMean);
+  if (receiverMiss.empty()) {
+    receiverMiss = std::move(later.receiverMiss);
+    receiverLatency = std::move(later.receiverLatency);
+    receiverUnavailableSeconds = std::move(later.receiverUnavailableSeconds);
+    receiverProblematic = std::move(later.receiverProblematic);
+  } else if (!later.receiverMiss.empty()) {
+    for (std::size_t r = 0; r < receiverMiss.size(); ++r) {
+      receiverMiss[r].merge(later.receiverMiss[r]);
+      receiverLatency[r].merge(later.receiverLatency[r]);
+      receiverUnavailableSeconds[r] += later.receiverUnavailableSeconds[r];
+      receiverProblematic[r] += later.receiverProblematic[r];
+    }
+  }
+  missAllMean.merge(later.missAllMean);
+  missKMean.merge(later.missKMean);
   costStats.merge(later.costStats);
-  latencyStats.merge(later.latencyStats);
-  unavailableSeconds += later.unavailableSeconds;
+  unavailableAllSeconds += later.unavailableAllSeconds;
   problematicIntervals += later.problematicIntervals;
   if (problems.empty()) {
     problems = std::move(later.problems);
@@ -126,10 +178,11 @@ std::vector<routing::DecisionCheckpoint> DecisionReplay::run(
 
 PlaybackEngine::PlaybackEngine(const graph::Graph& overlay,
                                const trace::Trace& trace,
-                               PlaybackParams params)
+                               PlaybackParams params, std::size_t deliveredK)
     : overlay_(&overlay),
       trace_(&trace),
       params_(params),
+      deliveredK_(deliveredK),
       conditionIndex_(trace),
       replay_(overlay, trace, conditionIndex_,
               static_cast<std::size_t>(std::max(params.viewStaleness, 0))) {
@@ -146,8 +199,7 @@ std::vector<routing::DecisionCheckpoint> PlaybackEngine::replayCheckpoints(
     std::span<const std::size_t> stops) const {
   const std::int64_t t0 = params_.collectStageTimings ? util::nowNanos() : 0;
   std::vector<routing::DecisionCheckpoint> checkpoints =
-      replay_.run(kind, flow, schemeParams,
-                  params_.decisionMemo ? &decisionMemo_ : nullptr, stops);
+      replay_.run(kind, flow, schemeParams, &decisionMemo_, stops);
   if (params_.collectStageTimings) {
     stageTimings_.memoNs.fetch_add(
         static_cast<std::uint64_t>(util::nowNanos() - t0),
@@ -156,18 +208,30 @@ std::vector<routing::DecisionCheckpoint> PlaybackEngine::replayCheckpoints(
   return checkpoints;
 }
 
-std::optional<PlaybackEngine::IntervalEval> PlaybackEngine::findEval(
-    const EvalKey& key) const {
-  const std::scoped_lock lock(evalMutex_);
-  const auto it = evalMemo_.find(key);
-  if (it == evalMemo_.end()) return std::nullopt;
-  return it->second;
+PlaybackEngine::ScoreSpec PlaybackEngine::flowSpec(
+    const mcast::Group& unit, routing::SchemeKind kind,
+    const routing::SchemeParams& schemeParams, std::size_t first,
+    std::size_t last) {
+  ScoreSpec spec = groupSpec(unit, mcast::groupEquivalent(kind),
+                             schemeParams, first, last);
+  spec.names = &kFlowNames;
+  spec.schemeLabel = routing::schemeName(kind);
+  return spec;
 }
 
-void PlaybackEngine::storeEval(const EvalKey& key,
-                               const IntervalEval& eval) const {
-  const std::scoped_lock lock(evalMutex_);
-  evalMemo_.emplace(key, eval);
+PlaybackEngine::ScoreSpec PlaybackEngine::groupSpec(
+    const mcast::Group& group, mcast::GroupSchemeKind kind,
+    const routing::SchemeParams& schemeParams, std::size_t first,
+    std::size_t last) {
+  ScoreSpec spec;
+  spec.group = &group;
+  spec.kind = kind;
+  spec.schemeParams = &schemeParams;
+  spec.names = &kGroupNames;
+  spec.schemeLabel = mcast::groupSchemeName(kind);
+  spec.first = first;
+  spec.last = last;
+  return spec;
 }
 
 FlowSchemeResult PlaybackEngine::run(
@@ -182,60 +246,46 @@ FlowSchemeResult PlaybackEngine::runRange(
     routing::Flow flow, routing::SchemeKind kind,
     const routing::SchemeParams& schemeParams, std::size_t first,
     std::size_t last, telemetry::Telemetry* telemetry) const {
-  if (first > last || last > trace_->intervalCount())
-    throw std::out_of_range("PlaybackEngine::runRange: bad range");
-  return runCore(flow, kind, schemeParams, first, last, telemetry, nullptr);
+  const mcast::Group unit = mcast::oneReceiverGroup(flow);
+  ScoreSpec spec = flowSpec(unit, kind, schemeParams, first, last);
+  spec.telemetry = telemetry;
+  return finalizePartial(flow, kind, score(spec));
 }
 
 std::vector<double> PlaybackEngine::missTimeline(
     routing::Flow flow, routing::SchemeKind kind,
     const routing::SchemeParams& schemeParams, std::size_t first,
     std::size_t last) const {
-  if (first > last || last > trace_->intervalCount())
-    throw std::out_of_range("PlaybackEngine::missTimeline: bad range");
+  const mcast::Group unit = mcast::oneReceiverGroup(flow);
+  ScoreSpec spec = flowSpec(unit, kind, schemeParams, first, last);
   std::vector<double> timeline;
-  timeline.reserve(last - first);
-  runCore(flow, kind, schemeParams, first, last, nullptr, &timeline);
+  timeline.reserve(last > first ? last - first : 0);
+  spec.timelineOut = &timeline;
+  score(spec);
   return timeline;
 }
 
-FlowSchemeResult PlaybackEngine::runCore(
+RunPartial PlaybackEngine::runChunkPartial(
     routing::Flow flow, routing::SchemeKind kind,
     const routing::SchemeParams& schemeParams, std::size_t first,
-    std::size_t last, telemetry::Telemetry* telemetry,
-    std::vector<double>* timelineOut) const {
-  auto scheme = routing::makeScheme(kind, *overlay_, flow, schemeParams);
-  if (params_.decisionMemo) {
-    scheme->setDecisionMemo(
-        &decisionMemo_, decisionMemo_.contextKey(kind, flow, schemeParams));
-  }
-  const routing::NetworkView baselineView =
-      routing::NetworkView::baseline(*trace_);
-  scheme->initialize(baselineView);
-
-  // Replay cursors: the decision cursor tracks the (stale) interval the
-  // scheme sees, the truth cursor tracks the interval being scored.
-  trace::ConditionTimeline decisionCursor(*trace_);
-  trace::ConditionTimeline truthCursor(*trace_);
-
-  ScoreSpec spec;
-  spec.scheme = scheme.get();
-  spec.baselineView = &baselineView;
-  spec.flow = flow;
-  spec.kind = kind;
-  spec.first = first;
-  spec.last = last;
-  spec.warmupUntil = first + static_cast<std::size_t>(params_.viewStaleness);
-  spec.decisionCursor = &decisionCursor;
-  spec.truthCursor = &truthCursor;
+    std::size_t last, const routing::DecisionCheckpoint* start,
+    trace::ConditionSource* decisionSource,
+    trace::ConditionSource* truthSource,
+    telemetry::Telemetry* telemetry) const {
+  const mcast::Group unit = mcast::oneReceiverGroup(flow);
+  ScoreSpec spec = flowSpec(unit, kind, schemeParams, first, last);
+  // Static kinds carry no decision state to restore.
+  const bool restore = first > 0 && mcast::isAdaptive(spec.kind);
+  if ((first == 0 && start != nullptr) || (restore && start == nullptr))
+    throw std::invalid_argument(
+        "PlaybackEngine::runChunkPartial: a start checkpoint is required "
+        "exactly when first > 0 (optional for static kinds)");
+  spec.chunk = true;
+  spec.starts = {&start, restore ? 1u : 0u};
+  spec.decisionSource = decisionSource;
+  spec.truthSource = truthSource;
   spec.telemetry = telemetry;
-  spec.timelineOut = timelineOut;
-  // runRange reuses the evaluation of clean intervals while the selected
-  // graph is unchanged (including Monte-Carlo ones -- identical inputs,
-  // identical distribution); missTimeline evaluates every interval fresh
-  // so each Monte-Carlo interval reflects its own RNG stream.
-  spec.reuseCleanEvals = timelineOut == nullptr;
-  return finalizePartial(flow, kind, scoreIntervals(spec));
+  return score(spec);
 }
 
 RunPartial PlaybackEngine::runChunkPartial(
@@ -244,162 +294,245 @@ RunPartial PlaybackEngine::runChunkPartial(
     std::size_t last, trace::ConditionSource* decisionSource,
     trace::ConditionSource* truthSource,
     telemetry::Telemetry* telemetry) const {
-  if (first == 0) {
-    return runChunkPartial(flow, kind, schemeParams, first, last, nullptr,
-                           decisionSource, truthSource, telemetry);
+  std::vector<routing::DecisionCheckpoint> start;
+  if (first > 0) {
+    const std::array<std::size_t, 1> stops{first};
+    start = replayCheckpoints(kind, flow, schemeParams, stops);
   }
-  const std::size_t stops[] = {first};
-  const std::vector<routing::DecisionCheckpoint> start =
-      replayCheckpoints(kind, flow, schemeParams, stops);
-  return runChunkPartial(flow, kind, schemeParams, first, last, &start[0],
-                         decisionSource, truthSource, telemetry);
-}
-
-// dgcheck: hot
-RunPartial PlaybackEngine::runChunkPartial(
-    routing::Flow flow, routing::SchemeKind kind,
-    const routing::SchemeParams& schemeParams, std::size_t first,
-    std::size_t last, const routing::DecisionCheckpoint* start,
-    trace::ConditionSource* decisionSource,
-    trace::ConditionSource* truthSource,
-    telemetry::Telemetry* telemetry) const {
-  if (first > last || last > trace_->intervalCount())
-    throw std::out_of_range("PlaybackEngine::runChunkPartial: bad range");
-  if ((first == 0) != (start == nullptr))
-    throw std::invalid_argument(
-        "PlaybackEngine::runChunkPartial: a start checkpoint is required "
-        "exactly when first > 0");
-  if (!params_.conditionCursor)
-    throw std::logic_error(
-        "PlaybackEngine::runChunkPartial requires conditionCursor mode");
-
-  auto scheme = routing::makeScheme(kind, *overlay_, flow, schemeParams);
-  if (params_.decisionMemo) {
-    scheme->setDecisionMemo(
-        &decisionMemo_, decisionMemo_.contextKey(kind, flow, schemeParams));
-  }
-  const routing::NetworkView baselineView =
-      routing::NetworkView::baseline(*trace_);
-  scheme->initialize(baselineView);
-  if (start != nullptr) scheme->restoreState(start->state);
-
-  std::optional<trace::ConditionTimeline> decisionCursor;
-  std::optional<trace::ConditionTimeline> truthCursor;
-  if (decisionSource != nullptr) {
-    decisionCursor.emplace(*decisionSource);
-  } else {
-    decisionCursor.emplace(*trace_);
-  }
-  if (truthSource != nullptr) {
-    truthCursor.emplace(*truthSource);
-  } else {
-    truthCursor.emplace(*trace_);
-  }
-
-  ScoreSpec spec;
-  spec.scheme = scheme.get();
-  spec.baselineView = &baselineView;
-  spec.flow = flow;
-  spec.kind = kind;
-  spec.first = first;
-  spec.last = last;
-  // Scheme history starts at interval 0.
-  spec.warmupUntil = static_cast<std::size_t>(params_.viewStaleness);
-  spec.decisionCursor = &*decisionCursor;
-  spec.truthCursor = &*truthCursor;
-  spec.telemetry = telemetry;
-  spec.timelineOut = nullptr;
-  spec.reuseCleanEvals = true;
-  if (telemetry != nullptr && start != nullptr) {
-    // GraphSwitch continuity: the previous chunk ended with this
-    // selection in force.
-    spec.lastSelectedEdges = start->lastEdges;
-    spec.haveSelected = true;
-  }
-  return scoreIntervals(spec);
+  return runChunkPartial(flow, kind, schemeParams, first, last,
+                         start.empty() ? nullptr : &start[0], decisionSource,
+                         truthSource, telemetry);
 }
 
 FlowSchemeResult PlaybackEngine::finalizePartial(routing::Flow flow,
                                                  routing::SchemeKind kind,
                                                  RunPartial&& total) const {
+  total.resize(1);
   FlowSchemeResult result;
   result.flow = flow;
   result.scheme = kind;
-  result.unavailability = total.missMean.mean();
-  result.unavailableSeconds = total.unavailableSeconds;
+  result.unavailability = total.missAllMean.mean();
+  result.unavailableSeconds = total.unavailableAllSeconds;
   result.problematicIntervals = total.problematicIntervals;
   result.averageCost = total.costStats.mean();
-  result.averageLatencyUs = total.latencyStats.mean();
+  result.averageLatencyUs = total.receiverLatency[0].mean();
   result.problems = std::move(total.problems);
   result.intervalLatenciesUs = std::move(total.intervalLatenciesUs);
   return result;
 }
 
-RunPartial PlaybackEngine::scoreIntervals(ScoreSpec& spec) const {
+GroupSchemeResult PlaybackEngine::run(
+    const mcast::Group& group, mcast::GroupSchemeKind kind,
+    const routing::SchemeParams& schemeParams,
+    telemetry::Telemetry* telemetry) const {
+  return runRange(group, kind, schemeParams, 0, trace_->intervalCount(),
+                  telemetry);
+}
+
+GroupSchemeResult PlaybackEngine::runRange(
+    const mcast::Group& group, mcast::GroupSchemeKind kind,
+    const routing::SchemeParams& schemeParams, std::size_t first,
+    std::size_t last, telemetry::Telemetry* telemetry) const {
+  ScoreSpec spec = groupSpec(group, kind, schemeParams, first, last);
+  spec.telemetry = telemetry;
+  return finalizePartial(group, kind, score(spec));
+}
+
+RunPartial PlaybackEngine::runChunkPartial(
+    const mcast::Group& group, mcast::GroupSchemeKind kind,
+    const routing::SchemeParams& schemeParams, std::size_t first,
+    std::size_t last,
+    std::span<const routing::DecisionCheckpoint* const> receiverStarts,
+    trace::ConditionSource* decisionSource,
+    trace::ConditionSource* truthSource,
+    telemetry::Telemetry* telemetry) const {
+  if (receiverStarts.empty() == (first > 0 && mcast::isAdaptive(kind)))
+    throw std::invalid_argument(
+        "PlaybackEngine::runChunkPartial: receiver checkpoints are "
+        "required exactly when first > 0 and the kind is adaptive");
+  ScoreSpec spec = groupSpec(group, kind, schemeParams, first, last);
+  spec.chunk = true;
+  spec.starts = receiverStarts;
+  spec.decisionSource = decisionSource;
+  spec.truthSource = truthSource;
+  spec.telemetry = telemetry;
+  return score(spec);
+}
+
+RunPartial PlaybackEngine::runChunkPartial(
+    const mcast::Group& group, mcast::GroupSchemeKind kind,
+    const routing::SchemeParams& schemeParams, std::size_t first,
+    std::size_t last, trace::ConditionSource* decisionSource,
+    trace::ConditionSource* truthSource,
+    telemetry::Telemetry* telemetry) const {
+  std::vector<std::vector<routing::DecisionCheckpoint>> checkpoints;
+  std::vector<const routing::DecisionCheckpoint*> starts;
+  if (first > 0 && mcast::isAdaptive(kind)) {
+    const std::array<std::size_t, 1> stops{first};
+    for (std::size_t i = 0; i < group.receivers.size(); ++i) {
+      checkpoints.push_back(replayCheckpoints(
+          mcast::unicastEquivalent(kind), mcast::receiverFlow(group, i),
+          mcast::receiverSchemeParams(group, i, schemeParams), stops));
+    }
+    for (const auto& receiver : checkpoints) starts.push_back(&receiver[0]);
+  }
+  return runChunkPartial(group, kind, schemeParams, first, last, starts,
+                         decisionSource, truthSource, telemetry);
+}
+
+GroupSchemeResult PlaybackEngine::finalizePartial(const mcast::Group& group,
+                                                  mcast::GroupSchemeKind kind,
+                                                  RunPartial&& total) const {
+  total.resize(group.receivers.size());
+  GroupSchemeResult result;
+  result.group = group;
+  result.scheme = kind;
+  result.unavailabilityAll = total.missAllMean.mean();
+  result.unavailabilityK = total.missKMean.mean();
+  result.unavailableAllSeconds = total.unavailableAllSeconds;
+  result.problematicIntervals = total.problematicIntervals;
+  result.averageCost = total.costStats.mean();
+  result.receivers.resize(group.receivers.size());
+  for (std::size_t r = 0; r < group.receivers.size(); ++r) {
+    GroupReceiverResult& out = result.receivers[r];
+    out.receiver = group.receivers[r];
+    out.deadline = mcast::receiverDeadline(group, r, params_.delivery.deadline);
+    out.unavailability = total.receiverMiss[r].mean();
+    out.unavailableSeconds = total.receiverUnavailableSeconds[r];
+    out.problematicIntervals = total.receiverProblematic[r];
+    out.averageLatencyUs = total.receiverLatency[r].mean();
+  }
+  result.problems = std::move(total.problems);
+  return result;
+}
+
+// dgcheck: hot
+RunPartial PlaybackEngine::score(const ScoreSpec& spec) const {
+  if (spec.first > spec.last || spec.last > trace_->intervalCount())
+    throw std::out_of_range("PlaybackEngine: bad interval range");
+  if (!params_.conditionCursor &&
+      (spec.decisionSource != nullptr || spec.truthSource != nullptr))
+    throw std::logic_error(
+        "PlaybackEngine: condition sources require conditionCursor mode");
   // dgcheck: setup begin
-  const bool useMemo = params_.decisionMemo;
-  const bool useCursor = params_.conditionCursor;
-  const bool reuseCleanEvals = spec.reuseCleanEvals;
-  routing::RoutingScheme& scheme = *spec.scheme;
-  telemetry::Telemetry* telemetry = spec.telemetry;
+  const mcast::Group& group = *spec.group;
+  const std::size_t receiverCount = group.receivers.size();
+  auto scheme = mcast::makeGroupScheme(spec.kind, *overlay_, group,
+                                       *spec.schemeParams);
+  scheme->attachDecisionMemo(&decisionMemo_);
+  const routing::NetworkView baselineView =
+      routing::NetworkView::baseline(*trace_);
+  scheme->initialize(baselineView);
+  if (!spec.starts.empty()) scheme->restoreReceivers(spec.starts);
+
+  // Replay cursors: the decision cursor tracks the (stale) interval the
+  // scheme sees, the truth cursor tracks the interval being scored. A
+  // null source replays from the in-memory trace.
+  std::optional<trace::ConditionTimeline> decisionCursor;
+  std::optional<trace::ConditionTimeline> truthCursor;
+  if (spec.decisionSource != nullptr) {
+    decisionCursor.emplace(*spec.decisionSource);
+  } else {
+    decisionCursor.emplace(*trace_);
+  }
+  if (spec.truthSource != nullptr) {
+    truthCursor.emplace(*spec.truthSource);
+  } else {
+    truthCursor.emplace(*trace_);
+  }
+
+  // Per-receiver deadlines resolved once per range.
+  std::vector<util::SimTime> deadlines(receiverCount);
+  for (std::size_t r = 0; r < receiverCount; ++r) {
+    deadlines[r] = mcast::receiverDeadline(group, r, params_.delivery.deadline);
+  }
+  // Delivered-to-k bar: 0 means "all receivers".
+  const std::size_t kBar = deliveredK_ == 0 || deliveredK_ >= receiverCount
+                               ? receiverCount
+                               : deliveredK_;
 
   // Telemetry handles, resolved once per range (null when detached).
+  telemetry::Telemetry* telemetry = spec.telemetry;
   telemetry::Counter* intervalsCounter = nullptr;
   telemetry::Counter* mcIntervalsCounter = nullptr;
   telemetry::Counter* mcSamplesCounter = nullptr;
   telemetry::Counter* switchCounter = nullptr;
   telemetry::HistogramMetric* missHistogram = nullptr;
+  std::vector<graph::EdgeId> lastSelectedEdges;
+  bool haveSelected = false;
   if (telemetry != nullptr) {
-    const std::string flowLabel = std::to_string(spec.flow.source) + "->" +
-                                  std::to_string(spec.flow.destination);
-    const std::string schemeLabel{routing::schemeName(spec.kind)};
-    scheme.setTelemetry(telemetry, flowLabel);
-    const telemetry::Labels labels{{"flow", flowLabel},
-                                   {"scheme", schemeLabel}};
+    const std::string label = mcast::groupLabel(group);
+    scheme->setTelemetry(telemetry, label);
+    const telemetry::Labels labels{{spec.names->unitKey, label},
+                                   {"scheme", std::string(spec.schemeLabel)}};
     telemetry::MetricsRegistry& metrics = telemetry->metrics;
-    intervalsCounter =
-        &metrics.counter("dg_playback_intervals_total", labels);
-    mcIntervalsCounter =
-        &metrics.counter("dg_playback_mc_intervals_total", labels);
-    mcSamplesCounter =
-        &metrics.counter("dg_playback_mc_samples_total", labels);
-    switchCounter =
-        &metrics.counter("dg_routing_graph_switches_total", labels);
-    missHistogram = &metrics.histogram("dg_playback_miss_probability", 0.0,
-                                       1.0, 20, labels);
+    intervalsCounter = &metrics.counter(spec.names->intervals, labels);
+    mcIntervalsCounter = &metrics.counter(spec.names->mcIntervals, labels);
+    mcSamplesCounter = &metrics.counter(spec.names->mcSamples, labels);
+    switchCounter = &metrics.counter(spec.names->graphSwitches, labels);
+    missHistogram =
+        &metrics.histogram(spec.names->missHistogram, 0.0, 1.0, 20, labels);
+    if (spec.chunk && spec.first > 0) {
+      // GraphSwitch continuity: the previous chunk ended with this
+      // selection in force.
+      lastSelectedEdges = scheme->current().edges();
+      haveSelected = true;
+    }
   }
 
+  const bool useCursor = params_.conditionCursor;
+  // missTimeline evaluates every interval fresh so each Monte-Carlo
+  // interval reflects its own RNG stream; scoring runs reuse the
+  // evaluation of clean intervals while the selected graph is unchanged
+  // (including Monte-Carlo ones -- identical inputs, identical
+  // distribution).
+  const bool reuseCleanEvals = spec.timelineOut == nullptr;
   // Steady fast path: while the scheme is at its clean fixed point and
   // the decision view stays on baseline, select() calls are provably
   // no-ops and may be skipped -- but only when nobody can observe them:
-  // telemetry counts classifications per call, and missTimeline
-  // (reuseCleanEvals == false) must evaluate every interval fresh.
+  // telemetry counts classifications per call, and missTimeline must
+  // evaluate every interval fresh.
   const bool fastPathOk =
       useCursor && telemetry == nullptr && reuseCleanEvals;
+  const bool collectLatencies = params_.collectIntervalLatencies;
 
   RunPartial total;
   RunPartial block;
   const std::size_t blockLen = params_.accumBlockIntervals;
   RunPartial* const acc = blockLen > 0 ? &block : &total;
+  acc->resize(receiverCount);
 
   const double intervalSeconds = util::toSeconds(trace_->intervalLength());
   DeliveryWorkspace workspace;
 
+  // Hot-loop buffers, hoisted so per-interval work never allocates once
+  // capacities settle: the fresh interval evaluation (and the clean-reuse
+  // copy, read in place while reused), the Monte-Carlo tallies, and the
+  // delivered-to-k DP row.
+  struct IntervalEval {
+    std::vector<double> miss;            ///< per receiver
+    std::vector<util::SimTime> arrival;  ///< per receiver, kNever = none
+    double missAll = 0.0;
+    double missK = 0.0;
+    double cost = 0.0;
+    bool monteCarlo = false;  ///< the lossy path actually sampled
+  };
+  IntervalEval fresh;
+  IntervalEval cachedEval;
+  fresh.miss.resize(receiverCount);
+  fresh.arrival.resize(receiverCount);
+  std::vector<int> onTimeCounts(receiverCount);
+  std::vector<int> deliveredHistogram(receiverCount + 1);
+  std::vector<double> dp(receiverCount + 1);
+
   // Run-local reuse: when the interval is clean and the scheme returns
   // the same graph as last time, the evaluation is unchanged. `cachedDg`
   // short-circuits the edge-list comparison: it is reset on every actual
-  // select()/fold, so pointer equality implies the selection was not
-  // touched since the cache was filled.
+  // select(), so pointer equality implies the selection was not touched
+  // since the cache was filled.
   std::vector<graph::EdgeId> cachedEdges;
-  IntervalEval cachedEval;
   bool cacheValid = false;
   const graph::DisseminationGraph* cachedDg = nullptr;
-
-  // Run-local interned edge-list id of the current selection (graph
-  // switches are rare, so interning is amortized away).
-  std::vector<graph::EdgeId> internedEdges;
-  std::uint32_t internedId = 0;
-  bool haveInterned = false;
 
   const bool timed = params_.collectStageTimings;
   std::uint64_t decodeNs = 0;
@@ -407,11 +540,17 @@ RunPartial PlaybackEngine::scoreIntervals(ScoreSpec& spec) const {
   std::uint64_t memoNs = 0;
   std::uint64_t mergeNs = 0;
   std::int64_t t0 = 0;
+  const auto lap = [&t0](std::uint64_t& stage) {
+    stage += static_cast<std::uint64_t>(util::nowNanos() - t0);
+  };
 
   const graph::DisseminationGraph* dg = nullptr;
   bool steady = false;
 
   const auto staleness = static_cast<std::size_t>(params_.viewStaleness);
+  // Intervals below this are decided on the baseline view regardless of
+  // trace content (the scheme cannot have observed anything yet).
+  const std::size_t warmupUntil = (spec.chunk ? 0 : spec.first) + staleness;
   // dgcheck: setup end
   for (std::size_t t = spec.first; t < spec.last; ++t) {
     if (blockLen > 0 && t != spec.first && t % blockLen == 0) {
@@ -421,7 +560,8 @@ RunPartial PlaybackEngine::scoreIntervals(ScoreSpec& spec) const {
       if (timed) t0 = util::nowNanos();
       total.merge(std::move(block));
       block = RunPartial{};
-      if (timed) mergeNs += static_cast<std::uint64_t>(util::nowNanos() - t0);
+      block.resize(receiverCount);
+      if (timed) lap(mergeNs);
       cacheValid = false;
       cachedDg = nullptr;
     }
@@ -431,145 +571,130 @@ RunPartial PlaybackEngine::scoreIntervals(ScoreSpec& spec) const {
     }
     // --- Decision: what does the scheme believe right now? -------------
     const bool baselineDecision =
-        t < spec.warmupUntil || !trace_->hasDeviation(t - staleness);
+        t < warmupUntil || !trace_->hasDeviation(t - staleness);
     if (baselineDecision) {
       if (!(steady && fastPathOk)) {
         if (timed) t0 = util::nowNanos();
-        dg = &scheme.select(*spec.baselineView);
-        steady = scheme.steadyOnBaseline();
-        if (timed)
-          memoNs += static_cast<std::uint64_t>(util::nowNanos() - t0);
+        dg = &scheme->select(baselineView);
+        steady = scheme->steadyOnBaseline();
+        if (timed) lap(memoNs);
         cachedDg = nullptr;
       }
-    } else if (useCursor) {
+    } else {
       const std::size_t viewInterval = t - staleness;
       if (timed) t0 = util::nowNanos();
-      spec.decisionCursor->seek(viewInterval);
-      const routing::NetworkView view = routing::NetworkView::borrowing(
-          *spec.decisionCursor, conditionIndex_.contentId(viewInterval));
-      if (timed) {
-        decodeNs += static_cast<std::uint64_t>(util::nowNanos() - t0);
-        t0 = util::nowNanos();
-      }
-      dg = &scheme.select(view);
-      if (timed) memoNs += static_cast<std::uint64_t>(util::nowNanos() - t0);
-      steady = false;
-      cachedDg = nullptr;
-    } else {
-      if (timed) t0 = util::nowNanos();
+      if (useCursor) decisionCursor->seek(viewInterval);
       const routing::NetworkView view =
-          routing::NetworkView::atInterval(*trace_, t - staleness);
+          useCursor ? routing::NetworkView::borrowing(
+                          *decisionCursor,
+                          conditionIndex_.contentId(viewInterval))
+                    : routing::NetworkView::atInterval(*trace_, viewInterval);
       if (timed) {
-        decodeNs += static_cast<std::uint64_t>(util::nowNanos() - t0);
+        lap(decodeNs);
         t0 = util::nowNanos();
       }
-      dg = &scheme.select(view);
-      if (timed) memoNs += static_cast<std::uint64_t>(util::nowNanos() - t0);
+      dg = &scheme->select(view);
+      if (timed) lap(memoNs);
       steady = false;
       cachedDg = nullptr;
     }
     if (telemetry != nullptr) {
-      if (spec.haveSelected && dg->edges() != spec.lastSelectedEdges) {
+      if (haveSelected && dg->edges() != lastSelectedEdges) {
         switchCounter->inc();
         telemetry->trace.record(
             telemetry->now, telemetry::TraceEventKind::GraphSwitch, -1,
-            spec.flow.source, -1, static_cast<double>(dg->edges().size()),
-            std::string(routing::schemeName(spec.kind)));
+            group.source, -1, static_cast<double>(dg->edges().size()),
+            std::string(spec.schemeLabel));
       }
-      spec.lastSelectedEdges = dg->edges();
-      spec.haveSelected = true;
+      lastSelectedEdges = dg->edges();
+      haveSelected = true;
     }
 
     // --- Outcome under the interval's true conditions ------------------
-    IntervalEval eval;
     const bool clean = !trace_->hasDeviation(t);
-    if (reuseCleanEvals && clean && cacheValid &&
-        (dg == cachedDg || dg->edges() == cachedEdges)) {
-      eval = cachedEval;
-    } else {
+    const bool reuse = reuseCleanEvals && clean && cacheValid &&
+                       (dg == cachedDg || dg->edges() == cachedEdges);
+    if (!reuse) {
+      IntervalEval& eval = fresh;
       std::span<const double> lossRates;
       std::span<const util::SimTime> latencies;
       std::vector<double> lossBuffer;  // dgcheck: ok(R5): non-cursor fallback; conditionCursor runs never construct these
       std::vector<util::SimTime> latencyBuffer;  // dgcheck: ok(R5): non-cursor fallback; conditionCursor runs never construct these
       if (timed) t0 = util::nowNanos();
       if (useCursor) {
-        spec.truthCursor->seek(t);
-        lossRates = spec.truthCursor->lossRates();
-        latencies = spec.truthCursor->latencies();
+        truthCursor->seek(t);
+        lossRates = truthCursor->lossRates();
+        latencies = truthCursor->latencies();
       } else {
         lossBuffer = trace_->lossRatesAt(t);
         latencyBuffer = trace_->latenciesAt(t);
         lossRates = lossBuffer;
         latencies = latencyBuffer;
       }
-      if (timed)
-        decodeNs += static_cast<std::uint64_t>(util::nowNanos() - t0);
+      if (timed) lap(decodeNs);
 
-      // Deterministic (near-lossless) evaluations are pure functions of
-      // (flow, graph edges, interval content) and shared across jobs;
-      // Monte-Carlo evaluations are always computed fresh from their own
-      // per-(flow, scheme, interval) RNG stream.
-      const bool deterministic =
-          nearLossless(*dg, lossRates, params_.lossEpsilon);
-      bool evaluated = false;
-      EvalKey evalKey{};
-      if (deterministic && useMemo) {
+      if (nearLossless(*dg, lossRates, params_.lossEpsilon)) {
         if (timed) t0 = util::nowNanos();
-        if (!haveInterned || dg->edges() != internedEdges) {
-          internedId = decisionMemo_.internEdgeList(dg->edges());
-          internedEdges = dg->edges();
-          haveInterned = true;
+        missGroupNearLossless(*dg, group.receivers, deadlines, lossRates,
+                              latencies, params_.delivery, workspace,
+                              eval.miss, eval.arrival);
+        eval.monteCarlo = false;
+        // Group accounting under per-receiver independence (residual
+        // misses live on near-disjoint earliest paths; shared hops make
+        // this an upper bound on the delivered-to-all probability gap):
+        // P(some receiver misses) via incremental inclusion-exclusion.
+        double missAll = eval.miss[0];
+        for (std::size_t r = 1; r < receiverCount; ++r) {
+          missAll = missAll + eval.miss[r] - missAll * eval.miss[r];
         }
-        evalKey = EvalKey{spec.flow.source, spec.flow.destination,
-                          internedId, conditionIndex_.contentId(t)};
-        if (const auto hit = findEval(evalKey)) {
-          eval = *hit;
-          evaluated = true;
-        }
-        if (timed)
-          memoNs += static_cast<std::uint64_t>(util::nowNanos() - t0);
-      }
-      if (!evaluated) {
-        // Legacy mode evaluates through the frozen reference
-        // implementations so the benchmark's baseline arm reproduces
-        // pre-optimization behavior (and the equivalence tests pit the
-        // optimized evaluators against the originals).
-        if (deterministic) {
-          if (timed) t0 = util::nowNanos();
-          eval.miss =
-              useCursor ? missProbabilityNearLossless(*dg, lossRates,
-                                                      latencies,
-                                                      params_.delivery,
-                                                      workspace)
-                        : missProbabilityNearLosslessReference(
-                              *dg, lossRates, latencies, params_.delivery);
-          if (timed)
-            memoNs += static_cast<std::uint64_t>(util::nowNanos() - t0);
+        eval.missAll = missAll;
+        if (kBar == receiverCount) {
+          eval.missK = missAll;
         } else {
-          if (timed) t0 = util::nowNanos();
-          util::Rng rng(mixSeed(params_.seed, spec.flow, spec.kind, t));
-          const double onTime =
-              useCursor ? onTimeProbabilityMC(*dg, lossRates, latencies,
-                                              params_.delivery,
-                                              params_.mcSamples, rng,
-                                              workspace)
-                        : onTimeProbabilityMCReference(
-                              *dg, lossRates, latencies, params_.delivery,
-                              params_.mcSamples, rng);  // dgcheck: ok(R6): ternary branches are mutually exclusive; exactly one callee draws from this rng
-          eval.miss = 1.0 - onTime;
-          eval.monteCarlo = true;
-          if (timed)
-            mcNs += static_cast<std::uint64_t>(util::nowNanos() - t0);
+          // Poisson-binomial tail: dp[c] = P(exactly c receivers on
+          // time) after the receivers folded so far.
+          std::fill(dp.begin(), dp.end(), 0.0);
+          dp[0] = 1.0;
+          for (std::size_t r = 0; r < receiverCount; ++r) {
+            const double q = 1.0 - eval.miss[r];
+            for (std::size_t c = r + 1; c >= 1; --c) {
+              dp[c] = dp[c] * eval.miss[r] + dp[c - 1] * q;
+            }
+            dp[0] *= eval.miss[r];
+          }
+          double atLeastK = 0.0;
+          for (std::size_t c = kBar; c <= receiverCount; ++c)
+            atLeastK += dp[c];
+          eval.missK = 1.0 - atLeastK;
         }
-        eval.cost = static_cast<double>(dg->cost(latencies));
-        eval.latency = dg->latencyToDestination(latencies);
-        if (deterministic && useMemo) {
-          if (timed) t0 = util::nowNanos();
-          storeEval(evalKey, eval);
-          if (timed)
-            memoNs += static_cast<std::uint64_t>(util::nowNanos() - t0);
+        if (timed) lap(memoNs);
+      } else {
+        if (timed) t0 = util::nowNanos();
+        util::Rng rng(unitMixSeed(params_.seed, group, spec.kind, t));
+        onTimeCountsMCGroup(*dg, group.receivers, deadlines, lossRates,
+                            latencies, params_.delivery, params_.mcSamples,
+                            rng, workspace, onTimeCounts,
+                            deliveredHistogram);
+        const auto samples = static_cast<double>(params_.mcSamples);
+        for (std::size_t r = 0; r < receiverCount; ++r) {
+          eval.miss[r] =
+              1.0 - static_cast<double>(onTimeCounts[r]) / samples;
         }
+        int deliveredAtLeastK = 0;
+        for (std::size_t c = kBar; c <= receiverCount; ++c)
+          deliveredAtLeastK += deliveredHistogram[c];
+        eval.missAll =
+            1.0 -
+            static_cast<double>(deliveredHistogram[receiverCount]) / samples;
+        eval.missK = 1.0 - static_cast<double>(deliveredAtLeastK) / samples;
+        groupCleanArrivals(*dg, latencies, group.receivers, workspace,
+                           eval.arrival);
+        eval.monteCarlo = true;
+        if (timed) lap(mcNs);
       }
+      eval.cost =
+          static_cast<double>(groupTransmissionCost(*dg, latencies, workspace));
+
       if (reuseCleanEvals && clean) {
         cachedEdges = dg->edges();
         cachedEval = eval;
@@ -581,31 +706,40 @@ RunPartial PlaybackEngine::scoreIntervals(ScoreSpec& spec) const {
         mcSamplesCounter->inc(static_cast<std::uint64_t>(params_.mcSamples));
       }
     }
+    const IntervalEval& eval = reuse ? cachedEval : fresh;
     if (intervalsCounter != nullptr) {
       intervalsCounter->inc();
-      missHistogram->observe(eval.miss);
+      missHistogram->observe(eval.missAll);
     }
-    if (spec.timelineOut != nullptr) spec.timelineOut->push_back(eval.miss);  // dgcheck: ok(R5): diagnostic miss-timeline output; absent in benchmark runs
+    if (spec.timelineOut != nullptr) spec.timelineOut->push_back(eval.missAll);  // dgcheck: ok(R5): diagnostic miss-timeline output; absent in benchmark runs
 
-    acc->missMean.add(eval.miss, 1.0);
-    acc->costStats.add(eval.cost);
-    if (eval.latency != util::kNever) {
-      acc->latencyStats.add(static_cast<double>(eval.latency));
-      if (params_.collectIntervalLatencies) {
-        acc->intervalLatenciesUs.push_back(  // dgcheck: ok(R5): opt-in interval-latency capture; amortized push on the diagnostic path
-            static_cast<double>(eval.latency));
+    for (std::size_t r = 0; r < receiverCount; ++r) {
+      acc->receiverMiss[r].add(eval.miss[r], 1.0);
+      if (eval.arrival[r] != util::kNever) {
+        acc->receiverLatency[r].add(static_cast<double>(eval.arrival[r]));
+      }
+      acc->receiverUnavailableSeconds[r] += eval.miss[r] * intervalSeconds;
+      if (eval.miss[r] > params_.problematicThreshold) {
+        ++acc->receiverProblematic[r];
       }
     }
-    acc->unavailableSeconds += eval.miss * intervalSeconds;
-    if (eval.miss > params_.problematicThreshold) {
+    if (collectLatencies && eval.arrival[0] != util::kNever) {
+      acc->intervalLatenciesUs.push_back(  // dgcheck: ok(R5): opt-in interval-latency capture; amortized push on the diagnostic path
+          static_cast<double>(eval.arrival[0]));
+    }
+    acc->missAllMean.add(eval.missAll, 1.0);
+    acc->missKMean.add(eval.missK, 1.0);
+    acc->costStats.add(eval.cost);
+    acc->unavailableAllSeconds += eval.missAll * intervalSeconds;
+    if (eval.missAll > params_.problematicThreshold) {
       ++acc->problematicIntervals;
-      acc->problems.push_back(ProblematicInterval{t, eval.miss});  // dgcheck: ok(R5): bounded by problematic intervals; diagnostic record with amortized growth
+      acc->problems.push_back(ProblematicInterval{t, eval.missAll});  // dgcheck: ok(R5): bounded by problematic intervals; diagnostic record with amortized growth
     }
   }
   if (blockLen > 0) {
     if (timed) t0 = util::nowNanos();
     total.merge(std::move(block));
-    if (timed) mergeNs += static_cast<std::uint64_t>(util::nowNanos() - t0);
+    if (timed) lap(mergeNs);
   }
   if (timed) {
     stageTimings_.decodeNs.fetch_add(decodeNs, std::memory_order_relaxed);

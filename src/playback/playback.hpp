@@ -1,13 +1,21 @@
 // The playback engine: replays a recorded (or synthetic) condition trace
-// for one flow under one routing scheme and computes, per 10-second
-// interval, the probability that a packet sent in that interval arrives
-// within the deadline -- plus the scheme's cost in transmissions per
-// packet.
+// for one unit -- a receiver group, or a unicast flow as its one-receiver
+// case -- under one routing scheme, and computes, per 10-second interval,
+// the probability that a packet sent in that interval arrives within the
+// deadline, plus the scheme's cost in transmissions per packet.
 //
 // This mirrors the paper's Playback Network Simulator methodology: all
 // schemes replay the *identical* condition stream; adaptive schemes see
 // conditions with a configurable staleness (default one interval, since
 // loss statistics cannot be acted upon before they are collected).
+//
+// A unicast flow is scored as the group {source; destination} under the
+// group scheme whose unicastEquivalent() is the flow's scheme. The two
+// are the same computation: a one-receiver group scheme makes the unicast
+// scheme's decisions, the group evaluators reduce to the unicast ones,
+// and the per-interval Monte-Carlo stream of a one-receiver group is the
+// unicast stream. The flow-shaped entry points below only choose the
+// telemetry names and the result record.
 //
 // Healthy intervals (the overwhelming majority) take an exact fast path;
 // intervals where any member link of the current dissemination graph is
@@ -16,23 +24,23 @@
 // Hot-path architecture (see DESIGN.md, "Playback performance
 // architecture"): replay is driven by trace::ConditionTimeline cursors
 // (O(changes) per interval, zero allocation) handing out fingerprinted
-// borrowed NetworkViews; routing decisions and deterministic interval
-// evaluations are memoized across jobs in engine-owned, exact-keyed,
-// internally synchronized memos. Monte-Carlo evaluations are never
-// memoized -- each interval draws from its own deterministic RNG stream
-// -- so results are bit-identical with the memos and cursor on or off.
+// borrowed NetworkViews; routing decisions are memoized across jobs in an
+// engine-owned, exact-keyed, internally synchronized memo. Monte-Carlo
+// evaluations are never memoized -- each interval draws from its own
+// deterministic RNG stream -- so results are bit-identical with the memo
+// and cursor on or off.
 #pragma once
 
-#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <mutex>
-#include <optional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "mcast/group.hpp"
+#include "mcast/scheme.hpp"
 #include "playback/delivery_model.hpp"
 #include "routing/decision_memo.hpp"
 #include "routing/scheme.hpp"
@@ -52,7 +60,7 @@ struct PlaybackParams {
   /// How stale the view driving adaptive decisions is, in intervals.
   /// 0 = oracle (decisions see current conditions), 1 = realistic.
   int viewStaleness = 1;
-  /// An interval is counted as "problematic" for a flow/scheme when its
+  /// An interval is counted as "problematic" for a unit/scheme when its
   /// miss probability exceeds this.
   double problematicThreshold = 1e-3;
   /// Seed driving all Monte-Carlo sampling (per-interval streams are
@@ -62,13 +70,9 @@ struct PlaybackParams {
   /// graph's earliest-arrival latency for every interval where delivery
   /// is possible (for latency-distribution figures).
   bool collectIntervalLatencies = false;
-  /// Consult/populate the engine's cross-job decision and evaluation
-  /// memos (results are bit-identical either way; off = recompute
-  /// everything, for benchmarking and equivalence tests).
-  bool decisionMemo = true;
   /// Drive replay with the condition-timeline cursor and fingerprinted
-  /// views (off = legacy per-interval vector materialization; results
-  /// are bit-identical either way).
+  /// views (off = per-interval vector materialization; results are
+  /// bit-identical either way).
   bool conditionCursor = true;
   /// Accumulation block length in intervals. 0 (default) accumulates the
   /// whole range into one block -- the historical behavior. When set,
@@ -88,7 +92,15 @@ struct PlaybackParams {
   bool collectStageTimings = false;
 };
 
-/// One problematic interval of a flow/scheme run (sparse record).
+struct GroupPlaybackParams {
+  PlaybackParams base;
+  /// Delivered-to-k accounting: an interval's group miss (the "K" line)
+  /// is the probability that fewer than k receivers get the packet on
+  /// time. 0 (default) means k = receiver count, i.e. delivered-to-all.
+  std::size_t deliveredK = 0;
+};
+
+/// One problematic interval of a unit/scheme run (sparse record).
 struct ProblematicInterval {
   std::size_t interval = 0;
   double missProbability = 0.0;
@@ -121,20 +133,57 @@ struct FlowSchemeResult {
   std::vector<double> intervalLatenciesUs;
 };
 
-/// Partial accumulation of one contiguous interval range of a (flow,
+/// Per-receiver slice of a group run (FlowStats-style).
+struct GroupReceiverResult {
+  graph::NodeId receiver = graph::kInvalidNode;
+  util::SimTime deadline = 0;
+  double unavailability = 0.0;
+  double unavailableSeconds = 0.0;
+  std::size_t problematicIntervals = 0;
+  double averageLatencyUs = 0.0;
+};
+
+struct GroupSchemeResult {
+  mcast::Group group;
+  mcast::GroupSchemeKind scheme{};
+
+  /// Packet-weighted mean P(some receiver misses) -- delivered-to-all.
+  double unavailabilityAll = 0.0;
+  /// Packet-weighted mean P(fewer than k receivers on time).
+  double unavailabilityK = 0.0;
+  /// Expected seconds in which not every receiver is served.
+  double unavailableAllSeconds = 0.0;
+  /// Intervals whose delivered-to-all miss exceeds the threshold.
+  std::size_t problematicIntervals = 0;
+  /// Mean transmissions per packet on the group graph.
+  double averageCost = 0.0;
+
+  std::vector<GroupReceiverResult> receivers;
+  std::vector<ProblematicInterval> problems;
+};
+
+/// Partial accumulation of one contiguous interval range of a (unit,
 /// scheme) run. Chunk-parallel sweeps compute one RunPartial per chunk
 /// and fold them in chunk order; merging partials of adjacent ranges in
 /// ascending order reproduces the single-threaded blocked accumulation
 /// bit for bit (see PlaybackParams::accumBlockIntervals).
 struct RunPartial {
-  util::WeightedMean missMean;
+  std::vector<util::WeightedMean> receiverMiss;
+  std::vector<util::OnlineStats> receiverLatency;
+  std::vector<double> receiverUnavailableSeconds;
+  std::vector<std::size_t> receiverProblematic;
+  util::WeightedMean missAllMean;
+  util::WeightedMean missKMean;
   util::OnlineStats costStats;
-  util::OnlineStats latencyStats;
-  double unavailableSeconds = 0.0;
+  double unavailableAllSeconds = 0.0;
   std::size_t problematicIntervals = 0;
   std::vector<ProblematicInterval> problems;
+  /// Receiver 0's per-interval latency, when
+  /// PlaybackParams::collectIntervalLatencies is set.
   std::vector<double> intervalLatenciesUs;
 
+  /// Sizes the per-receiver accumulators (idempotent).
+  void resize(std::size_t receiverCount);
   /// Folds a partial covering the range immediately *after* this one.
   void merge(RunPartial&& later);
 };
@@ -142,10 +191,10 @@ struct RunPartial {
 /// Cumulative wall-clock nanoseconds per replay stage, summed across all
 /// runs on one engine (workers add their local tallies once per range,
 /// relaxed). Collected only when PlaybackParams::collectStageTimings is
-/// set. "decode" is condition access (cursor seeks, span fetches, legacy
-/// vector materialization), "mc" is Monte-Carlo evaluation, "memo" is
-/// routing selects plus deterministic evaluations and memo traffic,
-/// "merge" is block folds and partial merges.
+/// set. "decode" is condition access (cursor seeks, span fetches, vector
+/// materialization), "mc" is Monte-Carlo evaluation, "memo" is routing
+/// selects and decision replays plus deterministic evaluations, "merge"
+/// is block folds and partial merges.
 struct StageTimings {
   std::atomic<std::uint64_t> decodeNs{0};
   std::atomic<std::uint64_t> mcNs{0};
@@ -160,8 +209,8 @@ struct StageTimings {
 /// steadyOnBaseline() fixed-point contract (no telemetry is attached, so
 /// skipped fixed-point selects are unobservable). Views come from the
 /// in-memory trace, so no packed chunk is decoded. This is the only code
-/// that rolls scheme state over a prefix [0, first); both engines and
-/// both packed runners start mid-trace tasks from its checkpoints.
+/// that rolls scheme state over a prefix [0, first); the engine and the
+/// sweep runner start mid-trace tasks from its checkpoints.
 ///
 /// Group schemes restore each receiver's sub-scheme from the checkpoint
 /// of its unicast context. A group run makes extra select() calls on
@@ -198,20 +247,26 @@ class DecisionReplay {
 
 class PlaybackEngine {
  public:
+  /// `deliveredK` is the group runs' delivered-to-k bar (see
+  /// GroupPlaybackParams).
   PlaybackEngine(const graph::Graph& overlay, const trace::Trace& trace,
-                 PlaybackParams params);
+                 PlaybackParams params, std::size_t deliveredK = 0);
+
+  // --- Flow entry points: a flow is the one-receiver group under the
+  // group kind whose unicastEquivalent() is `kind`. Telemetry is labeled
+  // {flow="src->dst", scheme=schemeName(kind)} and named dg_playback_*.
 
   /// Replays the whole trace for one flow under one scheme. `telemetry`
-  /// (nullable) collects per-interval counters and histograms labeled
-  /// {flow="src->dst", scheme=...}, classification counts from the
-  /// scheme, and GraphSwitch trace events; `telemetry->now` tracks the
-  /// sim-time start of the interval being replayed.
+  /// (nullable) collects per-interval counters and histograms,
+  /// classification counts from the scheme, and GraphSwitch trace events;
+  /// `telemetry->now` tracks the sim-time start of the interval being
+  /// replayed.
   FlowSchemeResult run(routing::Flow flow, routing::SchemeKind kind,
                        const routing::SchemeParams& schemeParams,
                        telemetry::Telemetry* telemetry = nullptr) const;
 
-  /// Replays an interval range [first, last) -- used by the case-study
-  /// experiment and by tests.
+  /// Replays an interval range [first, last), the scheme starting fresh
+  /// at `first` -- used by the case-study experiment and by tests.
   FlowSchemeResult runRange(routing::Flow flow, routing::SchemeKind kind,
                             const routing::SchemeParams& schemeParams,
                             std::size_t first, std::size_t last,
@@ -225,21 +280,14 @@ class PlaybackEngine {
                                    const routing::SchemeParams& schemeParams,
                                    std::size_t first, std::size_t last) const;
 
-  /// The decision replay of one context over the engine's trace (see
-  /// DecisionReplay::run), with the engine's decision memo attached.
-  /// Counted in StageTimings::memoNs when stage timings are on.
-  std::vector<routing::DecisionCheckpoint> replayCheckpoints(
-      routing::SchemeKind kind, routing::Flow flow,
-      const routing::SchemeParams& schemeParams,
-      std::span<const std::size_t> stops) const;
-
   /// Chunk-parallel building block: replays [first, last) and returns the
   /// partial accumulation, starting from `start` -- the checkpoint at
   /// `first` of this (kind, flow, params) context from replayCheckpoints,
-  /// null iff first == 0. `decisionSource` and `truthSource` (nullable ->
+  /// null when first == 0 (static kinds carry no decision state and may
+  /// pass null anywhere). `decisionSource` and `truthSource` (nullable ->
   /// replay from the in-memory trace) let each worker cursor over its own
   /// PackedConditionSource so no decode state is shared across threads.
-  /// Requires conditionCursor mode.
+  /// Requires conditionCursor mode when a source is given.
   ///
   /// With params().accumBlockIntervals == B > 0 and chunks aligned to B,
   /// merging the partials of a run's chunks in ascending order yields the
@@ -270,102 +318,133 @@ class PlaybackEngine {
                                    routing::SchemeKind kind,
                                    RunPartial&& total) const;
 
+  // --- Group entry points. Telemetry is labeled {group="src->r1+r2",
+  // scheme=groupSchemeName(kind)} and named dg_mcast_*.
+
+  GroupSchemeResult run(const mcast::Group& group,
+                        mcast::GroupSchemeKind kind,
+                        const routing::SchemeParams& schemeParams,
+                        telemetry::Telemetry* telemetry = nullptr) const;
+  GroupSchemeResult runRange(const mcast::Group& group,
+                             mcast::GroupSchemeKind kind,
+                             const routing::SchemeParams& schemeParams,
+                             std::size_t first, std::size_t last,
+                             telemetry::Telemetry* telemetry = nullptr) const;
+
+  /// The group form of runChunkPartial. `receiverStarts` holds each
+  /// receiver's checkpoint at `first` from replayCheckpoints of its
+  /// context -- (unicastEquivalent(kind), receiverFlow, receiver params)
+  /// -- and is empty when first == 0 or the kind is static
+  /// (!isAdaptive).
+  RunPartial runChunkPartial(
+      const mcast::Group& group, mcast::GroupSchemeKind kind,
+      const routing::SchemeParams& schemeParams, std::size_t first,
+      std::size_t last,
+      std::span<const routing::DecisionCheckpoint* const> receiverStarts,
+      trace::ConditionSource* decisionSource,
+      trace::ConditionSource* truthSource,
+      telemetry::Telemetry* telemetry) const;
+
+  /// Single-task form: replays each receiver's context to {first} itself,
+  /// then scores from those checkpoints.
+  RunPartial runChunkPartial(const mcast::Group& group,
+                             mcast::GroupSchemeKind kind,
+                             const routing::SchemeParams& schemeParams,
+                             std::size_t first, std::size_t last,
+                             trace::ConditionSource* decisionSource,
+                             trace::ConditionSource* truthSource,
+                             telemetry::Telemetry* telemetry = nullptr) const;
+
+  GroupSchemeResult finalizePartial(const mcast::Group& group,
+                                    mcast::GroupSchemeKind kind,
+                                    RunPartial&& total) const;
+
+  /// The decision replay of one context over the engine's trace (see
+  /// DecisionReplay::run), with the engine's decision memo attached.
+  /// Groups that share a source-receiver pair share its checkpoints.
+  /// Counted in StageTimings::memoNs when stage timings are on.
+  std::vector<routing::DecisionCheckpoint> replayCheckpoints(
+      routing::SchemeKind kind, routing::Flow flow,
+      const routing::SchemeParams& schemeParams,
+      std::span<const std::size_t> stops) const;
+
   const trace::Trace& trace() const { return *trace_; }
   const PlaybackParams& params() const { return params_; }
 
-  /// The per-interval content index built over the trace (exact
-  /// memoization fingerprints; also useful for deviation statistics).
-  const trace::ConditionIndex& conditionIndex() const {
-    return conditionIndex_;
-  }
   /// The engine's cross-job decision memo (for hit-rate reporting).
   const routing::DecisionMemo& decisionMemo() const { return decisionMemo_; }
-  /// Mutable handle for the persistent sidecar cache (memo_cache.*):
-  /// absorb a loaded snapshot before runs, snapshot after. Memoized
-  /// decisions are pure functions of their keys, so pre-seeding cannot
-  /// change results.
+  /// Mutable handle for the persistent sidecar cache (memo_cache.*) and
+  /// the sweep's replay plan: absorb a loaded snapshot before runs,
+  /// snapshot after, intern contexts. Memoized decisions are pure
+  /// functions of their keys, so pre-seeding cannot change results.
   routing::DecisionMemo& decisionMemoMutable() const { return decisionMemo_; }
 
   /// Per-stage wall-clock tallies (populated only when
   /// PlaybackParams::collectStageTimings is set).
   const StageTimings& stageTimings() const { return stageTimings_; }
-  /// Lets drivers (the experiment merge loop) account their own merge
-  /// work in the same place.
+  /// Lets drivers (the sweep's fold) account their own merge work in the
+  /// same place.
   void addStageMergeNs(std::uint64_t ns) const {
     stageTimings_.mergeNs.fetch_add(ns, std::memory_order_relaxed);
   }
 
  private:
-  struct IntervalEval {
-    double miss = 0.0;
-    double cost = 0.0;
-    util::SimTime latency = util::kNever;
-    bool monteCarlo = false;  ///< the lossy path actually sampled
-  };
-  /// Exact key of a memoized deterministic interval evaluation:
-  /// {flow source, flow destination, interned edge-list id, interval
-  /// content id}. Engine-level delivery params are fixed per engine, so
-  /// these four components determine the evaluation completely.
-  using EvalKey = std::array<std::uint32_t, 4>;
+  /// The telemetry names of one unit form, chosen by the entry point.
+  struct UnitNames;
+  static const UnitNames kFlowNames;
+  static const UnitNames kGroupNames;
 
-  /// Everything the scoring loop needs. Bundled because the loop is
-  /// shared by three entry points (runRange, missTimeline,
-  /// runChunkPartial) with different warm-up offsets, cursors and
-  /// continuity seeds.
+  /// Everything one scoring pass needs; the entry points fill it in.
   struct ScoreSpec {
-    routing::RoutingScheme* scheme = nullptr;
-    const routing::NetworkView* baselineView = nullptr;
-    routing::Flow flow;
-    routing::SchemeKind kind{};
+    const mcast::Group* group = nullptr;
+    mcast::GroupSchemeKind kind{};
+    const routing::SchemeParams* schemeParams = nullptr;
+    const UnitNames* names = nullptr;
+    std::string_view schemeLabel;
     std::size_t first = 0;
     std::size_t last = 0;
-    /// Intervals below this are decided on the baseline view regardless
-    /// of trace content (the scheme cannot have observed anything yet).
-    /// runRange passes first + staleness; chunk partials pass the
-    /// absolute staleness because their scheme history starts at 0.
-    std::size_t warmupUntil = 0;
-    trace::ConditionTimeline* decisionCursor = nullptr;
-    trace::ConditionTimeline* truthCursor = nullptr;
+    /// Chunk tasks: the scheme's history starts at interval 0 -- it is
+    /// restored at `first` from `starts` (each receiver's checkpoint;
+    /// empty = fresh), and the selection in force at `first` counts as
+    /// the previous one for GraphSwitch events. Otherwise (runRange,
+    /// missTimeline) the scheme starts fresh at `first`.
+    bool chunk = false;
+    std::span<const routing::DecisionCheckpoint* const> starts;
+    trace::ConditionSource* decisionSource = nullptr;
+    trace::ConditionSource* truthSource = nullptr;
     telemetry::Telemetry* telemetry = nullptr;
+    /// missTimeline: per-interval miss appended, every interval
+    /// evaluated fresh.
     std::vector<double>* timelineOut = nullptr;
-    bool reuseCleanEvals = true;
-    /// GraphSwitch continuity across chunk boundaries: the selection in
-    /// force at `first`, from the start checkpoint (updated in place by
-    /// the loop).
-    std::vector<graph::EdgeId> lastSelectedEdges;
-    bool haveSelected = false;
   };
 
-  /// Shared replay core behind runRange (timelineOut == nullptr) and
-  /// missTimeline (timelineOut != nullptr; per-interval miss appended,
-  /// no run-local evaluation reuse, no telemetry).
-  FlowSchemeResult runCore(routing::Flow flow, routing::SchemeKind kind,
-                           const routing::SchemeParams& schemeParams,
-                           std::size_t first, std::size_t last,
-                           telemetry::Telemetry* telemetry,
-                           std::vector<double>* timelineOut) const;
+  static ScoreSpec flowSpec(const mcast::Group& unit,
+                            routing::SchemeKind kind,
+                            const routing::SchemeParams& schemeParams,
+                            std::size_t first, std::size_t last);
+  static ScoreSpec groupSpec(const mcast::Group& group,
+                             mcast::GroupSchemeKind kind,
+                             const routing::SchemeParams& schemeParams,
+                             std::size_t first, std::size_t last);
 
   /// The per-interval scoring loop (decision, truth conditions,
-  /// evaluation, accumulation) over [spec.first, spec.last).
-  RunPartial scoreIntervals(ScoreSpec& spec) const;
-
-  std::optional<IntervalEval> findEval(const EvalKey& key) const;
-  void storeEval(const EvalKey& key, const IntervalEval& eval) const;
+  /// evaluation, accumulation) over [spec.first, spec.last) -- the only
+  /// one in the library.
+  RunPartial score(const ScoreSpec& spec) const;
 
   const graph::Graph* overlay_;
   const trace::Trace* trace_;
   PlaybackParams params_;
+  std::size_t deliveredK_;
   trace::ConditionIndex conditionIndex_;
   DecisionReplay replay_;
   mutable StageTimings stageTimings_;
 
-  // Cross-job memos. Mutable + internally synchronized: one const engine
-  // is shared across experiment worker threads, and every memoized value
-  // is a pure function of its exact key, so results are independent of
-  // thread count and insertion order.
+  /// Cross-job decision memo. Mutable + internally synchronized: one
+  /// const engine is shared across sweep worker threads, and every
+  /// memoized decision is a pure function of its exact key, so results
+  /// are independent of thread count and insertion order.
   mutable routing::DecisionMemo decisionMemo_;
-  mutable std::mutex evalMutex_;
-  mutable std::map<EvalKey, IntervalEval> evalMemo_;
 };
 
 }  // namespace dg::playback

@@ -27,6 +27,20 @@ TEST(DisseminationGraph, AddEdgeIdempotent) {
   EXPECT_FALSE(dg.contains(d.ad));
 }
 
+TEST(DisseminationGraph, ClearThenRebuildEqualsFreshGraph) {
+  test::Diamond d;
+  DisseminationGraph dg = floodingGraph(d.g, d.s, d.d);
+  dg.clear();
+  EXPECT_EQ(dg.edgeCount(), 0u);
+  EXPECT_FALSE(dg.contains(d.sa));
+  EXPECT_TRUE(dg.outEdges(d.s).empty());
+  dg.addPath(Path{d.sb, d.bd});
+  const auto fresh = singlePathGraph(d.g, d.s, d.d, Path{d.sb, d.bd});
+  EXPECT_TRUE(dg == fresh);
+  EXPECT_EQ(dg.cost(), fresh.cost());
+  EXPECT_TRUE(dg.outEdges(d.a).empty());
+}
+
 TEST(DisseminationGraph, SinglePathSemantics) {
   test::Diamond d;
   const auto dg = singlePathGraph(d.g, d.s, d.d, Path{d.sa, d.ad});

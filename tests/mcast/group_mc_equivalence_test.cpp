@@ -340,6 +340,11 @@ TEST(GroupMcEquivalence, SingleReceiverMatchesUnicastUnderEveryKernel) {
   const graph::NodeId destination = topology.at("SJC");
   const graph::DisseminationGraph flooding =
       graph::floodingGraph(g, source, destination);
+  // The same edges with another nominal destination: a one-receiver call
+  // whose receiver is the graph's destination takes the unicast sample
+  // loop, so this one keeps the group loop under test.
+  const graph::DisseminationGraph groupFlooding =
+      graph::floodingGraph(g, source, topology.at("LAX"));
   const DeliveryModelParams params;
   DeliveryWorkspace ws;
   KernelPinGuard guard;
@@ -355,7 +360,7 @@ TEST(GroupMcEquivalence, SingleReceiverMatchesUnicastUnderEveryKernel) {
       const util::SimTime deadlines[] = {params.deadline};
       int onTime[1] = {0};
       int histogram[2] = {0, 0};
-      onTimeCountsMCGroup(flooding, receivers, deadlines, c.losses,
+      onTimeCountsMCGroup(groupFlooding, receivers, deadlines, c.losses,
                           c.latencies, params, 1000, groupRng, ws, onTime,
                           histogram);
       EXPECT_EQ(static_cast<double>(onTime[0]) / 1000.0, unicast)

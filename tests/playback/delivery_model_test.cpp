@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "routing/targeted_graphs.hpp"
 #include "test_support.hpp"
+#include "trace/topology.hpp"
+#include "util/rng.hpp"
 
 namespace dg::playback {
 namespace {
@@ -184,6 +187,36 @@ TEST(MonteCarloDelivery, ZeroSamplesIsZero) {
       onTimeProbabilityMC(dg, std::vector<double>(4, 0.0),
                           line.g.baseLatencies(), defaults(), 0, rng),
       0.0);
+}
+
+// The engine reads the transmission cost off the workspace's
+// earliest-arrival tree; it must equal DisseminationGraph::cost under
+// every latency vector, including unusable edges and latency ties.
+TEST(GroupTransmissionCost, MatchesDisseminationGraphCost) {
+  const auto topology = trace::Topology::ltn12();
+  const graph::Graph& g = topology.graph();
+  const graph::DisseminationGraph flooding = graph::floodingGraph(g, 0, 7);
+  const auto targeted = routing::buildTargetedGraphs(
+      g, routing::Flow{0, 7}, g.baseLatencies(), util::milliseconds(65));
+  DeliveryWorkspace ws;
+  const std::vector<graph::NodeId> receivers{7};
+  std::vector<util::SimTime> arrival(1);
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    util::Rng rng(seed);
+    std::vector<util::SimTime> latencies = g.baseLatencies();
+    for (util::SimTime& l : latencies) {
+      if (rng.bernoulli(0.1)) l = util::kNever;
+      else if (rng.bernoulli(0.3)) l = util::milliseconds(5);  // ties
+      else if (rng.bernoulli(0.2)) l *= 3;
+    }
+    for (const graph::DisseminationGraph* dg :
+         {&flooding, &targeted.sourceProblem, &targeted.robust}) {
+      groupCleanArrivals(*dg, latencies, receivers, ws, arrival);
+      EXPECT_EQ(groupTransmissionCost(*dg, latencies, ws),
+                dg->cost(latencies))
+          << "seed " << seed;
+    }
+  }
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Golden equivalence: the optimized playback hot path (condition-timeline
-// cursor, reusable delivery workspaces, decision/evaluation memos) must
-// produce results and telemetry *byte-identical* to the legacy path and
-// to the frozen reference evaluators, at any thread count.
+// cursor, reusable delivery workspaces, decision memo) must produce
+// results and telemetry *byte-identical* to the per-interval
+// materialization path, and the optimized evaluators must match the
+// frozen reference evaluators (tests/reference_evaluators.*), at any
+// thread count.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -11,6 +13,7 @@
 #include "playback/delivery_model.hpp"
 #include "playback/experiment.hpp"
 #include "playback/playback.hpp"
+#include "reference_evaluators.hpp"
 #include "routing/targeted_graphs.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
@@ -91,24 +94,9 @@ class GoldenEquivalence : public ::testing::Test {
   playback::PlaybackParams params_;
 };
 
-TEST_F(GoldenEquivalence, DecisionMemoOnOffByteIdentical) {
-  playback::PlaybackParams on = params_;
-  playback::PlaybackParams off = params_;
-  on.decisionMemo = true;
-  off.decisionMemo = false;
-  const auto [rOn, tOn] = runAll(on);
-  const auto [rOff, tOff] = runAll(off);
-  ASSERT_EQ(rOn.size(), rOff.size());
-  for (std::size_t i = 0; i < rOn.size(); ++i) {
-    expectResultsIdentical(rOn[i], rOff[i]);
-  }
-  EXPECT_EQ(tOn, tOff);
-}
-
 TEST_F(GoldenEquivalence, CursorVsLegacyByteIdentical) {
   playback::PlaybackParams legacy = params_;
-  legacy.decisionMemo = false;
-  legacy.conditionCursor = false;  // reference evaluators, owned vectors
+  legacy.conditionCursor = false;  // per-interval owned vectors
   const auto [rOpt, tOpt] = runAll(params_);
   const auto [rLegacy, tLegacy] = runAll(legacy);
   ASSERT_EQ(rOpt.size(), rLegacy.size());
@@ -142,7 +130,6 @@ TEST(SteadyFastPath, MatchesLegacyWithoutTelemetry) {
   playback::PlaybackParams optimizedParams;
   optimizedParams.mcSamples = 150;
   playback::PlaybackParams legacyParams = optimizedParams;
-  legacyParams.decisionMemo = false;
   legacyParams.conditionCursor = false;
 
   const playback::PlaybackEngine optimized(g, tr, optimizedParams);
@@ -181,7 +168,6 @@ TEST_F(GoldenEquivalence, ThreadCountInvariant) {
 
 TEST_F(GoldenEquivalence, MissTimelineMatchesAcrossModes) {
   playback::PlaybackParams legacy = params_;
-  legacy.decisionMemo = false;
   legacy.conditionCursor = false;
   const playback::PlaybackEngine optimized(topology_.graph(), trace_,
                                            params_);
@@ -230,13 +216,13 @@ TEST(DeliveryEquivalence, OptimizedEvaluatorsMatchReference) {
       util::Rng b(seed);
       const double optimized = playback::onTimeProbabilityMC(
           *dg_, losses, latencies, params, 300, a, ws);
-      const double reference = playback::onTimeProbabilityMCReference(
+      const double reference = test::onTimeProbabilityMCReference(
           *dg_, losses, latencies, params, 300, b);
       EXPECT_EQ(optimized, reference) << "seed " << seed;
       EXPECT_EQ(playback::missProbabilityNearLossless(*dg_, losses,
                                                       latencies, params,
                                                       ws),
-                playback::missProbabilityNearLosslessReference(
+                test::missProbabilityNearLosslessReference(
                     *dg_, losses, latencies, params))
           << "seed " << seed;
     }
@@ -283,7 +269,7 @@ TEST(DeliveryEquivalence, AllKernelsMatchReferenceAcrossSeedsAndCounts) {
           static_cast<const graph::DisseminationGraph*>(&floodingGraph)}) {
       for (const int samples : sampleCounts) {
         util::Rng refRng(seed);
-        const double reference = playback::onTimeProbabilityMCReference(
+        const double reference = test::onTimeProbabilityMCReference(
             *dg_, losses, latencies, params, samples, refRng);
         const std::uint64_t refFinal = refRng.next();
         for (const auto kernel : kernels) {
@@ -327,7 +313,7 @@ TEST(DeliveryEquivalence, UnkeyedFallbackMatchesReference) {
       playback::DeliveryModelParams params;
       params.recoveryEnabled = recovery;
       util::Rng refRng(seed);
-      const double reference = playback::onTimeProbabilityMCReference(
+      const double reference = test::onTimeProbabilityMCReference(
           flooding, losses, latencies, params, 200, refRng);
       util::Rng rng(seed);
       EXPECT_EQ(playback::onTimeProbabilityMC(flooding, losses, latencies,

@@ -36,16 +36,11 @@
 //       Convert external CSV measurements into the trace format.
 //   dgnet playback   --source=A --destination=B --scheme=NAME
 //                    (--trace=FILE | --days=N [--seed=S])
-//                    [--memo=0] [--cursor=0]
 //       Replay a flow/scheme over a trace and print availability/cost.
-//       --memo=0 / --cursor=0 disable the decision/evaluation memos and
-//       the condition-timeline cursor (results are bit-identical either
-//       way; for benchmarking and equivalence checks).
 //   dgnet simulate   --source=A --destination=B --scheme=NAME --seconds=N
 //                    (--trace=FILE | --days=N [--seed=S])
 //       Drive the packet-level overlay (forwarding + recovery) live.
 //   dgnet telemetry  [--schemes=a,b,...] [--threads=N]
-//                    [--memo=0] [--cursor=0]
 //                    [--chunked] [--memo-cache=FILE]
 //                    [--workload=SPEC | --workload-file=FILE]
 //                    [--workload-out=FILE]
@@ -498,8 +493,6 @@ int cmdPlayback(const util::Config& args) {
       args.getString("scheme", "targeted"));
   playback::PlaybackParams params;
   params.mcSamples = mcSamplesFlag(args, 1000);
-  params.decisionMemo = args.getBool("memo", true);
-  params.conditionCursor = args.getBool("cursor", true);
   const playback::PlaybackEngine engine(topology.graph(), tr, params);
   std::optional<telemetry::Telemetry> telemetry;
   if (telemetryRequested(args)) telemetry.emplace();
@@ -600,8 +593,6 @@ int cmdTelemetry(const util::Config& args) {
       config.schemes.push_back(routing::parseSchemeKind(name));
   }
   config.playback.mcSamples = mcSamplesFlag(args, 1000);
-  config.playback.decisionMemo = args.getBool("memo", true);
-  config.playback.conditionCursor = args.getBool("cursor", true);
   config.threads = threadsFlag(args);
 
   telemetry::Telemetry telemetry;
@@ -708,8 +699,6 @@ int cmdMcast(const util::Config& args) {
   config.playback.base.delivery.deadline =
       args.getInt("deadline-us", config.playback.base.delivery.deadline);
   config.schemeParams.deadline = config.playback.base.delivery.deadline;
-  config.playback.base.decisionMemo = args.getBool("memo", true);
-  config.playback.base.conditionCursor = args.getBool("cursor", true);
   config.playback.deliveredK = static_cast<std::size_t>(
       getCheckedInt(args, "delivered-k", 0, 0, 1'000'000));
   config.threads = threadsFlag(args);
