@@ -168,6 +168,8 @@ void appendStagesJson(std::ostringstream& json, const char* name,
        << ",\n"
        << "    \"mc_seconds\": " << static_cast<double>(s.mcNs) / 1e9
        << ",\n"
+       << "    \"eval_seconds\": " << static_cast<double>(s.evalNs) / 1e9
+       << ",\n"
        << "    \"memo_seconds\": " << static_cast<double>(s.memoNs) / 1e9
        << ",\n"
        << "    \"merge_seconds\": " << static_cast<double>(s.mergeNs) / 1e9
@@ -243,6 +245,7 @@ int main(int argc, char** argv) {
     const playback::StageTimings& st = optimizedEngine.stageTimings();
     optimizedStages.decodeNs = st.decodeNs.load(std::memory_order_relaxed);
     optimizedStages.mcNs = st.mcNs.load(std::memory_order_relaxed);
+    optimizedStages.evalNs = st.evalNs.load(std::memory_order_relaxed);
     optimizedStages.memoNs = st.memoNs.load(std::memory_order_relaxed);
     optimizedStages.mergeNs = st.mergeNs.load(std::memory_order_relaxed);
   }

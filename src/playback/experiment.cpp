@@ -92,7 +92,8 @@ std::vector<std::pair<std::size_t, std::size_t>> resolveWindows(
 
 /// The decision contexts of a sweep whose tasks start mid-trace, each
 /// with the ascending task starts to checkpoint. Phase 1 replays every
-/// context once (DecisionReplay::run) and phase-2 tasks restore their
+/// context once (DecisionReplay::run, which replays each stop from the
+/// context's last history-free decision) and phase-2 tasks restore their
 /// start state from here, so a context shared by several tasks -- the
 /// chunks of one job, or groups with a common source-receiver pair -- is
 /// replayed once per sweep instead of once per task. Checkpoints are pure
@@ -419,12 +420,17 @@ SweepStats runSweep(
   const StageTimings& timings = engine.stageTimings();
   stats.stages.decodeNs = timings.decodeNs.load(std::memory_order_relaxed);
   stats.stages.mcNs = timings.mcNs.load(std::memory_order_relaxed);
+  stats.stages.evalNs = timings.evalNs.load(std::memory_order_relaxed);
   stats.stages.memoNs = timings.memoNs.load(std::memory_order_relaxed);
   stats.stages.mergeNs = timings.mergeNs.load(std::memory_order_relaxed);
 
+  stats.replay = engine.replayWork();
+
   DG_LOG(Info) << "sweep complete: " << jobs << " runs, " << chunkCount
                << " chunks, " << threadCount << " threads, "
-               << plan.replayCount() << " contexts replayed";
+               << plan.replayCount() << " contexts replayed ("
+               << stats.replay.decisions << " decisions over "
+               << stats.replay.intervals << " intervals)";
   return stats;
 }
 

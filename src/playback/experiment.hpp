@@ -82,6 +82,9 @@ struct ExperimentResult {
   struct StageBreakdown {
     std::uint64_t decodeNs = 0;
     std::uint64_t mcNs = 0;
+    /// Near-lossless (exact) evaluation.
+    std::uint64_t evalNs = 0;
+    /// Routing decisions: phase-1 replays and scoring selects.
     std::uint64_t memoNs = 0;
     std::uint64_t mergeNs = 0;
   };
@@ -121,6 +124,10 @@ struct SweepStats {
   MemoCacheLoadResult memoCacheLoad = MemoCacheLoadResult::kMissing;
   routing::DecisionMemo::Stats memoStats;
   ExperimentResult::StageBreakdown stages;
+  /// Phase-1 work: select() calls made while replaying contexts, and the
+  /// decision intervals those replays covered. Independent of the thread
+  /// count.
+  DecisionReplay::Work replay;
 };
 
 /// The one task scheduler behind every runner. The work unit is a (unit,
@@ -137,7 +144,9 @@ struct SweepStats {
 /// One worker pool runs in two phases: phase 1 replays each distinct
 /// decision context -- (unicast equivalent, source->receiver, receiver
 /// params) for every receiver of an adaptive job -- once over the
-/// in-memory trace, checkpointing it at every task start; after a
+/// in-memory trace, checkpointing it at every task start (each stop
+/// replayed from the context's last history-free decision, see
+/// DecisionReplay); after a
 /// barrier, phase 2 runs the tasks, each restoring its checkpoints instead
 /// of re-running warm-up, with one private Telemetry per task. Each job's
 /// partials are then folded in ascending chunk order -- the same merge

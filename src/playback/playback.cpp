@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "routing/network_view.hpp"
+#include "routing/problem_detector.hpp"
 #include "util/rng.hpp"
 #include "util/wall_clock.hpp"
 
@@ -116,6 +117,11 @@ DecisionReplay::DecisionReplay(const graph::Graph& overlay,
   }
 }
 
+DecisionReplay::Work DecisionReplay::work() const {
+  return {decisions_.load(std::memory_order_relaxed),
+          intervals_.load(std::memory_order_relaxed)};
+}
+
 std::size_t DecisionReplay::nextDeviatingDecision(
     std::size_t fromInterval) const {
   // The decision at t sees interval t - staleness, so the first candidate
@@ -129,6 +135,232 @@ std::size_t DecisionReplay::nextDeviatingDecision(
   return std::max(fromInterval, *it + staleness_);
 }
 
+std::size_t DecisionReplay::lastBaselineDecision(std::size_t stop) const {
+  const std::size_t t = stop - 1;
+  if (t < staleness_) return t;
+  // Step back over the run of deviating view intervals ending at t's.
+  std::size_t view = t - staleness_;
+  auto it = std::upper_bound(deviatingIntervals_.begin(),
+                             deviatingIntervals_.end(), view);
+  while (it != deviatingIntervals_.begin() && *std::prev(it) == view) {
+    --it;
+    if (view == 0) return staleness_ == 0 ? kNoDecision : staleness_ - 1;
+    --view;
+  }
+  return view + staleness_;
+}
+
+namespace {
+
+/// The view each decision interval sees: the baseline view before any
+/// interval is visible or while the interval `staleness` earlier is
+/// clean, otherwise that interval through a fingerprinted cursor view.
+class DecisionViews {
+ public:
+  DecisionViews(const trace::Trace& trace, const trace::ConditionIndex& index,
+                std::size_t staleness)
+      : trace_(&trace),
+        index_(&index),
+        staleness_(staleness),
+        baseline_(routing::NetworkView::baseline(trace)),
+        cursor_(trace) {}
+
+  bool isBaseline(std::size_t t) const {
+    return t < staleness_ || !trace_->hasDeviation(t - staleness_);
+  }
+  const routing::NetworkView& baseline() const { return baseline_; }
+
+  /// The view decision `t` sees; valid until the next at() call.
+  const routing::NetworkView& at(std::size_t t) {
+    if (isBaseline(t)) return baseline_;
+    const std::size_t viewInterval = t - staleness_;
+    cursor_.seek(viewInterval);
+    view_.emplace(routing::NetworkView::borrowing(
+        cursor_, index_->contentId(viewInterval)));
+    return *view_;
+  }
+
+ private:
+  const trace::Trace* trace_;
+  const trace::ConditionIndex* index_;
+  std::size_t staleness_;
+  routing::NetworkView baseline_;
+  trace::ConditionTimeline cursor_;
+  std::optional<routing::NetworkView> view_;
+};
+
+/// Targeted redundancy's state at a stop, recovered from the decisions
+/// that can still affect it (DESIGN.md, "One bounded decision replay per
+/// context"). select() reads back four fields: the two hold-down
+/// counters, which depend only on the last holdDownIntervals decisions,
+/// and the middle-problem pair -- the weights of the last middle-only
+/// decision (problem.middle with no source or destination problem once
+/// holds apply) and the graph of the last *re-plan* that found a route (a
+/// middle-only decision whose weights differ from the previous
+/// middle-only decision's). Decision views are classified backwards from
+/// the stop, down to the previous stop whose exact state is known, and
+/// the scheme itself re-plans only the middle-only decisions the pair
+/// needs. Requires a baseline view that classifies as no problem, so that
+/// only deviating decisions can detect anything.
+class TargetedRecovery {
+ public:
+  TargetedRecovery(routing::RoutingScheme& scheme, DecisionViews& views,
+                   std::span<const std::size_t> deviatingIntervals,
+                   std::size_t staleness)
+      : scheme_(&scheme),
+        views_(&views),
+        detector_(scheme.overlay(), scheme.params().detector),
+        hold_(std::max(scheme.params().holdDownIntervals, 0)),
+        deviatingIntervals_(deviatingIntervals),
+        staleness_(staleness) {}
+
+  /// False when the baseline view itself classifies as a problem: then
+  /// baseline decisions detect too, and the replay walks from interval 0.
+  bool applies() const {
+    const routing::Flow flow = scheme_->flow();
+    return !detector_.classify(views_->baseline(), flow.source,
+                               flow.destination)
+                .any();
+  }
+
+  /// The checkpoint at `stop`, given the exact state `before` at the
+  /// previous stop `floor` < stop (interval 0 and the initial state for
+  /// the first stop).
+  routing::DecisionCheckpoint at(std::size_t stop, std::size_t floor,
+                                 const routing::SchemeState& before) {
+    lowest_ = stop;
+    floor_ = floor;
+    const std::size_t last = stop - 1;
+    // Scan cursor: the deviating decisions below `last`, descending.
+    scanNext_ = static_cast<std::size_t>(
+        std::lower_bound(deviatingIntervals_.begin(),
+                         deviatingIntervals_.end(),
+                         last > staleness_ ? last - staleness_ : 0) -
+        deviatingIntervals_.begin());
+
+    // The state just before decision `last`, with the fallback graph left
+    // empty (a found route never is): if `last` re-plans and finds a
+    // route, the fallback before it is never read.
+    routing::SchemeState pre;
+    holdsBefore(last, pre.sourceHold, pre.destinationHold);
+    const std::optional<std::size_t> latest = nextMiddleOnly();
+    if (latest) {
+      weightsOf(*latest, pre.weights);
+    } else {
+      pre.weights = before.weights;
+    }
+    scheme_->restoreState(pre);
+    const graph::DisseminationGraph* dg = &select(last);
+    if (scheme_->saveState().edges.empty()) {
+      pre.edges = fallback(latest, pre.weights, before);
+      scheme_->restoreState(pre);
+      dg = &select(last);
+    }
+    return {scheme_->saveState(), dg->edges()};
+  }
+
+  std::uint64_t decisions() const { return decisions_; }
+  /// The earliest decision interval the last at() read.
+  std::size_t lowest() const { return lowest_; }
+
+ private:
+  /// The detector's classification of decision `t`.
+  routing::FlowProblem detected(std::size_t t) {
+    if (views_->isBaseline(t)) return {};
+    lowest_ = std::min(lowest_, t);
+    const routing::Flow flow = scheme_->flow();
+    return detector_.classify(views_->at(t), flow.source, flow.destination);
+  }
+
+  /// The hold-down counters when decision `t` is about to be made: a
+  /// detection at d re-arms its counter to the hold-down, and each later
+  /// decision drains it by one.
+  void holdsBefore(std::size_t t, int& source, int& destination) {
+    source = 0;
+    destination = 0;
+    for (std::size_t k = 1; k <= static_cast<std::size_t>(hold_) && k <= t;
+         ++k) {
+      const routing::FlowProblem p = detected(t - k);
+      const int left = hold_ + 1 - static_cast<int>(k);
+      if (p.source && source == 0) source = left;
+      if (p.destination && destination == 0) destination = left;
+    }
+  }
+
+  /// The next middle-only decision at or above floor_, descending from
+  /// the previous one found; nullopt once the scan passes floor_.
+  std::optional<std::size_t> nextMiddleOnly() {
+    while (scanNext_ > 0) {
+      const std::size_t t = deviatingIntervals_[--scanNext_] + staleness_;
+      if (t < floor_) {
+        scanNext_ = 0;
+        break;
+      }
+      const routing::FlowProblem p = detected(t);
+      if (!p.middle || p.source || p.destination) continue;
+      bool held = false;
+      for (std::size_t k = 1;
+           k <= static_cast<std::size_t>(hold_) && k <= t && !held; ++k) {
+        const routing::FlowProblem q = detected(t - k);
+        held = q.source || q.destination;
+      }
+      if (!held) return t;
+    }
+    return std::nullopt;
+  }
+
+  /// The fallback graph in force after middle-only decision `latest`
+  /// (weights `latestWeights`): the plan of the latest re-plan at or
+  /// before it that found a route, else the fallback of `before`.
+  std::vector<graph::EdgeId> fallback(std::optional<std::size_t> latest,
+                                      std::vector<util::SimTime> latestWeights,
+                                      const routing::SchemeState& before) {
+    std::vector<util::SimTime> previousWeights;
+    while (latest) {
+      const std::optional<std::size_t> previous = nextMiddleOnly();
+      if (previous) {
+        weightsOf(*previous, previousWeights);
+      } else {
+        previousWeights = before.weights;
+      }
+      if (latestWeights != previousWeights) {
+        // A fresh scheme state with no weights re-plans on this view.
+        scheme_->restoreState({});
+        select(*latest);
+        std::vector<graph::EdgeId> plan = scheme_->saveState().edges;
+        if (!plan.empty()) return plan;
+      }
+      latest = previous;
+      std::swap(latestWeights, previousWeights);
+    }
+    return before.edges;
+  }
+
+  void weightsOf(std::size_t t, std::vector<util::SimTime>& out) {
+    lowest_ = std::min(lowest_, t);
+    views_->at(t).routingWeightsInto(scheme_->params().view, out);
+  }
+
+  const graph::DisseminationGraph& select(std::size_t t) {
+    lowest_ = std::min(lowest_, t);
+    ++decisions_;
+    return scheme_->select(views_->at(t));
+  }
+
+  routing::RoutingScheme* scheme_;
+  DecisionViews* views_;
+  routing::ProblemDetector detector_;
+  int hold_;
+  std::span<const std::size_t> deviatingIntervals_;
+  std::size_t staleness_;
+  std::size_t scanNext_ = 0;
+  std::size_t floor_ = 0;
+  std::size_t lowest_ = 0;
+  std::uint64_t decisions_ = 0;
+};
+
+}  // namespace
+
 // dgcheck: cold: runs once per (context, sweep); allocates one checkpoint per stop
 std::vector<routing::DecisionCheckpoint> DecisionReplay::run(
     routing::SchemeKind kind, routing::Flow flow,
@@ -137,42 +369,73 @@ std::vector<routing::DecisionCheckpoint> DecisionReplay::run(
   auto scheme = routing::makeScheme(kind, *overlay_, flow, params);
   if (memo != nullptr)
     scheme->setDecisionMemo(memo, memo->contextKey(kind, flow, params));
-  const routing::NetworkView baselineView =
-      routing::NetworkView::baseline(*trace_);
-  scheme->initialize(baselineView);
-  trace::ConditionTimeline cursor(*trace_);
-
-  std::vector<routing::DecisionCheckpoint> checkpoints;
-  checkpoints.reserve(stops.size());
-  const graph::DisseminationGraph* dg = nullptr;
-  std::size_t t = 0;
+  DecisionViews views(*trace_, *index_, staleness_);
+  scheme->initialize(views.baseline());
+  const routing::SchemeState initial = scheme->saveState();
   std::size_t previous = 0;
   for (const std::size_t stop : stops) {
     if (stop <= previous || stop > trace_->intervalCount())
       throw std::out_of_range("DecisionReplay::run: stops must ascend in "
                               "(0, intervalCount]");
     previous = stop;
-    // A steady-span jump may carry t past `stop`: the state is at its
-    // fixed point across the whole span, so it is the state at `stop`.
-    while (t < stop) {
-      if (t < staleness_ || !trace_->hasDeviation(t - staleness_)) {
-        dg = &scheme->select(baselineView);
-        if (scheme->steadyOnBaseline()) {
-          t = nextDeviatingDecision(t + 1);
-          continue;
+  }
+
+  std::vector<routing::DecisionCheckpoint> checkpoints;
+  checkpoints.reserve(stops.size());
+  std::uint64_t decisions = 0;
+  std::uint64_t intervals = 0;
+  const bool targeted = kind == routing::SchemeKind::TargetedRedundancy;
+  std::optional<TargetedRecovery> recovery;
+  if (targeted) {
+    recovery.emplace(*scheme, views, deviatingIntervals_, staleness_);
+    if (!recovery->applies()) recovery.reset();
+  }
+  if (recovery) {
+    std::size_t floor = 0;
+    for (const std::size_t stop : stops) {
+      checkpoints.push_back(recovery->at(
+          stop, floor,
+          checkpoints.empty() ? initial : checkpoints.back().state));
+      intervals += stop - recovery->lowest();
+      floor = stop;
+    }
+    decisions = recovery->decisions();
+  } else {
+    // A select on the fingerprinted baseline view returns a cached-graph
+    // scheme to its initial state -- unless the baseline has no timely
+    // route, when it keeps whatever graph it had.
+    const bool baselineResets = !targeted && !initial.edges.empty();
+    const graph::DisseminationGraph* dg = nullptr;
+    std::size_t t = 0;
+    for (const std::size_t stop : stops) {
+      if (baselineResets) {
+        const std::size_t restart = lastBaselineDecision(stop);
+        if (restart != kNoDecision && restart >= t) {
+          scheme->restoreState(initial);
+          t = restart;
+        }
+      }
+      if (t < stop) intervals += stop - t;
+      // A steady-span jump may carry t past `stop`: the state is at its
+      // fixed point across the whole span, so it is the state at `stop`.
+      while (t < stop) {
+        ++decisions;
+        if (views.isBaseline(t)) {
+          dg = &scheme->select(views.baseline());
+          if (scheme->steadyOnBaseline()) {
+            t = nextDeviatingDecision(t + 1);
+            continue;
+          }
+        } else {
+          dg = &scheme->select(views.at(t));
         }
         ++t;
-      } else {
-        const std::size_t viewInterval = t - staleness_;
-        cursor.seek(viewInterval);
-        const routing::NetworkView view = routing::NetworkView::borrowing(
-            cursor, index_->contentId(viewInterval));
-        dg = &scheme->select(view);
-        ++t;
       }
+      checkpoints.push_back({scheme->saveState(), dg->edges()});
     }
-    checkpoints.push_back({scheme->saveState(), dg->edges()});
   }
+  decisions_.fetch_add(decisions, std::memory_order_relaxed);
+  intervals_.fetch_add(intervals, std::memory_order_relaxed);
   return checkpoints;
 }
 
@@ -537,6 +800,7 @@ RunPartial PlaybackEngine::score(const ScoreSpec& spec) const {
   const bool timed = params_.collectStageTimings;
   std::uint64_t decodeNs = 0;
   std::uint64_t mcNs = 0;
+  std::uint64_t evalNs = 0;
   std::uint64_t memoNs = 0;
   std::uint64_t mergeNs = 0;
   std::int64_t t0 = 0;
@@ -667,7 +931,7 @@ RunPartial PlaybackEngine::score(const ScoreSpec& spec) const {
             atLeastK += dp[c];
           eval.missK = 1.0 - atLeastK;
         }
-        if (timed) lap(memoNs);
+        if (timed) lap(evalNs);
       } else {
         if (timed) t0 = util::nowNanos();
         util::Rng rng(unitMixSeed(params_.seed, group, spec.kind, t));
@@ -744,6 +1008,7 @@ RunPartial PlaybackEngine::score(const ScoreSpec& spec) const {
   if (timed) {
     stageTimings_.decodeNs.fetch_add(decodeNs, std::memory_order_relaxed);
     stageTimings_.mcNs.fetch_add(mcNs, std::memory_order_relaxed);
+    stageTimings_.evalNs.fetch_add(evalNs, std::memory_order_relaxed);
     stageTimings_.memoNs.fetch_add(memoNs, std::memory_order_relaxed);
     stageTimings_.mergeNs.fetch_add(mergeNs, std::memory_order_relaxed);
   }

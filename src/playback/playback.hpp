@@ -192,25 +192,45 @@ struct RunPartial {
 /// runs on one engine (workers add their local tallies once per range,
 /// relaxed). Collected only when PlaybackParams::collectStageTimings is
 /// set. "decode" is condition access (cursor seeks, span fetches, vector
-/// materialization), "mc" is Monte-Carlo evaluation, "memo" is routing
-/// selects and decision replays plus deterministic evaluations, "merge"
-/// is block folds and partial merges.
+/// materialization), "mc" is Monte-Carlo evaluation, "eval" is the exact
+/// near-lossless evaluation (per-receiver misses plus the delivered-to-k
+/// tail), "memo" is routing decisions only -- decision replays and
+/// scoring selects -- and "merge" is block folds and partial merges.
 struct StageTimings {
   std::atomic<std::uint64_t> decodeNs{0};
   std::atomic<std::uint64_t> mcNs{0};
+  std::atomic<std::uint64_t> evalNs{0};
   std::atomic<std::uint64_t> memoNs{0};
   std::atomic<std::uint64_t> mergeNs{0};
 };
 
-/// Rolls routing-decision state forward from interval 0, exactly as a
-/// full run's decisions would: the view lags by the staleness, decisions
-/// before any deviation is visible use the baseline view, and clean
-/// steady spans are jumped in O(log deviations) via the schemes'
-/// steadyOnBaseline() fixed-point contract (no telemetry is attached, so
-/// skipped fixed-point selects are unobservable). Views come from the
-/// in-memory trace, so no packed chunk is decoded. This is the only code
-/// that rolls scheme state over a prefix [0, first); the engine and the
-/// sweep runner start mid-trace tasks from its checkpoints.
+/// Rolls routing-decision state forward to a list of stops, exactly as a
+/// full run's decisions from interval 0 would: the view lags by the
+/// staleness, and decisions before any deviation is visible use the
+/// baseline view. It is the only code that rolls scheme state over a
+/// prefix; the engine and the sweep runner start mid-trace tasks from its
+/// checkpoints. Views come from the in-memory trace, so no packed chunk
+/// is decoded, and no telemetry is attached, so skipped selects are
+/// unobservable.
+///
+/// Each stop is replayed from the context's last history-free decision
+/// before it, not from interval 0 (DESIGN.md, "One bounded decision
+/// replay per context"):
+///  - Cached-graph kinds (single path, two disjoint paths): a select on
+///    the fingerprinted baseline view leaves the state initialize() left,
+///    so the walk restarts at the last baseline decision before the stop.
+///    A context whose baseline has no timely route keeps the graph it had
+///    there and walks from interval 0.
+///  - Targeted redundancy: the hold-down counters depend only on the last
+///    holdDownIntervals decisions, and the middle-problem fallback on
+///    the last middle-only decisions back to the last re-plan that found
+///    a route. Both are recovered by classifying decision views backwards
+///    from the stop -- bounded below by the previous stop, whose
+///    checkpoint is known -- and re-planning only where the state needs
+///    it. A context whose baseline view itself classifies as a problem
+///    walks from interval 0.
+/// Forward walks jump clean steady spans in O(log deviations) via the
+/// schemes' steadyOnBaseline() fixed-point contract.
 ///
 /// Group schemes restore each receiver's sub-scheme from the checkpoint
 /// of its unicast context. A group run makes extra select() calls on
@@ -222,27 +242,46 @@ class DecisionReplay {
   DecisionReplay(const graph::Graph& overlay, const trace::Trace& trace,
                  const trace::ConditionIndex& index, std::size_t staleness);
 
-  /// Replays the context (kind, flow, params) once over [0, stops.back())
-  /// and returns one checkpoint per stop, in order: the scheme's state
-  /// when interval `stop` is about to be decided, and the selection in
-  /// force. `stops` must be ascending and > 0. `memo` (nullable) is
-  /// attached under the context's key, as in a scoring run.
+  /// Replays the context (kind, flow, params) up to stops.back() and
+  /// returns one checkpoint per stop, in order: the scheme's state when
+  /// interval `stop` is about to be decided, and the selection in force.
+  /// `stops` must be ascending and > 0. `memo` (nullable) is attached
+  /// under the context's key, as in a scoring run.
   std::vector<routing::DecisionCheckpoint> run(
       routing::SchemeKind kind, routing::Flow flow,
       const routing::SchemeParams& params, routing::DecisionMemo* memo,
       std::span<const std::size_t> stops) const;
 
+  /// Work of every run() on this replay so far, summed. Each count is a
+  /// pure function of the contexts and stops replayed, so a sweep's
+  /// totals do not depend on its thread count.
+  struct Work {
+    /// select() calls.
+    std::uint64_t decisions = 0;
+    /// Decision intervals covered: for each stop, from the earliest
+    /// decision whose view the replay read (or walked from) to the stop.
+    std::uint64_t intervals = 0;
+  };
+  Work work() const;
+
  private:
   /// Smallest interval t >= fromInterval whose *decision* view (t -
   /// staleness) carries a deviation; trace end if none.
   std::size_t nextDeviatingDecision(std::size_t fromInterval) const;
+  /// Largest interval t < stop decided on the baseline view, or
+  /// kNoDecision if every decision before `stop` sees a deviation.
+  std::size_t lastBaselineDecision(std::size_t stop) const;
+  static constexpr std::size_t kNoDecision = static_cast<std::size_t>(-1);
 
   const graph::Graph* overlay_;
   const trace::Trace* trace_;
   const trace::ConditionIndex* index_;
   std::size_t staleness_;
-  /// Sorted intervals that deviate from baseline (for steady-span jumps).
+  /// Sorted intervals that deviate from baseline (steady-span jumps,
+  /// restart points and the targeted backward scan).
   std::vector<std::size_t> deviatingIntervals_;
+  mutable std::atomic<std::uint64_t> decisions_{0};
+  mutable std::atomic<std::uint64_t> intervals_{0};
 };
 
 class PlaybackEngine {
@@ -362,11 +401,14 @@ class PlaybackEngine {
   /// The decision replay of one context over the engine's trace (see
   /// DecisionReplay::run), with the engine's decision memo attached.
   /// Groups that share a source-receiver pair share its checkpoints.
-  /// Counted in StageTimings::memoNs when stage timings are on.
+  /// Counted in StageTimings::memoNs when stage timings are on, and in
+  /// replayWork().
   std::vector<routing::DecisionCheckpoint> replayCheckpoints(
       routing::SchemeKind kind, routing::Flow flow,
       const routing::SchemeParams& schemeParams,
       std::span<const std::size_t> stops) const;
+  /// Work of every replayCheckpoints() call on this engine so far.
+  DecisionReplay::Work replayWork() const { return replay_.work(); }
 
   const trace::Trace& trace() const { return *trace_; }
   const PlaybackParams& params() const { return params_; }

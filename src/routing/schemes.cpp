@@ -200,9 +200,18 @@ class CachedGraphScheme : public RoutingScheme {
                                params_, k, disjointWs_);
   }
 
+  /// Records initialize()'s decision. cachedWeights_ holds the weights of
+  /// the last *unfingerprinted* decision only (fingerprinted ones clear
+  /// it, as selectDynamic does), so a select on the fingerprinted baseline
+  /// leaves exactly the state initialize() left -- which is what lets the
+  /// decision replay restart a context from its last baseline decision.
   void noteDecision(const NetworkView& view) {
     lastFingerprint_ = view.fingerprint();
-    view.routingWeightsInto(params_.view, cachedWeights_);
+    if (view.hasFingerprint()) {
+      cachedWeights_.clear();
+    } else {
+      view.routingWeightsInto(params_.view, cachedWeights_);
+    }
   }
 
   /// Selection driver for dynamic schemes. `recompute(view)` must install
@@ -444,13 +453,16 @@ class TargetedScheme : public RoutingScheme {
     FlowProblem problem = detected;
     problem.source = detected.source || sourceHold_ > 0;
     problem.destination = detected.destination || destinationHold_ > 0;
+    // A negative hold-down acts as 0; clamping keeps the saved counters
+    // a function of the last holdDownIntervals decisions.
+    const int hold = std::max(params_.holdDownIntervals, 0);
     if (detected.source) {
-      sourceHold_ = params_.holdDownIntervals;
+      sourceHold_ = hold;
     } else if (sourceHold_ > 0) {
       --sourceHold_;
     }
     if (detected.destination) {
-      destinationHold_ = params_.holdDownIntervals;
+      destinationHold_ = hold;
     } else if (destinationHold_ > 0) {
       --destinationHold_;
     }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "mcast/experiment.hpp"
+#include "playback/playback.hpp"
 #include "store/writer.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
@@ -232,6 +233,127 @@ TEST(GroupExperiment, SharedReceiverContextsAcrossWindowsMatchInMemoryRun) {
   double total = 0.0;
   for (const auto& [key, value] : packedSwitches) total += value;
   EXPECT_GT(total, 0.0);
+}
+
+TEST(GroupExperiment, LateWindowsMatchInMemoryRunAtStaleness0And2) {
+  // Windows on days 6 and 7 of a week-long trace, so every task start is
+  // checkpointed by a replay that stops far from interval 0 -- the
+  // bounded replay restarts each context near its stop. Targeted and
+  // dynamic receivers, two groups sharing NYC->SJC; packed must equal the
+  // in-memory runner and 1 thread must equal 4, exports included, at
+  // staleness 0 and 2.
+  const trace::Topology topology = trace::Topology::ltn12();
+  trace::GeneratorParams generator;
+  generator.seed = 23;
+  generator.duration = util::hours(24 * 7);
+  generator.nodeEventsPerDay = 40.0;
+  generator.linkEventsPerDay = 40.0;
+  const trace::Trace tr =
+      trace::generateSyntheticTrace(topology.graph(), generator).trace;
+  const std::size_t chunk = 256;
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "mcast_late.dgtrace")
+          .string();
+  store::WriterOptions options;
+  options.chunkIntervals = chunk;
+  store::packTrace(tr, path, options);
+
+  const std::size_t day = tr.intervalCount() / 7;
+  GroupExperimentConfig config;
+  Group a;
+  a.source = topology.at("NYC");
+  a.receivers = {topology.at("SJC"), topology.at("LAX")};
+  Group b;
+  b.source = topology.at("NYC");
+  b.receivers = {topology.at("SEA"), topology.at("SJC"), topology.at("ATL")};
+  config.groups = {a, b};
+  config.schemes = {GroupSchemeKind::kDynamicTrees,
+                    GroupSchemeKind::kDynamicMesh,
+                    GroupSchemeKind::kTargetedReceivers};
+  config.groupWindows = {
+      GroupWindow{5 * day + 37, 5 * day + 37 + 4 * chunk},
+      GroupWindow{6 * day + chunk, 6 * day + 4 * chunk + 11}};
+  config.playback.base.mcSamples = 100;
+
+  for (const int staleness : {0, 2}) {
+    SCOPED_TRACE("staleness " + std::to_string(staleness));
+    config.playback.base.viewStaleness = staleness;
+    config.threads = 4;
+    telemetry::Telemetry packed4;
+    const GroupExperimentResult at4 =
+        runPackedGroupExperiment(topology.graph(), path, config, &packed4);
+    config.threads = 1;
+    telemetry::Telemetry packed1;
+    const GroupExperimentResult at1 =
+        runPackedGroupExperiment(topology.graph(), path, config, &packed1);
+    expectResultsIdentical(at4, at1);
+    EXPECT_EQ(telemetry::toPrometheus(packed4.metrics),
+              telemetry::toPrometheus(packed1.metrics));
+    EXPECT_EQ(telemetry::toJson(packed4.trace),
+              telemetry::toJson(packed1.trace));
+
+    GroupExperimentConfig blocked = config;
+    blocked.threads = 4;
+    blocked.playback.base.conditionCursor = true;
+    blocked.playback.base.accumBlockIntervals = chunk;
+    telemetry::Telemetry inMemory4;
+    expectResultsIdentical(
+        at4, runGroupExperiment(topology.graph(), tr, blocked, &inMemory4));
+    blocked.threads = 1;
+    telemetry::Telemetry inMemory1;
+    expectResultsIdentical(
+        at4, runGroupExperiment(topology.graph(), tr, blocked, &inMemory1));
+    EXPECT_EQ(telemetry::toPrometheus(inMemory4.metrics),
+              telemetry::toPrometheus(inMemory1.metrics));
+    EXPECT_EQ(telemetry::toJson(inMemory4.trace),
+              telemetry::toJson(inMemory1.trace));
+    // Graph switches counted across chunk boundaries equal the one-task
+    // in-memory run's: every chunk took over its checkpointed selection.
+    const auto switches = [](const telemetry::Telemetry& t) {
+      std::map<std::string, double> out;
+      for (const auto& [key, value] :
+           telemetry::parsePrometheus(telemetry::toPrometheus(t.metrics))) {
+        if (key.starts_with("dg_mcast_graph_switches_total")) out[key] = value;
+      }
+      return out;
+    };
+    const std::map<std::string, double> packedSwitches = switches(packed4);
+    EXPECT_EQ(packedSwitches, switches(inMemory4));
+    double total = 0.0;
+    for (const auto& [key, value] : packedSwitches) total += value;
+    EXPECT_GT(total, 0.0);
+
+    // Against a scoring run from interval 0, whose decisions roll every
+    // interval itself: each interval's miss depends only on the graph in
+    // force and the interval's own Monte-Carlo stream, so the window's
+    // problematic intervals must match one for one.
+    const playback::PlaybackEngine engine(topology.graph(), tr,
+                                          config.playback.base,
+                                          config.playback.deliveredK);
+    std::size_t compared = 0;
+    for (std::size_t g = 0; g < config.groups.size(); ++g) {
+      for (std::size_t k = 0; k < config.schemes.size(); ++k) {
+        const GroupWindow& window = config.groupWindows[g];
+        const GroupSchemeResult fromZero = engine.runRange(
+            config.groups[g], config.schemes[k], config.schemeParams, 0,
+            window.lastInterval);
+        std::vector<playback::ProblematicInterval> expected;
+        for (const playback::ProblematicInterval& p : fromZero.problems) {
+          if (p.interval >= window.firstInterval) expected.push_back(p);
+        }
+        const GroupSchemeResult& got = at4.at(g, k, config.schemes.size());
+        ASSERT_EQ(got.problems.size(), expected.size())
+            << "group " << g << ", " << groupSchemeName(config.schemes[k]);
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          EXPECT_EQ(got.problems[i].interval, expected[i].interval);
+          EXPECT_EQ(got.problems[i].missProbability,
+                    expected[i].missProbability);
+        }
+        compared += expected.size();
+      }
+    }
+    EXPECT_GT(compared, 0u);
+  }
 }
 
 TEST(GroupExperiment, RejectsMalformedConfigs) {
