@@ -79,9 +79,8 @@ void SampleOutcomeCache::beginEpoch() {
   }
 }
 
-SampleOutcomeCache::Lookup SampleOutcomeCache::find(std::uint64_t keyLo,
-                                                    std::uint64_t keyHi,
-                                                    std::uint64_t& verdict) {
+void SampleOutcomeCache::add(std::uint64_t keyLo, std::uint64_t keyHi,
+                             std::vector<McPattern>& patterns) {
   std::uint64_t h = keyLo * 0x9E3779B97F4A7C15ULL + keyHi;
   h ^= h >> 29;
   h *= 0xBF58476D1CE4E5B9ULL;
@@ -93,19 +92,16 @@ SampleOutcomeCache::Lookup SampleOutcomeCache::find(std::uint64_t keyLo,
       slot.keyLo = keyLo;
       slot.keyHi = keyHi;
       slot.epoch = epoch_;
-      pending_ = i;
-      return Lookup::kMiss;
+      slot.entry = static_cast<std::uint32_t>(patterns.size());
+      patterns.push_back(McPattern{keyLo, keyHi, 1});  // dgcheck: ok(R5): the caller reserves one entry per sample
+      return;
     }
     if (slot.keyLo == keyLo && slot.keyHi == keyHi) {
-      verdict = slot.verdict;
-      return Lookup::kHit;
+      ++patterns[slot.entry].count;
+      return;
     }
   }
-  return Lookup::kFull;
-}
-
-void SampleOutcomeCache::store(std::uint64_t verdict) {
-  slots_[pending_].verdict = verdict;
+  patterns.push_back(McPattern{keyLo, keyHi, 1});  // dgcheck: ok(R5): the caller reserves one entry per sample
 }
 
 }  // namespace detail
@@ -115,6 +111,8 @@ void DeliveryWorkspace::prepare(const graph::Graph& overlay) {
     sampledHop.resize(overlay.edgeCount());
   if (dist.size() < overlay.nodeCount()) dist.resize(overlay.nodeCount());
   if (via.size() < overlay.nodeCount()) via.resize(overlay.nodeCount());
+  if (mcMemberOf.size() < overlay.edgeCount())
+    mcMemberOf.resize(overlay.edgeCount());
   heap.clear();
 }
 
@@ -132,11 +130,12 @@ util::SimTime sampleHopLatency(double lossRate, util::SimTime latency,
 
 namespace {
 
-/// Earliest-arrival deadline check shared by the Monte-Carlo sample loop
-/// and its clean-sample precomputation: true iff the destination is
-/// reachable within the deadline when member edge e delivers after
-/// weights[e] (kNever = lost). Dijkstra on the workspace's flat heap; see
-/// DaryHeap for why the result is identical to a std::priority_queue run.
+/// Earliest-arrival deadline check of the unicast sample loop: true iff
+/// the destination is reachable within the deadline when member edge e
+/// delivers after weights[e] (kNever = lost). When it is, ws.via holds
+/// the destination's earliest path (every node on it was popped). Dijkstra
+/// on the workspace's flat heap; see DaryHeap for why the result is
+/// identical to a std::priority_queue run.
 bool onTimeUnder(const graph::DisseminationGraph& dg,
                  std::span<const util::SimTime> weights,
                  util::SimTime deadline, DeliveryWorkspace& ws) {
@@ -158,6 +157,7 @@ bool onTimeUnder(const graph::DisseminationGraph& dg,
       const util::SimTime nd = d + weights[e];
       if (nd < ws.dist[v]) {
         ws.dist[v] = nd;
+        ws.via[v] = e;
         ws.heap.push(nd, v);
       }
     }
@@ -421,23 +421,41 @@ int resolveMcLanes(int samples, std::size_t memberCount) {
   return samples >= lanes ? lanes : 1;
 }
 
+/// Most lossy member edges a call may have for the dense count table,
+/// whose 4^6 counts are indexed by those members' 2-bit codes. A member
+/// is lossy when its loss rate exceeds 1 / samples, i.e. it deviates in
+/// more than one sample per call on average.
+constexpr std::size_t kDenseMaxLossy = 6;
+constexpr std::size_t kDenseCounts = std::size_t{1} << (2 * kDenseMaxLossy);
+
 /// What one Monte-Carlo call derives before its sample loop (see
 /// planMonteCarlo). A verdict is the bitmask of receivers reached on time.
 struct McPlan {
+  const graph::DisseminationGraph* dg = nullptr;
+  std::span<const graph::NodeId> receivers;
   std::size_t memberCount = 0;
   /// Sample patterns fit the 128-bit key (<= 64 member edges) and
-  /// verdicts fit 64 bits (<= 64 receivers): the keyed, memoized sample
+  /// verdicts fit 64 bits (<= 64 receivers): the keyed count-then-decide
   /// loop applies. Otherwise the unkeyed per-sample fallback runs.
-  bool patternMemo = false;
+  bool keyed = false;
   /// Loosest deadline among the receivers on time in the clean run; a
   /// sample's Dijkstra need not look further (nobody else can be on time).
   util::SimTime sampleDeadline = 0;
-  /// Clean-run verdict (patternMemo only).
+  /// Clean-run verdict (keyed only).
   std::uint64_t cleanVerdict = 0;
   /// Clean earliest paths' member edges at the even bit of their 2-bit
-  /// key position (patternMemo only).
+  /// key position (keyed only).
   std::uint64_t cleanPathLo = 0;
   std::uint64_t cleanPathHi = 0;
+  /// Keyed calls with at most kDenseMaxLossy lossy members tally samples
+  /// that deviate on those members only in the dense table: `lossy`
+  /// holds their member indices, lossyLo/Hi both bits of their key
+  /// positions.
+  bool dense = false;
+  std::size_t lossyCount = 0;
+  std::array<std::uint8_t, kDenseMaxLossy> lossy = {};
+  std::uint64_t lossyLo = 0;
+  std::uint64_t lossyHi = 0;
 };
 
 /// Set-up shared by both Monte-Carlo evaluators (the unicast one is the
@@ -458,26 +476,27 @@ struct McPlan {
 ///     (recovered > on-time, lost = never), which makes every verdict
 ///     monotone in the clean one: a clean-late receiver is late in every
 ///     sample, and if a sample's deviating edges all avoid the marked
-///     paths, those paths are intact and the clean verdict stands. Only
-///     samples that slow a marked path down need a memo lookup or a
-///     Dijkstra run.
-/// With the pattern memo on, the sampled weights are pre-filled with the
-/// clean outcome; each memo miss patches the deviating edges in and back
-/// out again.
+///     paths, those paths are intact and the clean verdict stands. Each
+///     receiver's clean path also seeds ws.mcAbove (keyed calls): every
+///     pattern that leaves that path intact keeps the receiver on time.
+/// Keyed calls pre-fill the sampled weights with the clean outcome; each
+/// Dijkstra run patches the deviating edges in and back out again.
 McPlan planMonteCarlo(const graph::DisseminationGraph& dg,
                       std::span<const graph::NodeId> receivers,
                       std::span<const util::SimTime> deadlines,
                       std::span<const double> lossRates,
                       std::span<const util::SimTime> latencies,
-                      const DeliveryModelParams& params,
+                      const DeliveryModelParams& params, int samples,
                       DeliveryWorkspace& ws) {
   const graph::Graph& overlay = dg.overlay();
   ws.prepare(overlay);
   const std::vector<graph::EdgeId>& members = dg.edges();
   const std::size_t receiverCount = receivers.size();
   McPlan plan;
+  plan.dg = &dg;
+  plan.receivers = receivers;
   plan.memberCount = members.size();
-  plan.patternMemo = plan.memberCount <= 64 && receiverCount <= 64;
+  plan.keyed = plan.memberCount <= 64 && receiverCount <= 64;
 
   util::SimTime maxDeadline = 0;
   for (const util::SimTime d : deadlines) {
@@ -491,7 +510,7 @@ McPlan planMonteCarlo(const graph::DisseminationGraph& dg,
     ws.mcCleanOnTime[r] = onTime ? 1 : 0;
     if (!onTime) continue;
     plan.sampleDeadline = std::max(plan.sampleDeadline, deadlines[r]);
-    if (plan.patternMemo) plan.cleanVerdict |= std::uint64_t{1} << r;
+    if (plan.keyed) plan.cleanVerdict |= std::uint64_t{1} << r;
   }
 
   const std::size_t memberCount = plan.memberCount;
@@ -503,6 +522,7 @@ McPlan planMonteCarlo(const graph::DisseminationGraph& dg,
     ws.mcOnCleanPath.resize(memberCount);
   }
   constexpr double kScale53 = 9007199254740992.0;  // 2^53
+  const double lossyAbove = 1.0 / static_cast<double>(samples);
   for (std::size_t i = 0; i < memberCount; ++i) {
     const double p = lossRates[members[i]];
     const util::SimTime lat = latencies[members[i]];
@@ -514,22 +534,40 @@ McPlan planMonteCarlo(const graph::DisseminationGraph& dg,
             : ws.mcThrOnTime[i];
     ws.mcLatency[i] = lat;
     ws.mcRecoveredLatency[i] = 3 * lat + params.packetInterval;
+    ws.mcMemberOf[members[i]] = static_cast<std::uint32_t>(i);
+    if (plan.keyed && p > lossyAbove) {
+      if (plan.lossyCount < kDenseMaxLossy) {
+        plan.lossy[plan.lossyCount] = static_cast<std::uint8_t>(i);
+        (i < 32 ? plan.lossyLo : plan.lossyHi) |= std::uint64_t{3}
+                                                   << (2 * (i & 31));
+      }
+      ++plan.lossyCount;
+    }
   }
+  plan.dense = plan.keyed && plan.lossyCount <= kDenseMaxLossy;
 
   std::fill_n(ws.mcOnCleanPath.begin(),
               static_cast<std::ptrdiff_t>(memberCount), char{0});
+  ws.mcAbove.clear();
+  ws.mcAbove.reserve(receiverCount);
+  ws.mcBelow.clear();
   for (std::size_t r = 0; r < receiverCount; ++r) {
     if (ws.mcCleanOnTime[r] == 0) continue;
+    std::uint64_t pathLo = 0;
+    std::uint64_t pathHi = 0;
     for (graph::NodeId n = receivers[r]; n != dg.source();) {
       const graph::EdgeId e = ws.via[n];
-      const std::size_t i = static_cast<std::size_t>(
-          std::lower_bound(members.begin(), members.end(), e) -
-          members.begin());
+      const std::uint32_t i = ws.mcMemberOf[e];
       ws.mcOnCleanPath[i] = 1;
+      (i < 32 ? pathLo : pathHi) |= std::uint64_t{3} << (2 * (i & 31));
       n = overlay.edge(e).from;
     }
+    if (plan.keyed) {
+      ws.mcAbove.push_back(
+          detail::McBound{~pathLo, ~pathHi, std::uint64_t{1} << r});
+    }
   }
-  if (!plan.patternMemo) {
+  if (!plan.keyed) {
     // The unkeyed fallback draws one sample at a time into mcDraws.
     if (ws.mcDraws.size() < memberCount) ws.mcDraws.resize(memberCount);
   } else {
@@ -544,25 +582,188 @@ McPlan planMonteCarlo(const graph::DisseminationGraph& dg,
   return plan;
 }
 
-/// Verdict of one keyed sample. Collapse each 2-bit code to its even bit
-/// (a pair is never 11) and intersect with the clean-path mask: empty
-/// means every clean earliest path is intact (covers the all-on-time
-/// case as well) and the clean verdict stands. Otherwise the pattern's
-/// memoized verdict, or a fresh `evaluate()` over ws.sampledHop with the
-/// deviating edges patched in.
-template <typename EvaluateFn>
-std::uint64_t keyedVerdict(std::uint64_t keyLo, std::uint64_t keyHi,
-                           const McPlan& plan,
-                           const std::vector<graph::EdgeId>& members,
-                           DeliveryWorkspace& ws, EvaluateFn& evaluate) {
-  if ((((keyLo | (keyLo >> 1)) & plan.cleanPathLo) |
-       ((keyHi | (keyHi >> 1)) & plan.cleanPathHi)) == 0) {
-    return plan.cleanVerdict;
+/// True iff some member on a clean earliest path deviates in the pattern:
+/// each 2-bit code collapses to its even bit (a pair is never 11) and
+/// meets the clean-path mask.
+bool touchesCleanPath(const McPlan& plan, std::uint64_t lo, std::uint64_t hi) {
+  return (((lo | (lo >> 1)) & plan.cleanPathLo) |
+          ((hi | (hi >> 1)) & plan.cleanPathHi)) != 0;
+}
+
+/// Counts a keyed call's samples by outcome pattern. Patterns whose
+/// deviating members all avoid the clean earliest paths keep the clean
+/// verdict and are only counted: the return value. The rest end in
+/// ws.mcPatterns as one entry per distinct pattern: the dense ones, then
+/// the keyed ones, each in ascending (keyHi, keyLo) order. Codes grow
+/// with the outcome's severity, so a pattern no member of which is worse
+/// than in another sorts first, and no keyed pattern lies below a dense
+/// one. The order is therefore a linear extension of the outcome order:
+/// decidePattern sees every evaluated pattern below the one it decides.
+///
+/// A dense call counts every sample that deviates on lossy members only
+/// at its dense index, without a branch per sample -- whether a sample
+/// touches a clean path is about a coin flip, so a branch on it would
+/// mispredict half the time -- and sorts its patterns into clean and
+/// other ones afterwards. The dense counts are zero again on return.
+/// Every other sample is moved to the front of keyLo/keyHi (which it
+/// overwrites) and counted in the keyed table.
+// dgcheck: hot
+int tallyPatterns(const McPlan& plan, std::uint64_t* keyLo,
+                  std::uint64_t* keyHi, std::size_t total,
+                  DeliveryWorkspace& ws) {
+  std::vector<detail::McPattern>& patterns = ws.mcPatterns;
+  patterns.clear();
+  patterns.reserve(total);
+  int cleanCount = 0;
+  std::size_t keyed = 0;
+  if (plan.dense) {
+    if (ws.mcDenseCounts.size() < kDenseCounts) {
+      ws.mcDenseCounts.resize(kDenseCounts);
+      ws.mcDenseTouched.resize(kDenseCounts + 1);
+    }
+    std::uint32_t* counts = ws.mcDenseCounts.data();
+    std::uint32_t* touched = ws.mcDenseTouched.data();
+    std::size_t touchedCount = 0;
+    for (std::size_t s = 0; s < total; ++s) {
+      const std::uint64_t lo = keyLo[s];
+      const std::uint64_t hi = keyHi[s];
+      if (((lo & ~plan.lossyLo) | (hi & ~plan.lossyHi)) != 0) [[unlikely]] {
+        keyLo[keyed] = lo;
+        keyHi[keyed] = hi;
+        ++keyed;
+        continue;
+      }
+      std::uint32_t index = 0;
+      for (std::size_t j = 0; j < plan.lossyCount; ++j) {
+        const std::size_t i = plan.lossy[j];
+        const std::uint64_t word = i < 32 ? lo : hi;
+        index |= static_cast<std::uint32_t>((word >> (2 * (i & 31))) & 3)
+                 << (2 * j);
+      }
+      touched[touchedCount] = index;
+      touchedCount += counts[index]++ == 0 ? 1u : 0u;
+    }
+    // Ascending dense indices give ascending keys: both list the lossy
+    // members' codes in member order.
+    std::sort(touched, touched + touchedCount);
+    for (std::size_t k = 0; k < touchedCount; ++k) {
+      const std::uint32_t index = touched[k];
+      detail::McPattern pattern;
+      pattern.count = counts[index];
+      counts[index] = 0;
+      for (std::size_t j = 0; j < plan.lossyCount; ++j) {
+        const std::size_t i = plan.lossy[j];
+        (i < 32 ? pattern.keyLo : pattern.keyHi) |=
+            static_cast<std::uint64_t>((index >> (2 * j)) & 3)
+            << (2 * (i & 31));
+      }
+      if (touchesCleanPath(plan, pattern.keyLo, pattern.keyHi)) {
+        patterns.push_back(pattern);
+      } else {
+        cleanCount += static_cast<int>(pattern.count);
+      }
+    }
+  } else {
+    for (std::size_t s = 0; s < total; ++s) {
+      const std::uint64_t lo = keyLo[s];
+      const std::uint64_t hi = keyHi[s];
+      keyLo[keyed] = lo;
+      keyHi[keyed] = hi;
+      keyed += touchesCleanPath(plan, lo, hi) ? 1u : 0u;
+    }
+    cleanCount = static_cast<int>(total - keyed);
   }
-  using Lookup = detail::SampleOutcomeCache::Lookup;
-  std::uint64_t verdict = 0;
-  const Lookup lookup = ws.outcomeCache.find(keyLo, keyHi, verdict);
-  if (lookup == Lookup::kHit) return verdict;
+  // Keyed patterns come after the dense ones: each deviates on a member
+  // where no dense pattern does, so none lies below a dense pattern.
+  const auto keyedFrom = static_cast<std::ptrdiff_t>(patterns.size());
+  ws.outcomeCache.beginEpoch();
+  for (std::size_t s = 0; s < keyed; ++s) {
+    if (touchesCleanPath(plan, keyLo[s], keyHi[s])) {
+      ws.outcomeCache.add(keyLo[s], keyHi[s], patterns);
+    } else {
+      ++cleanCount;
+    }
+  }
+  std::sort(patterns.begin() + keyedFrom, patterns.end(),
+            [](const detail::McPattern& a, const detail::McPattern& b) {
+              return a.keyHi != b.keyHi ? a.keyHi < b.keyHi
+                                        : a.keyLo < b.keyLo;
+            });
+  // A pattern whose keyed probe window was busy has several entries.
+  std::size_t distinct = 0;
+  for (std::size_t k = 0; k < patterns.size(); ++k) {
+    if (distinct > 0 && patterns[distinct - 1].keyLo == patterns[k].keyLo &&
+        patterns[distinct - 1].keyHi == patterns[k].keyHi) {
+      patterns[distinct - 1].count += patterns[k].count;
+    } else {
+      patterns[distinct++] = patterns[k];
+    }
+  }
+  patterns.resize(distinct);
+  return cleanCount;
+}
+
+/// Thermometer code of a 2-bit key word: 00 -> 00, 01 -> 01, 10 -> 11.
+std::uint64_t thermometer(std::uint64_t key) {
+  return key | ((key >> 1) & 0x5555555555555555ULL);
+}
+
+/// True iff no member's outcome in thermometer pattern `a` is worse than
+/// in `b`.
+bool noWorse(const detail::McBound& a, const detail::McBound& b) {
+  return ((a.lo & ~b.lo) | (a.hi & ~b.hi)) == 0;
+}
+
+/// Adds `bound` to an antichain unless an entry already implies it, and
+/// drops the entries it implies; implies(x, y) says whether x makes y
+/// redundant.
+template <typename ImpliesFn>
+void addBound(std::vector<detail::McBound>& bounds,
+              const detail::McBound& bound, ImpliesFn implies) {
+  for (const detail::McBound& b : bounds) {
+    if (implies(b, bound)) return;
+  }
+  std::erase_if(bounds,
+                [&](const detail::McBound& b) { return implies(bound, b); });
+  bounds.push_back(bound);  // dgcheck: ok(R5): workspace antichain; its capacity settles after the first calls
+}
+
+/// Verdict of one distinct pattern, by monotone inference when the
+/// decided patterns pin it, otherwise by a Dijkstra run. Sampled outcomes
+/// only slow an edge down, so a pattern no member of which is worse than
+/// in another reaches a superset of its receivers on time:
+///   - upper bound: the clean verdict, intersected with the verdict of
+///     every evaluated pattern in ws.mcBelow that lies below it;
+///   - lower bound: the union of the verdicts of every ws.mcAbove entry
+///     it lies below.
+/// When they agree that is the verdict. Otherwise `evaluate()` runs over
+/// ws.sampledHop with the deviating edges patched in; its verdict enters
+/// ws.mcBelow, and each on-time receiver's earliest path enters ws.mcAbove
+/// as the pattern widened to "lost" on every member off that path -- the
+/// path, and so the receiver, stays on time in every pattern below it.
+template <typename EvaluateFn>
+std::uint64_t decidePattern(const detail::McPattern& pattern,
+                            const McPlan& plan,
+                            const std::vector<graph::EdgeId>& members,
+                            DeliveryWorkspace& ws, EvaluateFn& evaluate) {
+  const detail::McBound at{thermometer(pattern.keyLo),
+                           thermometer(pattern.keyHi), 0};
+  std::uint64_t upper = plan.cleanVerdict;
+  for (const detail::McBound& b : ws.mcBelow) {
+    if (noWorse(b, at)) upper &= b.verdict;
+  }
+  std::uint64_t lower = 0;
+  if (upper != 0) {
+    for (const detail::McBound& b : ws.mcAbove) {
+      if (!noWorse(at, b)) continue;
+      lower |= b.verdict;
+      if (lower == upper) break;
+    }
+  }
+  if (lower == upper) {
+    ++ws.work.inferredVerdicts;
+    return upper;
+  }
   // A Dijkstra run is actually needed: patch the deviating edges into the
   // pre-filled clean weights. A code pair is never 11, so every set key
   // bit identifies one deviating edge -- even bit means recovered, odd
@@ -578,24 +779,51 @@ std::uint64_t keyedVerdict(std::uint64_t keyLo, std::uint64_t keyHi,
                          : ws.mcRecoveredLatency[i];
     }
   };
-  patch(keyLo, 0, false);
-  patch(keyHi, 32, false);
-  verdict = evaluate();
-  patch(keyLo, 0, true);
-  patch(keyHi, 32, true);
-  if (lookup == Lookup::kMiss) ws.outcomeCache.store(verdict);
+  patch(pattern.keyLo, 0, false);
+  patch(pattern.keyHi, 32, false);
+  const std::uint64_t verdict = evaluate();
+  patch(pattern.keyLo, 0, true);
+  patch(pattern.keyHi, 32, true);
+  ++ws.work.dijkstraRuns;
+
+  if (verdict != plan.cleanVerdict) {
+    addBound(ws.mcBelow, detail::McBound{at.lo, at.hi, verdict},
+             [](const detail::McBound& x, const detail::McBound& y) {
+               return noWorse(x, y) && (x.verdict & ~y.verdict) == 0;
+             });
+  }
+  const graph::Graph& overlay = plan.dg->overlay();
+  for (std::uint64_t bits = verdict; bits != 0; bits &= bits - 1) {
+    const auto r = static_cast<std::size_t>(std::countr_zero(bits));
+    std::uint64_t pathLo = 0;
+    std::uint64_t pathHi = 0;
+    for (graph::NodeId n = plan.receivers[r]; n != plan.dg->source();) {
+      const graph::EdgeId e = ws.via[n];
+      const std::uint32_t i = ws.mcMemberOf[e];
+      (i < 32 ? pathLo : pathHi) |= std::uint64_t{3} << (2 * (i & 31));
+      n = overlay.edge(e).from;
+    }
+    addBound(ws.mcAbove,
+             detail::McBound{at.lo | ~pathLo, at.hi | ~pathHi,
+                             std::uint64_t{1} << r},
+             [](const detail::McBound& x, const detail::McBound& y) {
+               return noWorse(y, x) && (y.verdict & ~x.verdict) == 0;
+             });
+  }
   return verdict;
 }
 
-/// The keyed sample loop both evaluators share (plan.patternMemo only):
-/// draws every sample's member outcomes with the dispatched kernel into
-/// the sample's 2-bit outcome-pattern key, then passes each sample's
-/// verdict to `score`, in sample order. Identical patterns imply
-/// identical Dijkstra runs, so verdicts are memoized per pattern for the
-/// duration of the call. Every kernel consumes the same draws in the
-/// same order: `rng` ends advanced by exactly samples * memberCount draws,
-/// and since all keys exist before scoring starts, memo fills and
-/// `evaluate()` calls follow the sample order under every kernel.
+/// The keyed sample loop both evaluators share (plan.keyed only): draws
+/// every sample's member outcomes with the dispatched kernel into the
+/// sample's 2-bit outcome-pattern key, counts the samples per pattern
+/// (tallyPatterns), then decides each distinct pattern once
+/// (decidePattern) and passes `score` its verdict and sample count. A
+/// verdict is a pure function of its pattern and the counts are integers,
+/// so the result does not depend on the order in which patterns are
+/// scored. Every kernel consumes the same draws in the same order: `rng`
+/// ends advanced by exactly samples * memberCount draws, and the distinct
+/// patterns and their counts -- hence every Dijkstra run -- are the same
+/// under every kernel.
 // dgcheck: hot
 template <typename EvaluateFn, typename ScoreFn>
 void scoreKeyedSamples(const McPlan& plan,
@@ -643,18 +871,11 @@ void scoreKeyedSamples(const McPlan& plan,
                  total, keyLo, keyHi);
   rng = localRng;
 
-  ws.outcomeCache.beginEpoch();
-  // Sample order: lane j holds samples j * q .. j * q + q - 1, the serial
-  // leftovers follow.
-  for (std::size_t j = 0; j < width; ++j) {
-    for (std::size_t t = 0; t < q; ++t) {
-      const std::size_t slot = t * width + j;
-      score(keyedVerdict(keyLo[slot], keyHi[slot], plan, members, ws,
-                         evaluate));
-    }
-  }
-  for (std::size_t s = width * q; s < total; ++s) {
-    score(keyedVerdict(keyLo[s], keyHi[s], plan, members, ws, evaluate));
+  const int cleanCount = tallyPatterns(plan, keyLo, keyHi, total, ws);
+  if (cleanCount > 0) score(plan.cleanVerdict, cleanCount);
+  for (const detail::McPattern& pattern : ws.mcPatterns) {
+    score(decidePattern(pattern, plan, members, ws, evaluate),
+          static_cast<int>(pattern.count));
   }
 }
 
@@ -690,26 +911,29 @@ int onTimeSamples(const graph::DisseminationGraph& dg,
   const McPlan plan = planMonteCarlo(
       dg, std::span<const graph::NodeId>(&destination, 1),
       std::span<const util::SimTime>(&params.deadline, 1), lossRates,
-      latencies, params, ws);
+      latencies, params, samples, ws);
   const std::vector<graph::EdgeId>& members = dg.edges();
   const bool cleanOnTime = ws.mcCleanOnTime[0] != 0;
   int delivered = 0;
-  if (plan.patternMemo) {
+  if (plan.keyed) {
     scoreKeyedSamples(
         plan, members, samples, rng, ws,
         [&] {
           return std::uint64_t{
               onTimeUnder(dg, ws.sampledHop, params.deadline, ws)};
         },
-        [&](std::uint64_t verdict) { delivered += static_cast<int>(verdict); });
+        [&](std::uint64_t verdict, int count) {
+          delivered += static_cast<int>(verdict) * count;
+        });
   } else {
     util::Rng localRng = rng;
     for (int s = 0; s < samples; ++s) {
       localRng.nextBlock(ws.mcDraws.data(), plan.memberCount);
-      const bool onTime =
-          sampleUnkeyed(ws.mcDraws.data(), plan.memberCount, members, ws)
-              ? onTimeUnder(dg, ws.sampledHop, params.deadline, ws)
-              : cleanOnTime;
+      bool onTime = cleanOnTime;
+      if (sampleUnkeyed(ws.mcDraws.data(), plan.memberCount, members, ws)) {
+        onTime = onTimeUnder(dg, ws.sampledHop, params.deadline, ws);
+        ++ws.work.dijkstraRuns;
+      }
       if (onTime) ++delivered;
     }
     rng = localRng;
@@ -939,10 +1163,10 @@ void onTimeCountsMCGroup(const graph::DisseminationGraph& dg,
     return;
   }
   const McPlan plan = planMonteCarlo(dg, receivers, deadlines, lossRates,
-                                     latencies, params, ws);
+                                     latencies, params, samples, ws);
   const std::vector<graph::EdgeId>& members = dg.edges();
 
-  if (plan.patternMemo) {
+  if (plan.keyed) {
     // Verdict = bitmask of receivers on time. Samples that keep the clean
     // verdict (the vast majority) are only counted here and folded into
     // the per-receiver counts once at the end.
@@ -958,16 +1182,16 @@ void onTimeCountsMCGroup(const graph::DisseminationGraph& dg,
           }
           return onTime;
         },
-        [&](std::uint64_t verdict) {
+        [&](std::uint64_t verdict, int count) {
           if (verdict == plan.cleanVerdict) {
-            ++cleanSamples;
+            cleanSamples += count;
             return;
           }
-          ++deliveredHistogram[static_cast<std::size_t>(
-              std::popcount(verdict))];
+          deliveredHistogram[static_cast<std::size_t>(
+              std::popcount(verdict))] += count;
           for (; verdict != 0; verdict &= verdict - 1) {
-            ++onTimeCounts[static_cast<std::size_t>(
-                std::countr_zero(verdict))];
+            onTimeCounts[static_cast<std::size_t>(
+                std::countr_zero(verdict))] += count;
           }
         });
     deliveredHistogram[static_cast<std::size_t>(
@@ -987,6 +1211,7 @@ void onTimeCountsMCGroup(const graph::DisseminationGraph& dg,
     localRng.nextBlock(ws.mcDraws.data(), plan.memberCount);
     if (sampleUnkeyed(ws.mcDraws.data(), plan.memberCount, members, ws)) {
       distancesWithin(dg, ws.sampledHop, plan.sampleDeadline, ws);
+      ++ws.work.dijkstraRuns;
       for (std::size_t r = 0; r < receiverCount; ++r) {
         if (ws.dist[receivers[r]] <= deadlines[r]) {
           ++onTimeCounts[r];

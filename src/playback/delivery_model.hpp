@@ -64,50 +64,56 @@ class DaryHeap {
   std::vector<Entry> entries_;
 };
 
-/// Per-Monte-Carlo-call memo of sampled outcome patterns. Within one call
-/// every member edge draws one of three outcomes (on-time / recovered /
-/// lost), so a sample's effective weight vector is fully described by 2
-/// bits per member edge -- and with realistic loss rates only a handful
-/// of patterns ever occur across the 1000 samples. Caching the Dijkstra
-/// verdict per pattern skips the redundant re-runs while every RNG draw
-/// still happens, so results are bit-identical to evaluating each sample
-/// directly. A verdict is 64 bits: the unicast evaluator stores 0/1, the
-/// group evaluator the bitmask of receivers reached on time.
+/// One distinct outcome pattern of a Monte-Carlo call and the number of
+/// samples that drew it.
+struct McPattern {
+  std::uint64_t keyLo = 0;
+  std::uint64_t keyHi = 0;
+  std::uint32_t count = 0;
+};
+
+/// One decided pattern kept for monotone inference, thermometer-coded
+/// (see DeliveryWorkspace::mcAbove) with the verdict it proves.
+struct McBound {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+  std::uint64_t verdict = 0;
+};
+
+/// Per-Monte-Carlo-call tally of sampled outcome patterns, the keyed half
+/// of count-then-decide. Within one call every member edge draws one of
+/// three outcomes (on-time / recovered / lost), so a sample's effective
+/// weight vector is fully described by 2 bits per member edge. Calls with
+/// few lossy member edges see only a handful of distinct patterns; on
+/// perfbench's sweeps, calls with seven or more averaged 120-200 across
+/// 1000 samples, and a quarter of them saw over 390. The table maps each
+/// pattern to its entry in a caller-owned list, so each distinct pattern
+/// is decided once and scored with its sample count.
 /// Epoch-tagged open addressing: beginEpoch() is O(1), lookups probe a
-/// bounded window and simply decline to cache on contention.
+/// bounded window, and a pattern whose window is busy gets an extra entry
+/// (callers merge duplicates).
 class SampleOutcomeCache {
  public:
-  enum class Lookup {
-    kHit,   ///< `verdict` holds the cached verdict
-    kMiss,  ///< reserved a slot; store() next
-    kFull,  ///< probe window busy; do not store
-  };
-
-  /// Starts a new memo epoch, logically clearing all entries.
+  /// Starts a new epoch, logically clearing all slots.
   void beginEpoch();
 
-  /// Looks a pattern up. On kHit the cached verdict is written to
-  /// `verdict`; on kMiss the slot is reserved and the caller MUST follow
-  /// up with store(); on kFull it must not.
-  Lookup find(std::uint64_t keyLo, std::uint64_t keyHi,
-              std::uint64_t& verdict);
-
-  /// Fills the slot reserved by the preceding find() == kMiss.
-  void store(std::uint64_t verdict);
+  /// Counts one sample of the pattern: bumps its entry in `patterns`, or
+  /// appends one with count 1.
+  void add(std::uint64_t keyLo, std::uint64_t keyHi,
+           std::vector<McPattern>& patterns);
 
  private:
   struct Slot {
     std::uint64_t keyLo = 0;
     std::uint64_t keyHi = 0;
-    std::uint64_t verdict = 0;
     std::uint32_t epoch = 0;
+    std::uint32_t entry = 0;  ///< index into the caller's pattern list
   };
   static constexpr std::size_t kSlots = 4096;  // power of two
   static constexpr std::size_t kMaxProbes = 8;
 
   std::vector<Slot> slots_;
   std::uint32_t epoch_ = 0;
-  std::size_t pending_ = 0;
 };
 
 /// Monte-Carlo draw-kernel selection. Every kernel consumes the same
@@ -146,11 +152,30 @@ bool mcKernelSupported(McKernel kernel);
 
 }  // namespace detail
 
+/// Verdict work of the Monte-Carlo evaluators: a pure function of the
+/// calls made, independent of the kernel and the thread count.
+struct DeliveryWork {
+  /// Dijkstra runs made to decide a sample pattern's verdict (the clean
+  /// run each call starts with is not counted).
+  std::uint64_t dijkstraRuns = 0;
+  /// Distinct patterns whose verdict followed from other verdicts by
+  /// monotonicity, with no Dijkstra run.
+  std::uint64_t inferredVerdicts = 0;
+
+  DeliveryWork& operator+=(const DeliveryWork& other) {
+    dijkstraRuns += other.dijkstraRuns;
+    inferredVerdicts += other.inferredVerdicts;
+    return *this;
+  }
+  bool operator==(const DeliveryWork&) const = default;
+};
+
 /// Caller-owned scratch memory for the delivery evaluators. One workspace
 /// serves any number of calls (its arrays are sized on demand); reusing it
 /// across the playback hot loop removes every per-call allocation. The
 /// contents carry no state between calls -- results are identical whether
 /// a workspace is reused, fresh, or (via the wrapper overloads) implicit.
+/// Only `work` accumulates across calls.
 struct DeliveryWorkspace {
   std::vector<util::SimTime> sampledHop;  ///< per-edge sampled hop latency
   std::vector<util::SimTime> dist;        ///< per-node tentative arrival
@@ -166,15 +191,35 @@ struct DeliveryWorkspace {
   std::vector<std::uint64_t> mcThrRecovered;
   std::vector<util::SimTime> mcLatency;
   std::vector<util::SimTime> mcRecoveredLatency;
+  /// Member index of each overlay edge of the current graph (valid for
+  /// member edges only).
+  std::vector<std::uint32_t> mcMemberOf;
   /// Per-sample 2-bit outcome-pattern keys of one keyed Monte-Carlo
   /// call, one slot per sample: lane j's t-th sample at t * W + j, the
-  /// serially drawn samples at their sample index. The unkeyed fallback
-  /// (more than 64 member edges) draws one sample at a time into mcDraws.
+  /// serially drawn samples at their sample index (the tally then moves
+  /// the samples it counts in the keyed table to the front). The unkeyed
+  /// fallback (more than 64 member edges) draws one sample at a time into
+  /// mcDraws.
   std::vector<std::uint64_t> mcDraws;
   std::vector<std::uint64_t> mcKeyLo;
   std::vector<std::uint64_t> mcKeyHi;
   /// Lane jump polynomials, one cached split per member count.
   std::vector<detail::McLaneJumps> mcLaneJumps;
+
+  /// Count-then-decide state of one keyed call: the dense per-pattern
+  /// counts of calls with few lossy members (zero between calls) and the
+  /// indices touched, then every distinct pattern with its count.
+  std::vector<std::uint32_t> mcDenseCounts;
+  std::vector<std::uint32_t> mcDenseTouched;
+  std::vector<detail::McPattern> mcPatterns;
+  /// Monotone inference over thermometer-coded patterns (code 0 -> 00,
+  /// recovered 01 -> 01, lost 10 -> 11, so "no member worse than in Q"
+  /// is one AND-NOT per word). mcAbove holds maximal patterns known to
+  /// keep a verdict's receivers on time -- any pattern below one keeps
+  /// them -- and mcBelow minimal evaluated patterns, whose verdicts bound
+  /// every pattern above them.
+  std::vector<detail::McBound> mcAbove;
+  std::vector<detail::McBound> mcBelow;
 
   /// Clean-run scratch of both Monte-Carlo evaluators: per-receiver clean
   /// verdicts and the per-member-edge "lies on some clean-on-time
@@ -182,6 +227,8 @@ struct DeliveryWorkspace {
   /// one-receiver case).
   std::vector<char> mcCleanOnTime;
   std::vector<char> mcOnCleanPath;
+
+  DeliveryWork work;
 
   /// Ensures the per-edge/per-node arrays cover `overlay`.
   void prepare(const graph::Graph& overlay);

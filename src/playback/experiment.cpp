@@ -385,6 +385,9 @@ SweepStats runSweep(
     for (std::thread& t : threads) t.join();
   }
 
+  for (const RunPartial& partial : partials)
+    stats.delivery += partial.deliveryWork;
+
   // Deterministic fold: each job's chunk partials in ascending chunk
   // order -- the same merge tree as the single-threaded blocked run.
   const std::int64_t mergeStart =
@@ -430,7 +433,9 @@ SweepStats runSweep(
                << " chunks, " << threadCount << " threads, "
                << plan.replayCount() << " contexts replayed ("
                << stats.replay.decisions << " decisions over "
-               << stats.replay.intervals << " intervals)";
+               << stats.replay.intervals << " intervals), "
+               << stats.delivery.dijkstraRuns << " verdict Dijkstra runs, "
+               << stats.delivery.inferredVerdicts << " verdicts inferred";
   return stats;
 }
 

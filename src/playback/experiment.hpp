@@ -128,6 +128,11 @@ struct SweepStats {
   /// decision intervals those replays covered. Independent of the thread
   /// count.
   DecisionReplay::Work replay;
+  /// Phase-2 Monte-Carlo verdict work, summed over every task: verdict
+  /// Dijkstra runs and inferred verdicts. Independent of the thread count,
+  /// and equal for the packed runner and the in-memory runner blocked at
+  /// the container's chunk length.
+  DeliveryWork delivery;
 };
 
 /// The one task scheduler behind every runner. The work unit is a (unit,

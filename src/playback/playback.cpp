@@ -89,6 +89,7 @@ void RunPartial::merge(RunPartial&& later) {
   costStats.merge(later.costStats);
   unavailableAllSeconds += later.unavailableAllSeconds;
   problematicIntervals += later.problematicIntervals;
+  deliveryWork += later.deliveryWork;
   if (problems.empty()) {
     problems = std::move(later.problems);
   } else {
@@ -454,6 +455,11 @@ PlaybackEngine::PlaybackEngine(const graph::Graph& overlay,
         "PlaybackEngine: trace edge count does not match overlay");
   if (params_.viewStaleness < 0)
     throw std::invalid_argument("PlaybackEngine: negative staleness");
+  // 0 would score every lossy interval 1 - 0/0 = NaN, a negative count
+  // as a certain miss.
+  if (params_.mcSamples < 1)
+    throw std::invalid_argument(
+        "PlaybackEngine: Monte-Carlo sample count must be at least 1");
 }
 
 std::vector<routing::DecisionCheckpoint> PlaybackEngine::replayCheckpoints(
@@ -1005,6 +1011,7 @@ RunPartial PlaybackEngine::score(const ScoreSpec& spec) const {
     total.merge(std::move(block));
     if (timed) lap(mergeNs);
   }
+  total.deliveryWork += workspace.work;
   if (timed) {
     stageTimings_.decodeNs.fetch_add(decodeNs, std::memory_order_relaxed);
     stageTimings_.mcNs.fetch_add(mcNs, std::memory_order_relaxed);

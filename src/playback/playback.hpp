@@ -26,9 +26,9 @@
 // (O(changes) per interval, zero allocation) handing out fingerprinted
 // borrowed NetworkViews; routing decisions are memoized across jobs in an
 // engine-owned, exact-keyed, internally synchronized memo. Monte-Carlo
-// evaluations are never memoized -- each interval draws from its own
-// deterministic RNG stream -- so results are bit-identical with the memo
-// and cursor on or off.
+// evaluations are never memoized across intervals -- each interval draws
+// from its own deterministic RNG stream -- so results are bit-identical
+// with the cursor on or off.
 #pragma once
 
 #include <atomic>
@@ -181,6 +181,9 @@ struct RunPartial {
   /// Receiver 0's per-interval latency, when
   /// PlaybackParams::collectIntervalLatencies is set.
   std::vector<double> intervalLatenciesUs;
+  /// Monte-Carlo verdict work of the range. Not a result: merges add it,
+  /// finalizePartial ignores it.
+  DeliveryWork deliveryWork;
 
   /// Sizes the per-receiver accumulators (idempotent).
   void resize(std::size_t receiverCount);

@@ -1,10 +1,10 @@
 // Group Monte-Carlo equivalence: onTimeCountsMCGroup (batched classify,
-// clean-path shortcut, per-pattern receiver-mask memo) must reproduce the
-// plain per-sample evaluator below count for count -- same per-receiver
-// on-time counts, same delivered histogram, same final RNG state -- under
-// every kernel pin, with and without recovery, for per-receiver
-// deadlines, and on graphs that take the >64-member / >64-receiver
-// fallback.
+// clean-path shortcut, per-pattern counts decided once by monotone
+// inference or a Dijkstra run) must reproduce the plain per-sample
+// evaluator below count for count -- same per-receiver on-time counts,
+// same delivered histogram, same final RNG state -- under every kernel
+// pin, with and without recovery, for per-receiver deadlines, and on
+// graphs that take the >64-member / >64-receiver fallback.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "graph/dissemination_graph.hpp"
+#include "graph/shortest_path.hpp"
 #include "mc_kernel_pins.hpp"
 #include "playback/delivery_model.hpp"
 #include "topogen/topogen.hpp"
@@ -255,6 +256,22 @@ void expectMatchesOracle(const graph::DisseminationGraph& dg,
   }
 }
 
+/// The union of each receiver's flooding graph pruned to half its
+/// deadline: a graph with few members.
+graph::DisseminationGraph prunedUnion(
+    const graph::Graph& g, graph::NodeId source,
+    const std::vector<graph::NodeId>& receivers,
+    const std::vector<util::SimTime>& deadlines) {
+  graph::DisseminationGraph pruned(g, source, receivers.front());
+  for (std::size_t r = 0; r < receivers.size(); ++r) {
+    graph::DisseminationGraph sub =
+        graph::floodingGraph(g, source, receivers[r]);
+    sub.pruneDeadlineInfeasible(g.baseLatencies(), deadlines[r] / 2);
+    pruned.unite(sub);
+  }
+  return pruned;
+}
+
 TEST(GroupMcEquivalence, MatchesFrozenOracleOnLtn12) {
   const auto topology = trace::Topology::ltn12();
   const graph::Graph& g = topology.graph();
@@ -273,13 +290,8 @@ TEST(GroupMcEquivalence, MatchesFrozenOracleOnLtn12) {
       // flooding graph pruned to half its deadline (few members).
       graph::DisseminationGraph flooding =
           graph::floodingGraph(g, source, receivers.front());
-      graph::DisseminationGraph pruned(g, source, receivers.front());
-      for (std::size_t r = 0; r < receivers.size(); ++r) {
-        graph::DisseminationGraph sub =
-            graph::floodingGraph(g, source, receivers[r]);
-        sub.pruneDeadlineInfeasible(g.baseLatencies(), deadlines[r] / 2);
-        pruned.unite(sub);
-      }
+      const graph::DisseminationGraph pruned =
+          prunedUnion(g, source, receivers, deadlines);
       for (const bool recovery : {true, false}) {
         DeliveryModelParams params;
         params.recoveryEnabled = recovery;
@@ -293,6 +305,151 @@ TEST(GroupMcEquivalence, MatchesFrozenOracleOnLtn12) {
           expectMatchesOracle(pruned, receivers, deadlines, c, params,
                               samples, seed, ws, label + " pruned");
         }
+      }
+    }
+  }
+  if (const std::string missing = kernelsNotRunHere(); !missing.empty()) {
+    GTEST_SKIP() << "kernels not run here: " << missing;
+  }
+}
+
+// Count-then-decide for receiver sets, branch by branch: L = 0..7 lossy
+// members (crossing the dense tally's cap of 6) on the way to a
+// receiver, one member exactly at the lossy threshold, near-lossless
+// members that deviate now and then, recovery on and off, sample counts
+// 1, 7, 1000 and 1001, and one workspace across graphs of different
+// member counts.
+TEST(GroupMcEquivalence, CountThenDecideMatchesOracleForEveryLossyCount) {
+  const auto topology = trace::Topology::ltn12();
+  const graph::Graph& g = topology.graph();
+  const graph::NodeId source = topology.at("NYC");
+  DeliveryWorkspace ws;
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    for (const std::size_t receiverCount : {std::size_t{3}, std::size_t{5}}) {
+      std::vector<graph::NodeId> receivers;
+      std::vector<util::SimTime> deadlines;
+      pickReceivers(g, source, receiverCount, seed * 31 + receiverCount,
+                    receivers, deadlines);
+      const graph::DisseminationGraph flooding =
+          graph::floodingGraph(g, source, receivers.front());
+      const graph::DisseminationGraph pruned =
+          prunedUnion(g, source, receivers, deadlines);
+      // One shortest path per receiver: a tree, each receiver's path
+      // bound widened to "lost" on the other branches.
+      graph::DisseminationGraph tree(g, source, receivers.front());
+      for (const graph::NodeId receiver : receivers) {
+        for (const graph::EdgeId e :
+             graph::shortestPath(g, source, receiver, g.baseLatencies())
+                 .edges)
+          tree.addEdge(e);
+      }
+      for (std::size_t lossy = 0; lossy <= 7; ++lossy) {
+        const graph::DisseminationGraph* graphs[] = {&tree, &pruned,
+                                                     &flooding};
+        for (const graph::DisseminationGraph* dg : graphs) {
+          if (dg->edges().size() < lossy) continue;
+          for (const bool recovery : {true, false}) {
+            DeliveryModelParams params;
+            params.recoveryEnabled = recovery;
+            for (const int samples : {1, 7, 1000, 1001}) {
+              Conditions c{test::lossyMemberLosses(
+                               g, *dg, g.baseLatencies(), receivers.back(),
+                               lossy, samples, seed * 1000 + lossy),
+                           g.baseLatencies()};
+              expectMatchesOracle(
+                  *dg, receivers, deadlines, c, params, samples, seed, ws,
+                  "seed " + std::to_string(seed) + " receivers " +
+                      std::to_string(receiverCount) + " lossy " +
+                      std::to_string(lossy) + " members " +
+                      std::to_string(dg->edges().size()) +
+                      (recovery ? " recovery" : " no-recovery"));
+            }
+          }
+        }
+      }
+    }
+  }
+  if (const std::string missing = kernelsNotRunHere(); !missing.empty()) {
+    GTEST_SKIP() << "kernels not run here: " << missing;
+  }
+}
+
+// One workspace alternates unicast -> group -> unicast calls on graphs
+// of different member counts; every call must match its oracle (a
+// unicast call is the one-receiver group of its destination).
+TEST(GroupMcEquivalence, WorkspaceReusedAcrossUnicastAndGroupCalls) {
+  const auto topology = trace::Topology::ltn12();
+  const graph::Graph& g = topology.graph();
+  const graph::NodeId source = topology.at("NYC");
+  const graph::NodeId destination = topology.at("SJC");
+  std::vector<graph::NodeId> receivers;
+  std::vector<util::SimTime> deadlines;
+  pickReceivers(g, source, 4, 77, receivers, deadlines);
+  const DeliveryModelParams params;
+  const graph::DisseminationGraph flooding =
+      graph::floodingGraph(g, source, destination);
+  const graph::DisseminationGraph groupFlooding =
+      graph::floodingGraph(g, source, receivers.front());
+  const graph::DisseminationGraph pruned =
+      prunedUnion(g, source, receivers, deadlines);
+  const graph::DisseminationGraph unicastPruned = prunedUnion(
+      g, source, std::vector<graph::NodeId>{destination},
+      std::vector<util::SimTime>{util::milliseconds(80)});
+  const std::vector<graph::NodeId> unicastReceiver = {destination};
+  const std::vector<util::SimTime> unicastDeadline = {params.deadline};
+
+  struct Call {
+    const graph::DisseminationGraph* dg;
+    bool unicast;
+    std::size_t lossy;
+  };
+  const Call calls[] = {{&flooding, true, 7},     {&pruned, false, 3},
+                        {&unicastPruned, true, 2}, {&groupFlooding, false, 7},
+                        {&flooding, true, 1},     {&pruned, false, 6}};
+  const int samples = 1000;
+  KernelPinGuard guard;
+  for (const detail::McKernel kernel : allKernels()) {
+    DeliveryWorkspace ws;
+    for (std::uint64_t round = 0; round < 3; ++round) {
+      for (std::size_t k = 0; k < std::size(calls); ++k) {
+        const Call& call = calls[k];
+        const std::vector<graph::NodeId>& to =
+            call.unicast ? unicastReceiver : receivers;
+        const std::vector<util::SimTime>& by =
+            call.unicast ? unicastDeadline : deadlines;
+        const Conditions c{
+            test::lossyMemberLosses(g, *call.dg, g.baseLatencies(),
+                                    to.back(), call.lossy, samples,
+                                    round * 10 + k),
+            g.baseLatencies()};
+        const std::uint64_t seed = round * 100 + k;
+        std::vector<int> refCounts;
+        std::vector<int> refHistogram;
+        util::Rng refRng(seed);
+        referenceOnTimeCountsMCGroup(*call.dg, to, by, c.losses,
+                                     c.latencies, params, samples, refRng,
+                                     refCounts, refHistogram);
+        const std::string where =
+            "kernel " + std::to_string(static_cast<int>(kernel)) +
+            " round " + std::to_string(round) + " call " +
+            std::to_string(k);
+        detail::setMcKernelForTest(kernel);
+        util::Rng rng(seed);
+        if (call.unicast) {
+          EXPECT_EQ(onTimeProbabilityMC(*call.dg, c.losses, c.latencies,
+                                        params, samples, rng, ws),
+                    static_cast<double>(refCounts[0]) / samples)
+              << where;
+        } else {
+          std::vector<int> counts(to.size(), -1);
+          std::vector<int> histogram(to.size() + 1, -1);
+          onTimeCountsMCGroup(*call.dg, to, by, c.losses, c.latencies,
+                              params, samples, rng, ws, counts, histogram);
+          EXPECT_EQ(counts, refCounts) << where;
+          EXPECT_EQ(histogram, refHistogram) << where;
+        }
+        EXPECT_EQ(rng.next(), refRng.next())
+            << "RNG state diverged: " << where;
       }
     }
   }

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "mcast/group.hpp"
+#include "mcast/scheme.hpp"
 #include "playback/experiment.hpp"
 #include "playback/playback.hpp"
 #include "store/writer.hpp"
@@ -182,6 +184,61 @@ TEST_F(ChunkedSweep, PartialFoldMatchesRunRange) {
     const auto direct =
         engine.runRange(flow, kind, {}, 0, trace_.intervalCount());
     expectResultsIdentical(folded, direct);
+  }
+}
+
+// The Monte-Carlo verdict work a sweep reports -- verdict Dijkstra runs
+// and inferred verdicts -- is a pure function of the evaluations made:
+// the same at 1 and 4 threads, and the same for the packed runner and
+// the in-memory runner blocked at the container's chunk length, for
+// flows and for groups.
+TEST_F(ChunkedSweep, DeliveryWorkIsThreadAndRunnerInvariant) {
+  const std::string path = packToTemp(trace_, "chunked_work.dgtrace", 32);
+  const graph::Graph& g = topology_.graph();
+  const auto at = [&](const char* site) { return topology_.at(site); };
+  const std::vector<mcast::Group> flowUnits = {
+      mcast::oneReceiverGroup(config_.flows[0]),
+      mcast::oneReceiverGroup(config_.flows[1])};
+  const std::vector<mcast::Group> groups = {
+      {at("NYC"), {at("SJC"), at("LAX"), at("SEA")}, {}},
+      {at("WAS"), {at("SEA"), at("DFW"), at("CHI")}, {}}};
+  std::vector<mcast::GroupSchemeKind> flowKinds;
+  for (const routing::SchemeKind kind : routing::allSchemeKinds())
+    flowKinds.push_back(mcast::groupEquivalent(kind));
+  const std::vector<mcast::GroupSchemeKind> groupKinds =
+      mcast::allGroupSchemeKinds();
+  const auto ignore = [](const playback::PlaybackEngine&, std::size_t,
+                         playback::RunPartial&&) {};
+
+  for (const bool flows : {true, false}) {
+    playback::SweepSpec packed;
+    packed.units = flows ? flowUnits : groups;
+    packed.schemes = flows ? flowKinds : groupKinds;
+    packed.flowUnits = flows;
+    packed.playback.base = config_.playback;
+    playback::SweepSpec blocked = packed;
+    blocked.playback.base.accumBlockIntervals = 32;
+
+    packed.threads = 1;
+    const playback::DeliveryWork reference =
+        playback::runSweep(g, nullptr, path, packed, nullptr, ignore)
+            .delivery;
+    EXPECT_GT(reference.dijkstraRuns, 0u) << "flows " << flows;
+    EXPECT_GT(reference.inferredVerdicts, 0u) << "flows " << flows;
+    packed.threads = 4;
+    EXPECT_EQ(
+        playback::runSweep(g, nullptr, path, packed, nullptr, ignore)
+            .delivery,
+        reference)
+        << "packed, 4 threads, flows " << flows;
+    for (const unsigned threads : {1u, 4u}) {
+      blocked.threads = threads;
+      EXPECT_EQ(
+          playback::runSweep(g, &trace_, "", blocked, nullptr, ignore)
+              .delivery,
+          reference)
+          << "in-memory, " << threads << " threads, flows " << flows;
+    }
   }
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "mc_kernel_pins.hpp"
+#include "reference_evaluators.hpp"
 #include "routing/targeted_graphs.hpp"
 #include "test_support.hpp"
 #include "trace/topology.hpp"
@@ -187,6 +192,81 @@ TEST(MonteCarloDelivery, ZeroSamplesIsZero) {
       onTimeProbabilityMC(dg, std::vector<double>(4, 0.0),
                           line.g.baseLatencies(), defaults(), 0, rng),
       0.0);
+}
+
+// Count-then-decide work on hand-checked cases: a source -> destination
+// diamond with path A (s-a-d, 10 + 10 ms) and path B (s-b-d, 15 + 15 ms),
+// 1000 samples, loss 0.5 on each edge of A, none on B. A recovered hop
+// takes 3 * 10 + 10 = 40 ms. The eight patterns that slow A down are
+// decided in ascending key order (sa's code in the low bits):
+//  - A alone, 45 ms deadline: every slowed pattern is late. (1,0) and
+//    (0,1) need Dijkstra runs; each other pattern lies above one of them
+//    and is late too: 2 runs, 6 inferred.
+//  - A alone, 55 ms: (1,0) and (0,1) arrive at 50 ms. Runs for (1,0),
+//    (2,0), (0,1), (1,1) and (0,2); (2,1), (1,2) and (2,2) lie above a
+//    late one: 5 runs, 3 inferred.
+//  - A and B, 45 ms: (1,0) reaches d over B, which no pattern slows down,
+//    so its widened path bound covers every other pattern: 1 run, 7
+//    inferred.
+// Every kernel pin finds the same counts, and every result matches the
+// frozen reference.
+TEST(MonteCarloInference, DecidesPatternsFromTheirNeighboursVerdicts) {
+  graph::Graph g;
+  const graph::NodeId s = g.addNode();
+  const graph::NodeId a = g.addNode();
+  const graph::NodeId b = g.addNode();
+  const graph::NodeId d = g.addNode();
+  const graph::EdgeId sa = g.addEdge(s, a, util::milliseconds(10));
+  const graph::EdgeId ad = g.addEdge(a, d, util::milliseconds(10));
+  const graph::EdgeId sb = g.addEdge(s, b, util::milliseconds(15));
+  const graph::EdgeId bd = g.addEdge(b, d, util::milliseconds(15));
+  const graph::Path pathA{sa, ad};
+  const graph::Path pathB{sb, bd};
+  const graph::DisseminationGraph onlyA =
+      graph::singlePathGraph(g, s, d, pathA);
+  const std::vector<graph::Path> both{pathA, pathB};
+  const graph::DisseminationGraph diamond =
+      graph::multiPathGraph(g, s, d, both);
+  std::vector<double> losses(g.edgeCount(), 0.0);
+  losses[sa] = 0.5;
+  losses[ad] = 0.5;
+  const std::vector<util::SimTime> latencies = g.baseLatencies();
+
+  struct Case {
+    const graph::DisseminationGraph* dg;
+    int deadlineMs;
+    std::uint64_t runs;
+    std::uint64_t inferred;
+  };
+  const Case cases[] = {
+      {&onlyA, 45, 2, 6}, {&onlyA, 55, 5, 3}, {&diamond, 45, 1, 7}};
+  std::string missing;
+  const std::vector<detail::McKernel> kernels =
+      test::runnableMcKernels(missing);
+  for (const Case& c : cases) {
+    DeliveryModelParams params;
+    params.deadline = util::milliseconds(c.deadlineMs);
+    util::Rng refRng(3);
+    const double reference = test::onTimeProbabilityMCReference(
+        *c.dg, losses, latencies, params, 1000, refRng);
+    for (const detail::McKernel kernel : kernels) {
+      detail::setMcKernelForTest(kernel);
+      DeliveryWorkspace ws;
+      util::Rng rng(3);
+      const std::string where =
+          "deadline " + std::to_string(c.deadlineMs) + " members " +
+          std::to_string(c.dg->edges().size()) + " kernel " +
+          std::to_string(static_cast<int>(kernel));
+      EXPECT_EQ(onTimeProbabilityMC(*c.dg, losses, latencies, params, 1000,
+                                    rng, ws),
+                reference)
+          << where;
+      EXPECT_EQ(ws.work.dijkstraRuns, c.runs) << where;
+      EXPECT_EQ(ws.work.inferredVerdicts, c.inferred) << where;
+    }
+    detail::setMcKernelForTest(detail::McKernel::kAuto);
+  }
+  if (!missing.empty()) GTEST_SKIP() << "kernels not run here: " << missing;
 }
 
 // The engine reads the transmission cost off the workspace's

@@ -14,6 +14,8 @@
 #include "playback/experiment.hpp"
 #include "playback/playback.hpp"
 #include "reference_evaluators.hpp"
+#include "graph/dissemination_graph.hpp"
+#include "graph/shortest_path.hpp"
 #include "routing/targeted_graphs.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
@@ -286,6 +288,82 @@ TEST(DeliveryEquivalence, AllKernelsMatchReferenceAcrossSeedsAndCounts) {
         }
         playback::detail::setMcKernelForTest(
             playback::detail::McKernel::kAuto);
+      }
+    }
+  }
+  if (!missing.empty()) GTEST_SKIP() << "kernels not run here: " << missing;
+}
+
+// Count-then-decide, branch by branch: calls with L = 0..7 lossy members
+// (loss above 1 / samples), crossing the dense tally's cap of 6; one
+// member exactly at the threshold and near-lossless members that deviate
+// now and then (both tallied in the keyed table); recovery on and off
+// (off leaves the recovered band empty); sample counts that run serially
+// (1, 7) or split into lanes with and without leftovers (1000, 1001). One
+// workspace serves every call, across graphs of 3 to 64 member edges, so
+// a count or bound left over from an earlier call would show. Each call
+// must match the frozen reference and its final RNG state under every
+// kernel pin.
+TEST(DeliveryEquivalence, CountThenDecideMatchesReferenceForEveryLossyCount) {
+  const auto topology = trace::Topology::ltn12();
+  const graph::Graph& g = topology.graph();
+  const routing::Flow flow{topology.at("NYC"), topology.at("SJC")};
+  const auto targeted = routing::buildTargetedGraphs(
+      g, flow, g.baseLatencies(), util::milliseconds(65));
+  const graph::DisseminationGraph flooding =
+      graph::floodingGraph(g, flow.source, flow.destination);
+  // On one path every member is on it, so a pattern's widened path bound
+  // is the pattern itself.
+  const graph::DisseminationGraph singlePath = graph::singlePathGraph(
+      g, flow.source, flow.destination,
+      graph::shortestPath(g, flow.source, flow.destination,
+                          g.baseLatencies())
+          .edges);
+  const graph::DisseminationGraph* graphs[] = {
+      &singlePath, &targeted.sourceProblem, &targeted.destinationProblem,
+      &flooding};
+
+  std::string missing;
+  const std::vector<playback::detail::McKernel> kernels =
+      test::runnableMcKernels(missing);
+  playback::DeliveryWorkspace ws;
+  std::vector<util::SimTime> latencies = g.baseLatencies();
+  for (graph::EdgeId e = 0; e < g.edgeCount(); e += 5) latencies[e] *= 2;
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    for (std::size_t lossy = 0; lossy <= 7; ++lossy) {
+      for (const graph::DisseminationGraph* dg : graphs) {
+        if (dg->edges().size() < lossy) continue;
+        for (const bool recovery : {true, false}) {
+          playback::DeliveryModelParams params;
+          params.recoveryEnabled = recovery;
+          for (const int samples : {1, 7, 1000, 1001}) {
+            const std::vector<double> losses = test::lossyMemberLosses(
+                g, *dg, latencies, flow.destination, lossy, samples,
+                seed * 100 + lossy);
+            util::Rng refRng(seed);
+            const double reference = test::onTimeProbabilityMCReference(
+                *dg, losses, latencies, params, samples, refRng);
+            const std::uint64_t refFinal = refRng.next();
+            for (const auto kernel : kernels) {
+              playback::detail::setMcKernelForTest(kernel);
+              util::Rng rng(seed);
+              const double got = playback::onTimeProbabilityMC(
+                  *dg, losses, latencies, params, samples, rng, ws);
+              const std::string where =
+                  "kernel " + std::to_string(static_cast<int>(kernel)) +
+                  " seed " + std::to_string(seed) + " lossy " +
+                  std::to_string(lossy) + " members " +
+                  std::to_string(dg->edges().size()) +
+                  (recovery ? " recovery" : " no-recovery") + " samples " +
+                  std::to_string(samples);
+              EXPECT_EQ(got, reference) << where;
+              EXPECT_EQ(rng.next(), refFinal)
+                  << "RNG state diverged: " << where;
+            }
+            playback::detail::setMcKernelForTest(
+                playback::detail::McKernel::kAuto);
+          }
+        }
       }
     }
   }

@@ -201,5 +201,22 @@ TEST(PlaybackEngine, RejectsMismatchedTrace) {
                std::invalid_argument);
 }
 
+// A sample count below 1 used to be accepted: 0 scored every lossy
+// interval as NaN (1 - 0/0) and a negative count as a certain miss.
+TEST(PlaybackEngine, RejectsSampleCountBelowOne) {
+  const auto topology = trace::Topology::ltn12();
+  const auto trace = test::healthyTrace(topology.graph(), 5);
+  for (const int samples : {0, -1, -1000}) {
+    PlaybackParams params;
+    params.mcSamples = samples;
+    EXPECT_THROW(PlaybackEngine(topology.graph(), trace, params),
+                 std::invalid_argument)
+        << "samples " << samples;
+  }
+  PlaybackParams one;
+  one.mcSamples = 1;
+  EXPECT_NO_THROW(PlaybackEngine(topology.graph(), trace, one));
+}
+
 }  // namespace
 }  // namespace dg::playback
