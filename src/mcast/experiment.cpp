@@ -55,7 +55,7 @@ GroupExperimentResult runGroupSweep(const graph::Graph& overlay,
   const std::size_t schemeCount = config.schemes.size();
   GroupExperimentResult result;
   result.perGroup.resize(config.groups.size() * schemeCount);
-  playback::runSweep(
+  const playback::SweepStats stats = playback::runSweep(
       overlay, trace, packedPath, spec, telemetry,
       [&](const playback::PlaybackEngine& engine, std::size_t job,
           GroupRunPartial&& total) {
@@ -63,6 +63,10 @@ GroupExperimentResult runGroupSweep(const graph::Graph& overlay,
             config.groups[job / schemeCount],
             config.schemes[job % schemeCount], std::move(total));
       });
+  result.memoStats = stats.memoStats;
+  result.stages = stats.stages;
+  result.replay = stats.replay;
+  result.delivery = stats.delivery;
   summarizeSchemes(result, config);
   return result;
 }

@@ -52,6 +52,15 @@ struct GroupExperimentResult {
   std::vector<GroupSchemeResult> perGroup;
   std::vector<GroupSchemeSummary> summary;  ///< in config.schemes order
 
+  /// What the sweep reports besides its results, as for the unicast
+  /// runners (see playback::SweepStats): decision-memo traffic, per-stage
+  /// wall-clock totals (when PlaybackParams::collectStageTimings is set),
+  /// phase-1 decision replay work and phase-2 Monte-Carlo verdict work.
+  routing::DecisionMemo::Stats memoStats;
+  playback::ExperimentResult::StageBreakdown stages;
+  playback::DecisionReplay::Work replay;
+  playback::DeliveryWork delivery;
+
   const GroupSchemeResult& at(std::size_t groupIndex,
                               std::size_t schemeIndex,
                               std::size_t schemeCount) const {

@@ -239,6 +239,10 @@ void drawSerialKeys(util::Rng& rng, std::size_t memberCount,
   }
 }
 
+/// Low key word mark of a sample the lane kernels flagged: code 3 at
+/// member 31, which no drawn key has.
+constexpr std::uint64_t kFlagged = std::uint64_t{3} << 62;
+
 #if DG_MC_HAVE_SIMD_TARGETS
 // The lane kernels are one generic body over GCC vector types, compiled
 // once per instruction set: each entry point carries its target attribute
@@ -270,18 +274,29 @@ __attribute__((always_inline)) inline void nextLanes(V& s0, V& s1, V& s2,
   s3 = (s3 << 45) | (s3 >> 19);
 }
 
-/// Adds one member's outcome code to every lane's key: `bit` (code 1)
-/// once per band the draw lies beyond, on-time -> recovered -> lost. Both
-/// sides of the compares are 53-bit integers, so signed compares are
-/// exact.
+/// What the lane kernels draw and classify: the call's lossy members in
+/// member order (the first loSteps feed the low key word, the others the
+/// high one, which starts at member keySplit) and every member's
+/// near-lossless bound.
+struct McLaneProgram {
+  std::size_t memberCount = 0;
+  std::size_t keySplit = 0;
+  std::size_t loSteps = 0;
+  std::size_t steps = 0;
+  const detail::McLossyStep* lossy = nullptr;
+  const std::uint64_t* rareFrom = nullptr;
+};
+
+/// Adds one lossy member's outcome code to every lane's key: `bit`
+/// (code 1) once per band the draw lies beyond, on-time -> recovered ->
+/// lost, as a compare and a masked add per band. Both sides of the
+/// compares are 53-bit integers, so signed compares are exact.
 template <typename V, typename S>
 __attribute__((always_inline)) inline void addCode(
-    V& key, const V& draw, std::uint64_t thrOnTime,
-    std::uint64_t thrRecovered, std::uint64_t bit) {
+    V& key, const V& draw, const detail::McLossyStep& step) {
   const S k = (S)(draw >> 11);
-  const S late = k >= (S)(V{} + thrOnTime);
-  const S lost = k >= (S)(V{} + thrRecovered);
-  key += ((V)late & bit) + ((V)lost & bit);
+  key = k >= (S)(V{} + step.thrOnTime) ? key + step.bit : key;
+  key = k >= (S)(V{} + step.thrRecovered) ? key + step.bit : key;
 }
 
 /// The lane kernel (see McKernel) on W = sizeof(V) / 8 lanes. First one
@@ -289,16 +304,19 @@ __attribute__((always_inline)) inline void addCode(
 /// steps through the generator on every lane and is XORed into lane j's
 /// accumulator wherever lane j's polynomial has a 1. Then the lanes draw
 /// and classify q samples each in lock-step; every lane is at the same
-/// member at the same step, so the thresholds are broadcasts. Lane j's
-/// t-th key lands at keyLo/keyHi[t * W + j], the last lane's end state in
-/// `end`.
+/// member at the same step, so the thresholds are broadcasts. A lossy
+/// member adds its code to the key; a near-lossless one only flags the
+/// sample when its raw draw reaches rareFrom, one unsigned compare (see
+/// planMonteCarlo). A flagged sample's low key word gets kFlagged. Lane
+/// j's t-th key lands at keyLo/keyHi[t * W + j] and its generator state
+/// at the start of the sample in states[(4t + w) * W + j] for w = 0..3;
+/// the last lane's end state goes to `end`.
 // dgcheck: hot
 template <typename V, typename S>
 __attribute__((always_inline)) inline void laneKeys(
     const util::Rng::State& seed, const detail::McLaneJumps& jumps,
-    std::size_t memberCount, std::size_t q, const std::uint64_t* thrOnTime,
-    const std::uint64_t* thrRecovered, std::uint64_t* keyLo,
-    std::uint64_t* keyHi, util::Rng::State& end) {
+    const McLaneProgram& prog, std::size_t q, std::uint64_t* keyLo,
+    std::uint64_t* keyHi, std::uint64_t* states, util::Rng::State& end) {
   constexpr std::size_t kLanes = sizeof(V) / sizeof(std::uint64_t);
   V laneBit = {};
   for (std::size_t j = 0; j < kLanes; ++j) laneBit[j] = std::uint64_t{1} << j;
@@ -319,20 +337,40 @@ __attribute__((always_inline)) inline void laneKeys(
     a3 ^= s3 & mask;
     nextLanes(s0, s1, s2, s3, draw);
   }
-  const std::size_t lowCount = std::min<std::size_t>(memberCount, 32);
+  const V flagged = V{} + kFlagged;
   for (std::size_t t = 0; t < q; ++t) {
+    std::uint64_t* state = states + 4 * kLanes * t;
+    std::memcpy(state, &a0, sizeof a0);
+    std::memcpy(state + kLanes, &a1, sizeof a1);
+    std::memcpy(state + 2 * kLanes, &a2, sizeof a2);
+    std::memcpy(state + 3 * kLanes, &a3, sizeof a3);
     V lo = {};
     V hi = {};
-    for (std::size_t i = 0; i < lowCount; ++i) {
+    V flag = {};
+    std::size_t i = 0;
+    const auto nearLosslessUntil =
+        [&](std::size_t stop) __attribute__((always_inline)) {
+          for (; i < stop; ++i) {
+            nextLanes(a0, a1, a2, a3, draw);
+            flag = draw >= (V{} + prog.rareFrom[i]) ? flagged : flag;
+          }
+        };
+    std::size_t k = 0;
+    for (; k < prog.loSteps; ++k) {
+      nearLosslessUntil(prog.lossy[k].member);
       nextLanes(a0, a1, a2, a3, draw);
-      addCode<V, S>(lo, draw, thrOnTime[i], thrRecovered[i],
-                    std::uint64_t{1} << (2 * i));
+      addCode<V, S>(lo, draw, prog.lossy[k]);
+      ++i;
     }
-    for (std::size_t i = 32; i < memberCount; ++i) {
+    nearLosslessUntil(prog.keySplit);
+    for (; k < prog.steps; ++k) {
+      nearLosslessUntil(prog.lossy[k].member);
       nextLanes(a0, a1, a2, a3, draw);
-      addCode<V, S>(hi, draw, thrOnTime[i], thrRecovered[i],
-                    std::uint64_t{1} << (2 * (i - 32)));
+      addCode<V, S>(hi, draw, prog.lossy[k]);
+      ++i;
     }
+    nearLosslessUntil(prog.memberCount);
+    lo |= flag;
     std::memcpy(keyLo + kLanes * t, &lo, sizeof lo);
     std::memcpy(keyHi + kLanes * t, &hi, sizeof hi);
   }
@@ -342,21 +380,19 @@ __attribute__((always_inline)) inline void laneKeys(
 // dgcheck: hot
 __attribute__((target("avx2"))) void laneKeysAvx2(
     const util::Rng::State& seed, const detail::McLaneJumps& jumps,
-    std::size_t memberCount, std::size_t q, const std::uint64_t* thrOnTime,
-    const std::uint64_t* thrRecovered, std::uint64_t* keyLo,
-    std::uint64_t* keyHi, util::Rng::State& end) {
-  laneKeys<Lanes4, Lanes4Signed>(seed, jumps, memberCount, q, thrOnTime,
-                                 thrRecovered, keyLo, keyHi, end);
+    const McLaneProgram& prog, std::size_t q, std::uint64_t* keyLo,
+    std::uint64_t* keyHi, std::uint64_t* states, util::Rng::State& end) {
+  laneKeys<Lanes4, Lanes4Signed>(seed, jumps, prog, q, keyLo, keyHi, states,
+                                 end);
 }
 
 // dgcheck: hot
 __attribute__((target("avx512f"))) void laneKeysAvx512(
     const util::Rng::State& seed, const detail::McLaneJumps& jumps,
-    std::size_t memberCount, std::size_t q, const std::uint64_t* thrOnTime,
-    const std::uint64_t* thrRecovered, std::uint64_t* keyLo,
-    std::uint64_t* keyHi, util::Rng::State& end) {
-  laneKeys<Lanes8, Lanes8Signed>(seed, jumps, memberCount, q, thrOnTime,
-                                 thrRecovered, keyLo, keyHi, end);
+    const McLaneProgram& prog, std::size_t q, std::uint64_t* keyLo,
+    std::uint64_t* keyHi, std::uint64_t* states, util::Rng::State& end) {
+  laneKeys<Lanes8, Lanes8Signed>(seed, jumps, prog, q, keyLo, keyHi, states,
+                                 end);
 }
 
 /// The jump polynomials of a `lanes`-way split with `stride` draws per
@@ -428,6 +464,9 @@ int resolveMcLanes(int samples, std::size_t memberCount) {
 constexpr std::size_t kDenseMaxLossy = 6;
 constexpr std::size_t kDenseCounts = std::size_t{1} << (2 * kDenseMaxLossy);
 
+/// On-time threshold of a member whose draws are all on time: 2^53.
+constexpr std::uint64_t kNeverDeviates = std::uint64_t{1} << 53;
+
 /// What one Monte-Carlo call derives before its sample loop (see
 /// planMonteCarlo). A verdict is the bitmask of receivers reached on time.
 struct McPlan {
@@ -456,6 +495,12 @@ struct McPlan {
   std::array<std::uint8_t, kDenseMaxLossy> lossy = {};
   std::uint64_t lossyLo = 0;
   std::uint64_t lossyHi = 0;
+  /// Keyed calls: ws.mcLossySteps lists every lossy member; the first
+  /// loSteps feed the low key word, the rest the high one, which starts
+  /// at member keySplit. A dense call puts all of them in the low word at
+  /// their dense positions, so the lane kernels emit dense indices.
+  std::size_t loSteps = 0;
+  std::size_t keySplit = 0;
 };
 
 /// Set-up shared by both Monte-Carlo evaluators (the unicast one is the
@@ -521,6 +566,7 @@ McPlan planMonteCarlo(const graph::DisseminationGraph& dg,
     ws.mcRecoveredLatency.resize(memberCount);
     ws.mcOnCleanPath.resize(memberCount);
   }
+  if (ws.mcRareFrom.size() < memberCount) ws.mcRareFrom.resize(memberCount);
   constexpr double kScale53 = 9007199254740992.0;  // 2^53
   const double lossyAbove = 1.0 / static_cast<double>(samples);
   for (std::size_t i = 0; i < memberCount; ++i) {
@@ -532,6 +578,12 @@ McPlan planMonteCarlo(const graph::DisseminationGraph& dg,
         params.recoveryEnabled
             ? static_cast<std::uint64_t>(std::ceil((1.0 - p * p) * kScale53))
             : ws.mcThrOnTime[i];
+    // (d >> 11) >= thr holds exactly when d >= thr * 2^11 for thr < 2^53.
+    // A member with thr = 2^53 never deviates; its sentinel bound flags
+    // only d = 2^64 - 1, and a flagged sample is re-drawn exactly.
+    ws.mcRareFrom[i] = ws.mcThrOnTime[i] < kNeverDeviates
+                           ? ws.mcThrOnTime[i] << 11
+                           : ~std::uint64_t{0};
     ws.mcLatency[i] = lat;
     ws.mcRecoveredLatency[i] = 3 * lat + params.packetInterval;
     ws.mcMemberOf[members[i]] = static_cast<std::uint32_t>(i);
@@ -545,6 +597,20 @@ McPlan planMonteCarlo(const graph::DisseminationGraph& dg,
     }
   }
   plan.dense = plan.keyed && plan.lossyCount <= kDenseMaxLossy;
+  ws.mcLossySteps.clear();
+  if (plan.keyed) {
+    plan.keySplit =
+        plan.dense ? memberCount : std::min<std::size_t>(memberCount, 32);
+    for (std::size_t i = 0; i < memberCount; ++i) {
+      if (!(lossRates[members[i]] > lossyAbove)) continue;
+      const std::size_t position =
+          plan.dense ? ws.mcLossySteps.size() : (i & 31);
+      if (i < plan.keySplit) ++plan.loSteps;
+      ws.mcLossySteps.push_back(detail::McLossyStep{  // dgcheck: ok(R5): workspace list; its capacity settles after the first calls
+          static_cast<std::uint32_t>(i), ws.mcThrOnTime[i],
+          ws.mcThrRecovered[i], std::uint64_t{1} << (2 * position)});
+    }
+  }
 
   std::fill_n(ws.mcOnCleanPath.begin(),
               static_cast<std::ptrdiff_t>(memberCount), char{0});
@@ -600,17 +666,22 @@ bool touchesCleanPath(const McPlan& plan, std::uint64_t lo, std::uint64_t hi) {
 /// one. The order is therefore a linear extension of the outcome order:
 /// decidePattern sees every evaluated pattern below the one it decides.
 ///
-/// A dense call counts every sample that deviates on lossy members only
-/// at its dense index, without a branch per sample -- whether a sample
-/// touches a clean path is about a coin flip, so a branch on it would
-/// mispredict half the time -- and sorts its patterns into clean and
-/// other ones afterwards. The dense counts are zero again on return.
-/// Every other sample is moved to the front of keyLo/keyHi (which it
-/// overwrites) and counted in the keyed table.
+/// Samples [0, laneEnd) come from the lane kernels: `replay(s)` re-draws
+/// a flagged one into its full key. The others hold full keys. A dense
+/// call counts every sample that deviates on lossy members only at its
+/// dense index -- which the lane kernels emit directly -- without a
+/// branch per sample: whether a sample touches a clean path is about a
+/// coin flip, so a branch on it would mispredict half the time. Its
+/// patterns are sorted into clean and other ones afterwards, and the
+/// dense counts are zero again on return. Every other sample is moved to
+/// the front of keyLo/keyHi (which it overwrites) and counted in the
+/// keyed table.
 // dgcheck: hot
+template <typename ReplayFn>
 int tallyPatterns(const McPlan& plan, std::uint64_t* keyLo,
-                  std::uint64_t* keyHi, std::size_t total,
-                  DeliveryWorkspace& ws) {
+                  std::uint64_t* keyHi, std::size_t laneEnd,
+                  std::size_t total, DeliveryWorkspace& ws,
+                  ReplayFn&& replay) {
   std::vector<detail::McPattern>& patterns = ws.mcPatterns;
   patterns.clear();
   patterns.reserve(total);
@@ -624,25 +695,39 @@ int tallyPatterns(const McPlan& plan, std::uint64_t* keyLo,
     std::uint32_t* counts = ws.mcDenseCounts.data();
     std::uint32_t* touched = ws.mcDenseTouched.data();
     std::size_t touchedCount = 0;
-    for (std::size_t s = 0; s < total; ++s) {
+    const auto count = [&](std::uint64_t index) {
+      touched[touchedCount] = static_cast<std::uint32_t>(index);
+      touchedCount += counts[index]++ == 0 ? 1u : 0u;
+    };
+    // A full key deviating off the lossy set goes to the keyed table; one
+    // that does not (every serially drawn key, or a flag raised by the
+    // sentinel bound) is counted at its dense index.
+    const auto countFullKey = [&](std::size_t s) {
       const std::uint64_t lo = keyLo[s];
       const std::uint64_t hi = keyHi[s];
-      if (((lo & ~plan.lossyLo) | (hi & ~plan.lossyHi)) != 0) [[unlikely]] {
+      if (((lo & ~plan.lossyLo) | (hi & ~plan.lossyHi)) != 0) {
         keyLo[keyed] = lo;
         keyHi[keyed] = hi;
         ++keyed;
-        continue;
+        return;
       }
-      std::uint32_t index = 0;
+      std::uint64_t index = 0;
       for (std::size_t j = 0; j < plan.lossyCount; ++j) {
         const std::size_t i = plan.lossy[j];
         const std::uint64_t word = i < 32 ? lo : hi;
-        index |= static_cast<std::uint32_t>((word >> (2 * (i & 31))) & 3)
-                 << (2 * j);
+        index |= ((word >> (2 * (i & 31))) & 3) << (2 * j);
       }
-      touched[touchedCount] = index;
-      touchedCount += counts[index]++ == 0 ? 1u : 0u;
+      count(index);
+    };
+    for (std::size_t s = 0; s < laneEnd; ++s) {
+      if (keyLo[s] >= kFlagged) [[unlikely]] {
+        replay(s);
+        countFullKey(s);
+        continue;
+      }
+      count(keyLo[s]);
     }
+    for (std::size_t s = laneEnd; s < total; ++s) countFullKey(s);
     // Ascending dense indices give ascending keys: both list the lossy
     // members' codes in member order.
     std::sort(touched, touched + touchedCount);
@@ -665,6 +750,7 @@ int tallyPatterns(const McPlan& plan, std::uint64_t* keyLo,
     }
   } else {
     for (std::size_t s = 0; s < total; ++s) {
+      if (s < laneEnd && keyLo[s] >= kFlagged) [[unlikely]] replay(s);
       const std::uint64_t lo = keyLo[s];
       const std::uint64_t hi = keyHi[s];
       keyLo[keyed] = lo;
@@ -824,6 +910,12 @@ std::uint64_t decidePattern(const detail::McPattern& pattern,
 /// ends advanced by exactly samples * memberCount draws, and the distinct
 /// patterns and their counts -- hence every Dijkstra run -- are the same
 /// under every kernel.
+///
+/// The lane kernels key only the lossy members (a dense call's at their
+/// dense positions) and flag a sample in which a near-lossless member may
+/// deviate. The tally re-draws each flagged sample serially from its
+/// lane's state snapshot, which gives it the full key the serial kernel
+/// draws, and then treats it as a serially drawn sample.
 // dgcheck: hot
 template <typename EvaluateFn, typename ScoreFn>
 void scoreKeyedSamples(const McPlan& plan,
@@ -853,13 +945,22 @@ void scoreKeyedSamples(const McPlan& plan,
   if (width > 1) {
     const detail::McLaneJumps& jumps = laneJumps(
         ws, memberCount, q * memberCount, static_cast<int>(width));
+    if (ws.mcLaneStates.size() < 4 * width * q)
+      ws.mcLaneStates.resize(4 * width * q);
+    McLaneProgram prog;
+    prog.memberCount = memberCount;
+    prog.keySplit = plan.keySplit;
+    prog.loSteps = plan.loSteps;
+    prog.steps = ws.mcLossySteps.size();
+    prog.lossy = ws.mcLossySteps.data();
+    prog.rareFrom = ws.mcRareFrom.data();
     util::Rng::State end = {};
     if (width == 8) {
-      laneKeysAvx512(localRng.state(), jumps, memberCount, q, thrOnTime,
-                     thrRecovered, keyLo, keyHi, end);
+      laneKeysAvx512(localRng.state(), jumps, prog, q, keyLo, keyHi,
+                     ws.mcLaneStates.data(), end);
     } else {
-      laneKeysAvx2(localRng.state(), jumps, memberCount, q, thrOnTime,
-                   thrRecovered, keyLo, keyHi, end);
+      laneKeysAvx2(localRng.state(), jumps, prog, q, keyLo, keyHi,
+                   ws.mcLaneStates.data(), end);
     }
     // The last lane ended width * q samples into the stream, exactly where
     // the serial leftovers start.
@@ -871,7 +972,20 @@ void scoreKeyedSamples(const McPlan& plan,
                  total, keyLo, keyHi);
   rng = localRng;
 
-  const int cleanCount = tallyPatterns(plan, keyLo, keyHi, total, ws);
+  // Re-draws flagged lane sample s from its lane's snapshot at the
+  // sample's start into its full key.
+  const auto replay = [&](std::size_t s) {
+    const std::uint64_t* state =
+        ws.mcLaneStates.data() + 4 * width * (s / width) + s % width;
+    util::Rng sampleRng;
+    sampleRng.setState(
+        {state[0], state[width], state[2 * width], state[3 * width]});
+    drawSerialKeys(sampleRng, memberCount, thrOnTime, thrRecovered, s, s + 1,
+                   keyLo, keyHi);
+    ++ws.mcReplayedSamples;
+  };
+  const int cleanCount =
+      tallyPatterns(plan, keyLo, keyHi, serialFrom, total, ws, replay);
   if (cleanCount > 0) score(plan.cleanVerdict, cleanCount);
   for (const detail::McPattern& pattern : ws.mcPatterns) {
     score(decidePattern(pattern, plan, members, ws, evaluate),

@@ -80,6 +80,17 @@ struct McBound {
   std::uint64_t verdict = 0;
 };
 
+/// One lossy member of a keyed Monte-Carlo call as the lane kernels see
+/// it: its member index, its hop-outcome thresholds, and the bit its code
+/// adds to the key word it feeds (code 1 = recovered adds it once, code
+/// 2 = lost twice).
+struct McLossyStep {
+  std::uint32_t member = 0;
+  std::uint64_t thrOnTime = 0;
+  std::uint64_t thrRecovered = 0;
+  std::uint64_t bit = 0;
+};
+
 /// Per-Monte-Carlo-call tally of sampled outcome patterns, the keyed half
 /// of count-then-decide. Within one call every member edge draws one of
 /// three outcomes (on-time / recovered / lost), so a sample's effective
@@ -127,7 +138,9 @@ class SampleOutcomeCache {
 ///     generator jumped j * q * memberCount draws ahead, all lanes draw and
 ///     classify in lock-step SIMD, and the S mod W leftover samples
 ///     continue serially from the last lane's end state -- exactly where
-///     the serial stream stands.
+///     the serial stream stands. The lanes key only the lossy members; a
+///     sample in which a near-lossless member may deviate is flagged and
+///     re-drawn serially from its lane's state at the sample's start.
 /// kAuto picks the widest lane kernel the CPU runs, and the fused kernel
 /// for calls of fewer than 512 draws or fewer samples than lanes; the
 /// forced values let the equivalence suites pin every kernel of both the
@@ -167,6 +180,11 @@ struct DeliveryWork {
     inferredVerdicts += other.inferredVerdicts;
     return *this;
   }
+  /// The work done since `earlier`, a snapshot of the same counter.
+  DeliveryWork operator-(const DeliveryWork& earlier) const {
+    return {dijkstraRuns - earlier.dijkstraRuns,
+            inferredVerdicts - earlier.inferredVerdicts};
+  }
   bool operator==(const DeliveryWork&) const = default;
 };
 
@@ -175,7 +193,7 @@ struct DeliveryWork {
 /// across the playback hot loop removes every per-call allocation. The
 /// contents carry no state between calls -- results are identical whether
 /// a workspace is reused, fresh, or (via the wrapper overloads) implicit.
-/// Only `work` accumulates across calls.
+/// Only `work` and `mcReplayedSamples` accumulate across calls.
 struct DeliveryWorkspace {
   std::vector<util::SimTime> sampledHop;  ///< per-edge sampled hop latency
   std::vector<util::SimTime> dist;        ///< per-node tentative arrival
@@ -197,14 +215,27 @@ struct DeliveryWorkspace {
   /// Per-sample 2-bit outcome-pattern keys of one keyed Monte-Carlo
   /// call, one slot per sample: lane j's t-th sample at t * W + j, the
   /// serially drawn samples at their sample index (the tally then moves
-  /// the samples it counts in the keyed table to the front). The unkeyed
-  /// fallback (more than 64 member edges) draws one sample at a time into
-  /// mcDraws.
+  /// the samples it counts in the keyed table to the front). A lane-drawn
+  /// slot of a dense call holds the sample's dense index instead, and a
+  /// flagged lane-drawn slot is re-drawn in full (see scoreKeyedSamples).
+  /// The unkeyed fallback (more than 64 member edges) draws one sample at
+  /// a time into mcDraws.
   std::vector<std::uint64_t> mcDraws;
   std::vector<std::uint64_t> mcKeyLo;
   std::vector<std::uint64_t> mcKeyHi;
+  /// Lane-kernel classes of the current call: the lossy members in
+  /// member order, and per member the raw-draw bound at or above which a
+  /// near-lossless member deviates (thrOnTime << 11).
+  std::vector<detail::McLossyStep> mcLossySteps;
+  std::vector<std::uint64_t> mcRareFrom;
+  /// Every lane's generator state at the start of each of its samples,
+  /// four words of W lanes per step, so a flagged sample can be re-drawn.
+  std::vector<std::uint64_t> mcLaneStates;
   /// Lane jump polynomials, one cached split per member count.
   std::vector<detail::McLaneJumps> mcLaneJumps;
+  /// Lane-drawn samples re-drawn serially because a near-lossless member
+  /// was flagged. It depends on the kernel, so it is not part of `work`.
+  std::uint64_t mcReplayedSamples = 0;
 
   /// Count-then-decide state of one keyed call: the dense per-pattern
   /// counts of calls with few lossy members (zero between calls) and the

@@ -204,6 +204,8 @@ ExperimentResult runFlowSweep(const graph::Graph& overlay,
   result.memoCacheLoad = stats.memoCacheLoad;
   result.memoStats = stats.memoStats;
   result.stages = stats.stages;
+  result.replay = stats.replay;
+  result.delivery = stats.delivery;
   summarizeSchemes(result, config);
   return result;
 }
@@ -347,6 +349,9 @@ SweepStats runSweep(
       truthSource.emplace(*workerReader);
     }
     std::vector<const routing::DecisionCheckpoint*> starts;
+    // One evaluator workspace per worker: its lane-jump polynomials and
+    // pattern table are built once, not once per task.
+    DeliveryWorkspace workspace;
     for (;;) {
       const std::size_t task = next.fetch_add(1);
       if (task >= tasks) return;
@@ -371,9 +376,10 @@ SweepStats runSweep(
                     mcast::receiverFlow(unit, 0),
                     mcast::unicastEquivalent(kind), spec.schemeParams, first,
                     last, starts.empty() ? nullptr : starts[0], decision,
-                    truth, sink)
+                    truth, sink, &workspace)
               : engine.runChunkPartial(unit, kind, spec.schemeParams, first,
-                                       last, starts, decision, truth, sink);
+                                       last, starts, decision, truth, sink,
+                                       &workspace);
     }
   };
   if (threadCount == 1) {

@@ -89,6 +89,10 @@ struct ExperimentResult {
     std::uint64_t mergeNs = 0;
   };
   StageBreakdown stages;
+  /// Phase-1 decision replay work and phase-2 Monte-Carlo verdict work
+  /// (see SweepStats); both are independent of the thread count.
+  DecisionReplay::Work replay;
+  DeliveryWork delivery;
 
   const FlowSchemeResult& at(std::size_t flowIndex,
                              std::size_t schemeIndex,

@@ -539,8 +539,8 @@ RunPartial PlaybackEngine::runChunkPartial(
     const routing::SchemeParams& schemeParams, std::size_t first,
     std::size_t last, const routing::DecisionCheckpoint* start,
     trace::ConditionSource* decisionSource,
-    trace::ConditionSource* truthSource,
-    telemetry::Telemetry* telemetry) const {
+    trace::ConditionSource* truthSource, telemetry::Telemetry* telemetry,
+    DeliveryWorkspace* workspace) const {
   const mcast::Group unit = mcast::oneReceiverGroup(flow);
   ScoreSpec spec = flowSpec(unit, kind, schemeParams, first, last);
   // Static kinds carry no decision state to restore.
@@ -554,6 +554,7 @@ RunPartial PlaybackEngine::runChunkPartial(
   spec.decisionSource = decisionSource;
   spec.truthSource = truthSource;
   spec.telemetry = telemetry;
+  spec.workspace = workspace;
   return score(spec);
 }
 
@@ -613,8 +614,8 @@ RunPartial PlaybackEngine::runChunkPartial(
     std::size_t last,
     std::span<const routing::DecisionCheckpoint* const> receiverStarts,
     trace::ConditionSource* decisionSource,
-    trace::ConditionSource* truthSource,
-    telemetry::Telemetry* telemetry) const {
+    trace::ConditionSource* truthSource, telemetry::Telemetry* telemetry,
+    DeliveryWorkspace* workspace) const {
   if (receiverStarts.empty() == (first > 0 && mcast::isAdaptive(kind)))
     throw std::invalid_argument(
         "PlaybackEngine::runChunkPartial: receiver checkpoints are "
@@ -625,6 +626,7 @@ RunPartial PlaybackEngine::runChunkPartial(
   spec.decisionSource = decisionSource;
   spec.truthSource = truthSource;
   spec.telemetry = telemetry;
+  spec.workspace = workspace;
   return score(spec);
 }
 
@@ -772,7 +774,10 @@ RunPartial PlaybackEngine::score(const ScoreSpec& spec) const {
   acc->resize(receiverCount);
 
   const double intervalSeconds = util::toSeconds(trace_->intervalLength());
-  DeliveryWorkspace workspace;
+  DeliveryWorkspace ownWorkspace;
+  DeliveryWorkspace& workspace =
+      spec.workspace != nullptr ? *spec.workspace : ownWorkspace;
+  const DeliveryWork workBefore = workspace.work;
 
   // Hot-loop buffers, hoisted so per-interval work never allocates once
   // capacities settle: the fresh interval evaluation (and the clean-reuse
@@ -1011,7 +1016,7 @@ RunPartial PlaybackEngine::score(const ScoreSpec& spec) const {
     total.merge(std::move(block));
     if (timed) lap(mergeNs);
   }
-  total.deliveryWork += workspace.work;
+  total.deliveryWork += workspace.work - workBefore;
   if (timed) {
     stageTimings_.decodeNs.fetch_add(decodeNs, std::memory_order_relaxed);
     stageTimings_.mcNs.fetch_add(mcNs, std::memory_order_relaxed);

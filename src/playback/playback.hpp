@@ -337,14 +337,18 @@ class PlaybackEngine {
   /// `telemetry` (nullable) collects this range's counters/events; chunk
   /// boundaries reset the per-run "last classification" trace-event
   /// dedup, so chunked trace *event* streams can differ from unchunked
-  /// ones (counters and results do not).
+  /// ones (counters and results do not). `workspace` (nullable -> a
+  /// private one) is the evaluators' scratch memory: a sweep worker
+  /// passes the one it owns to every task it runs. Results do not depend
+  /// on it, and the partial's deliveryWork counts only this range's work.
   RunPartial runChunkPartial(routing::Flow flow, routing::SchemeKind kind,
                              const routing::SchemeParams& schemeParams,
                              std::size_t first, std::size_t last,
                              const routing::DecisionCheckpoint* start,
                              trace::ConditionSource* decisionSource,
                              trace::ConditionSource* truthSource,
-                             telemetry::Telemetry* telemetry) const;
+                             telemetry::Telemetry* telemetry,
+                             DeliveryWorkspace* workspace = nullptr) const;
 
   /// Single-task form: replays this context to {first} itself, then
   /// scores from that checkpoint.
@@ -384,8 +388,8 @@ class PlaybackEngine {
       std::size_t last,
       std::span<const routing::DecisionCheckpoint* const> receiverStarts,
       trace::ConditionSource* decisionSource,
-      trace::ConditionSource* truthSource,
-      telemetry::Telemetry* telemetry) const;
+      trace::ConditionSource* truthSource, telemetry::Telemetry* telemetry,
+      DeliveryWorkspace* workspace = nullptr) const;
 
   /// Single-task form: replays each receiver's context to {first} itself,
   /// then scores from those checkpoints.
@@ -461,6 +465,8 @@ class PlaybackEngine {
     /// missTimeline: per-interval miss appended, every interval
     /// evaluated fresh.
     std::vector<double>* timelineOut = nullptr;
+    /// Caller-owned evaluator scratch; null = a private one.
+    DeliveryWorkspace* workspace = nullptr;
   };
 
   static ScoreSpec flowSpec(const mcast::Group& unit,

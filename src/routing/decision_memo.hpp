@@ -68,12 +68,20 @@ class DecisionMemo {
   /// equal lists map to the same id.
   std::uint32_t internEdgeList(std::span<const graph::EdgeId> edges);
 
+  /// Memo traffic and contents. Lookups (hits + misses), decisions,
+  /// edge lists and contexts are the same at any thread count. The split
+  /// of lookups into hits and misses is not: two workers can miss the
+  /// same key at once, and both count a miss where one thread counts a
+  /// miss and a hit. Only a 1-thread run repeats its hits and misses.
   struct Stats {
     std::uint64_t decisionHits = 0;
     std::uint64_t decisionMisses = 0;
+    /// Distinct (context, view) decisions stored.
     std::size_t decisions = 0;
     std::size_t edgeLists = 0;
     std::size_t contexts = 0;
+
+    std::uint64_t lookups() const { return decisionHits + decisionMisses; }
   };
   Stats stats() const;
 

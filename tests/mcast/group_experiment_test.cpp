@@ -129,6 +129,65 @@ TEST(GroupExperiment, PackedRunnerMatchesInMemoryBlockedRun) {
             telemetry::toPrometheus(packedT1.metrics));
 }
 
+// The group runners report the sweep's stats as the unicast runners do:
+// stage timings only when asked for, and the same decision replay and
+// Monte-Carlo verdict work as the unicast runner on the same flows (a
+// flow is scored as the one-receiver group).
+TEST(GroupExperiment, ReportsSweepStatsLikeTheUnicastRunner) {
+  const trace::Topology topology = trace::Topology::ltn12();
+  const trace::Trace tr = experimentTrace(topology.graph());
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "mcast_stats.dgtrace")
+          .string();
+  store::WriterOptions options;
+  options.chunkIntervals = 64;
+  store::packTrace(tr, path, options);
+
+  GroupExperimentConfig config = baseConfig(topology);
+  config.threads = 2;
+  const GroupExperimentResult untimed =
+      runPackedGroupExperiment(topology.graph(), path, config);
+  EXPECT_EQ(untimed.stages.mcNs, 0u);
+  EXPECT_EQ(untimed.stages.memoNs, 0u);
+  EXPECT_GT(untimed.memoStats.lookups(), 0u);
+  EXPECT_GT(untimed.replay.decisions, 0u);
+  EXPECT_GT(untimed.delivery.dijkstraRuns, 0u);
+
+  config.playback.base.collectStageTimings = true;
+  const GroupExperimentResult timed =
+      runPackedGroupExperiment(topology.graph(), path, config);
+  expectResultsIdentical(untimed, timed);
+  EXPECT_GT(timed.stages.decodeNs, 0u);
+  EXPECT_GT(timed.stages.mcNs, 0u);
+  EXPECT_GT(timed.stages.evalNs, 0u);
+  EXPECT_GT(timed.stages.memoNs, 0u);
+  EXPECT_GT(timed.stages.mergeNs, 0u);
+  EXPECT_EQ(timed.delivery, untimed.delivery);
+
+  playback::ExperimentConfig unicast;
+  unicast.flows = {routing::Flow{topology.at("NYC"), topology.at("SJC")},
+                   routing::Flow{topology.at("FRA"), topology.at("SEA")}};
+  unicast.playback = config.playback.base;
+  unicast.threads = 2;
+  GroupExperimentConfig flowGroups = config;
+  flowGroups.groups.clear();
+  for (const routing::Flow flow : unicast.flows)
+    flowGroups.groups.push_back(oneReceiverGroup(flow));
+  flowGroups.schemes.clear();
+  for (const routing::SchemeKind kind : unicast.schemes)
+    flowGroups.schemes.push_back(groupEquivalent(kind));
+  const playback::ExperimentResult flows =
+      playback::runPackedExperiment(topology.graph(), path, unicast);
+  const GroupExperimentResult groups =
+      runPackedGroupExperiment(topology.graph(), path, flowGroups);
+  EXPECT_GT(flows.delivery.dijkstraRuns, 0u);
+  EXPECT_EQ(groups.delivery, flows.delivery);
+  EXPECT_GT(flows.replay.decisions, 0u);
+  EXPECT_EQ(groups.replay.decisions, flows.replay.decisions);
+  EXPECT_EQ(groups.replay.intervals, flows.replay.intervals);
+  EXPECT_EQ(groups.memoStats.lookups(), flows.memoStats.lookups());
+}
+
 TEST(GroupExperiment, FullCoverWindowMatchesUnwindowedRun) {
   const trace::Topology topology = trace::Topology::ltn12();
   const trace::Trace tr = experimentTrace(topology.graph());

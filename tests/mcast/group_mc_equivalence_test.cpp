@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <optional>
 #include <queue>
 #include <string>
 #include <utility>
@@ -223,14 +224,18 @@ void pickReceivers(const graph::Graph& g, graph::NodeId source,
 }
 
 /// Runs the production evaluator under every kernel pin and compares it
-/// with the oracle: counts, histogram and the RNG state afterwards.
-void expectMatchesOracle(const graph::DisseminationGraph& dg,
-                         const std::vector<graph::NodeId>& receivers,
-                         const std::vector<util::SimTime>& deadlines,
-                         const Conditions& c,
-                         const DeliveryModelParams& params, int samples,
-                         std::uint64_t seed, DeliveryWorkspace& ws,
-                         const std::string& label) {
+/// with the oracle: counts, histogram and the RNG state afterwards. Every
+/// pin must also do the same verdict work, and a pinned kernel must
+/// re-draw exactly the lane-drawn samples in which a near-lossless
+/// member deviates. Returns the samples the pinned kernels re-drew.
+std::uint64_t expectMatchesOracle(const graph::DisseminationGraph& dg,
+                                  const std::vector<graph::NodeId>& receivers,
+                                  const std::vector<util::SimTime>& deadlines,
+                                  const Conditions& c,
+                                  const DeliveryModelParams& params,
+                                  int samples, std::uint64_t seed,
+                                  DeliveryWorkspace& ws,
+                                  const std::string& label) {
   std::vector<int> refCounts;
   std::vector<int> refHistogram;
   util::Rng refRng(seed);
@@ -238,12 +243,18 @@ void expectMatchesOracle(const graph::DisseminationGraph& dg,
                                c.latencies, params, samples, refRng,
                                refCounts, refHistogram);
   const std::uint64_t refFinal = refRng.next();
+  // Keyed calls only: the unkeyed fallback draws every sample serially.
+  const bool keyed = dg.edges().size() <= 64 && receivers.size() <= 64;
 
   KernelPinGuard guard;
+  std::optional<DeliveryWork> firstWork;
+  std::uint64_t replayed = 0;
   for (const detail::McKernel kernel : allKernels()) {
     detail::setMcKernelForTest(kernel);
     std::vector<int> counts(receivers.size(), -1);
     std::vector<int> histogram(receivers.size() + 1, -1);
+    const DeliveryWork workBefore = ws.work;
+    const std::uint64_t replaysBefore = ws.mcReplayedSamples;
     util::Rng rng(seed);
     onTimeCountsMCGroup(dg, receivers, deadlines, c.losses, c.latencies,
                         params, samples, rng, ws, counts, histogram);
@@ -253,7 +264,27 @@ void expectMatchesOracle(const graph::DisseminationGraph& dg,
     EXPECT_EQ(counts, refCounts) << where;
     EXPECT_EQ(histogram, refHistogram) << where;
     EXPECT_EQ(rng.next(), refFinal) << "RNG state diverged: " << where;
+    const DeliveryWork work = ws.work - workBefore;
+    if (!firstWork) firstWork = work;
+    EXPECT_EQ(work, *firstWork) << "verdict work: " << where;
+    if (kernel != detail::McKernel::kAuto) {
+      const std::uint64_t replays = ws.mcReplayedSamples - replaysBefore;
+      EXPECT_EQ(replays, keyed ? test::expectedReplays(
+                                     dg, c.losses, samples, seed,
+                                     test::pinnedLanes(kernel, samples))
+                               : 0u)
+          << "replays: " << where;
+      replayed += replays;
+    }
   }
+  return replayed;
+}
+
+/// True if the 4-lane pin runs here, so flagged samples get re-drawn.
+bool lanePinsRun() {
+  const std::vector<detail::McKernel> kernels = allKernels();
+  return std::find(kernels.begin(), kernels.end(),
+                   detail::McKernel::kLanes4Avx2) != kernels.end();
 }
 
 /// The union of each receiver's flooding graph pruned to half its
@@ -313,17 +344,21 @@ TEST(GroupMcEquivalence, MatchesFrozenOracleOnLtn12) {
   }
 }
 
-// Count-then-decide for receiver sets, branch by branch: L = 0..7 lossy
-// members (crossing the dense tally's cap of 6) on the way to a
-// receiver, one member exactly at the lossy threshold, near-lossless
-// members that deviate now and then, recovery on and off, sample counts
-// 1, 7, 1000 and 1001, and one workspace across graphs of different
-// member counts.
+// Count-then-decide and the lane kernels for receiver sets, branch by
+// branch: L = 0..7 lossy members (crossing the dense tally's cap of 6)
+// on the way to a receiver, one member exactly at the lossy threshold,
+// near-lossless members that deviate now and then, that sit just under
+// the threshold (many samples flagged and re-drawn), or whose on-time
+// threshold is 2^53 (the kernels' sentinel bound) next to a member at
+// loss 1; recovery on and off; sample counts 1, 7, 8, 1000 and 1001;
+// graphs of different member counts, 31, 32, 33 and 64 among them; one
+// workspace across every call.
 TEST(GroupMcEquivalence, CountThenDecideMatchesOracleForEveryLossyCount) {
   const auto topology = trace::Topology::ltn12();
   const graph::Graph& g = topology.graph();
   const graph::NodeId source = topology.at("NYC");
   DeliveryWorkspace ws;
+  std::uint64_t replayed = 0;
   for (std::uint64_t seed = 1; seed <= 2; ++seed) {
     for (const std::size_t receiverCount : {std::size_t{3}, std::size_t{5}}) {
       std::vector<graph::NodeId> receivers;
@@ -332,6 +367,7 @@ TEST(GroupMcEquivalence, CountThenDecideMatchesOracleForEveryLossyCount) {
                     receivers, deadlines);
       const graph::DisseminationGraph flooding =
           graph::floodingGraph(g, source, receivers.front());
+      ASSERT_EQ(flooding.edges().size(), 64u);
       const graph::DisseminationGraph pruned =
           prunedUnion(g, source, receivers, deadlines);
       // One shortest path per receiver: a tree, each receiver's path
@@ -343,32 +379,46 @@ TEST(GroupMcEquivalence, CountThenDecideMatchesOracleForEveryLossyCount) {
                  .edges)
           tree.addEdge(e);
       }
+      std::vector<graph::DisseminationGraph> subsets;
+      for (const std::size_t members : {31, 32, 33}) {
+        subsets.push_back(test::memberSubset(g, flooding, g.baseLatencies(),
+                                             receivers.back(), members,
+                                             seed * 100 + members));
+      }
+      const graph::DisseminationGraph* graphs[] = {
+          &tree, &pruned, &subsets[0], &subsets[1], &subsets[2], &flooding};
       for (std::size_t lossy = 0; lossy <= 7; ++lossy) {
-        const graph::DisseminationGraph* graphs[] = {&tree, &pruned,
-                                                     &flooding};
         for (const graph::DisseminationGraph* dg : graphs) {
           if (dg->edges().size() < lossy) continue;
           for (const bool recovery : {true, false}) {
             DeliveryModelParams params;
             params.recoveryEnabled = recovery;
-            for (const int samples : {1, 7, 1000, 1001}) {
-              Conditions c{test::lossyMemberLosses(
-                               g, *dg, g.baseLatencies(), receivers.back(),
-                               lossy, samples, seed * 1000 + lossy),
-                           g.baseLatencies()};
-              expectMatchesOracle(
-                  *dg, receivers, deadlines, c, params, samples, seed, ws,
-                  "seed " + std::to_string(seed) + " receivers " +
-                      std::to_string(receiverCount) + " lossy " +
-                      std::to_string(lossy) + " members " +
-                      std::to_string(dg->edges().size()) +
-                      (recovery ? " recovery" : " no-recovery"));
+            for (const int samples : {1, 7, 8, 1000, 1001}) {
+              for (const test::NearLossless near :
+                   {test::NearLossless::kSparse,
+                    test::NearLossless::kJustUnder,
+                    test::NearLossless::kNeverDeviates}) {
+                Conditions c{test::lossyMemberLosses(
+                                 g, *dg, g.baseLatencies(), receivers.back(),
+                                 lossy, samples, seed * 1000 + lossy, near),
+                             g.baseLatencies()};
+                replayed += expectMatchesOracle(
+                    *dg, receivers, deadlines, c, params, samples, seed, ws,
+                    "seed " + std::to_string(seed) + " receivers " +
+                        std::to_string(receiverCount) + " lossy " +
+                        std::to_string(lossy) + " members " +
+                        std::to_string(dg->edges().size()) +
+                        (recovery ? " recovery" : " no-recovery") +
+                        " near-lossless " +
+                        std::to_string(static_cast<int>(near)));
+              }
             }
           }
         }
       }
     }
   }
+  if (lanePinsRun()) EXPECT_GT(replayed, 0u);
   if (const std::string missing = kernelsNotRunHere(); !missing.empty()) {
     GTEST_SKIP() << "kernels not run here: " << missing;
   }

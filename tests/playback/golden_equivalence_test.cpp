@@ -6,6 +6,8 @@
 // thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -294,16 +296,21 @@ TEST(DeliveryEquivalence, AllKernelsMatchReferenceAcrossSeedsAndCounts) {
   if (!missing.empty()) GTEST_SKIP() << "kernels not run here: " << missing;
 }
 
-// Count-then-decide, branch by branch: calls with L = 0..7 lossy members
-// (loss above 1 / samples), crossing the dense tally's cap of 6; one
-// member exactly at the threshold and near-lossless members that deviate
-// now and then (both tallied in the keyed table); recovery on and off
-// (off leaves the recovered band empty); sample counts that run serially
-// (1, 7) or split into lanes with and without leftovers (1000, 1001). One
-// workspace serves every call, across graphs of 3 to 64 member edges, so
-// a count or bound left over from an earlier call would show. Each call
-// must match the frozen reference and its final RNG state under every
-// kernel pin.
+// Count-then-decide and the lane kernels, branch by branch: calls with
+// L = 0..7 lossy members (loss above 1 / samples), crossing the dense
+// tally's cap of 6; one member exactly at the threshold; near-lossless
+// members that deviate now and then, that sit just under the threshold
+// (many lane-drawn samples flagged and re-drawn), or whose loss is so
+// small that the on-time threshold is 2^53 (the kernels' sentinel bound)
+// next to a member at loss 1; recovery on and off (off leaves the
+// recovered band empty); sample counts that run serially (1, 7) or split
+// into lanes exactly (8, 1000) or with leftovers (1001); graphs of 3 to
+// 64 member edges, 31, 32 and 33 among them, so the high key word is
+// used. One workspace serves every call, so a count or bound left over
+// from an earlier call would show. Under every kernel pin each call must
+// match the frozen reference and its final RNG state, do the same
+// verdict work, and re-draw exactly the lane-drawn samples in which a
+// near-lossless member deviates.
 TEST(DeliveryEquivalence, CountThenDecideMatchesReferenceForEveryLossyCount) {
   const auto topology = trace::Topology::ltn12();
   const graph::Graph& g = topology.graph();
@@ -319,16 +326,24 @@ TEST(DeliveryEquivalence, CountThenDecideMatchesReferenceForEveryLossyCount) {
       graph::shortestPath(g, flow.source, flow.destination,
                           g.baseLatencies())
           .edges);
+  std::vector<util::SimTime> latencies = g.baseLatencies();
+  for (graph::EdgeId e = 0; e < g.edgeCount(); e += 5) latencies[e] *= 2;
+  std::vector<graph::DisseminationGraph> subsets;
+  for (const std::size_t members : {31, 32, 33}) {
+    subsets.push_back(test::memberSubset(g, flooding, latencies,
+                                         flow.destination, members, members));
+    ASSERT_EQ(subsets.back().edges().size(), members);
+  }
+  ASSERT_EQ(flooding.edges().size(), 64u);
   const graph::DisseminationGraph* graphs[] = {
       &singlePath, &targeted.sourceProblem, &targeted.destinationProblem,
-      &flooding};
+      &subsets[0], &subsets[1], &subsets[2], &flooding};
 
   std::string missing;
   const std::vector<playback::detail::McKernel> kernels =
       test::runnableMcKernels(missing);
   playback::DeliveryWorkspace ws;
-  std::vector<util::SimTime> latencies = g.baseLatencies();
-  for (graph::EdgeId e = 0; e < g.edgeCount(); e += 5) latencies[e] *= 2;
+  std::uint64_t replayed = 0;
   for (std::uint64_t seed = 1; seed <= 2; ++seed) {
     for (std::size_t lossy = 0; lossy <= 7; ++lossy) {
       for (const graph::DisseminationGraph* dg : graphs) {
@@ -336,37 +351,62 @@ TEST(DeliveryEquivalence, CountThenDecideMatchesReferenceForEveryLossyCount) {
         for (const bool recovery : {true, false}) {
           playback::DeliveryModelParams params;
           params.recoveryEnabled = recovery;
-          for (const int samples : {1, 7, 1000, 1001}) {
-            const std::vector<double> losses = test::lossyMemberLosses(
-                g, *dg, latencies, flow.destination, lossy, samples,
-                seed * 100 + lossy);
-            util::Rng refRng(seed);
-            const double reference = test::onTimeProbabilityMCReference(
-                *dg, losses, latencies, params, samples, refRng);
-            const std::uint64_t refFinal = refRng.next();
-            for (const auto kernel : kernels) {
-              playback::detail::setMcKernelForTest(kernel);
-              util::Rng rng(seed);
-              const double got = playback::onTimeProbabilityMC(
-                  *dg, losses, latencies, params, samples, rng, ws);
-              const std::string where =
-                  "kernel " + std::to_string(static_cast<int>(kernel)) +
-                  " seed " + std::to_string(seed) + " lossy " +
-                  std::to_string(lossy) + " members " +
-                  std::to_string(dg->edges().size()) +
-                  (recovery ? " recovery" : " no-recovery") + " samples " +
-                  std::to_string(samples);
-              EXPECT_EQ(got, reference) << where;
-              EXPECT_EQ(rng.next(), refFinal)
-                  << "RNG state diverged: " << where;
+          for (const int samples : {1, 7, 8, 1000, 1001}) {
+            for (const test::NearLossless near :
+                 {test::NearLossless::kSparse, test::NearLossless::kJustUnder,
+                  test::NearLossless::kNeverDeviates}) {
+              const std::vector<double> losses = test::lossyMemberLosses(
+                  g, *dg, latencies, flow.destination, lossy, samples,
+                  seed * 100 + lossy, near);
+              util::Rng refRng(seed);
+              const double reference = test::onTimeProbabilityMCReference(
+                  *dg, losses, latencies, params, samples, refRng);
+              const std::uint64_t refFinal = refRng.next();
+              std::optional<playback::DeliveryWork> firstWork;
+              for (const auto kernel : kernels) {
+                playback::detail::setMcKernelForTest(kernel);
+                const playback::DeliveryWork workBefore = ws.work;
+                const std::uint64_t replaysBefore = ws.mcReplayedSamples;
+                util::Rng rng(seed);
+                const double got = playback::onTimeProbabilityMC(
+                    *dg, losses, latencies, params, samples, rng, ws);
+                const std::string where =
+                    "kernel " + std::to_string(static_cast<int>(kernel)) +
+                    " seed " + std::to_string(seed) + " lossy " +
+                    std::to_string(lossy) + " members " +
+                    std::to_string(dg->edges().size()) +
+                    (recovery ? " recovery" : " no-recovery") +
+                    " samples " + std::to_string(samples) +
+                    " near-lossless " +
+                    std::to_string(static_cast<int>(near));
+                EXPECT_EQ(got, reference) << where;
+                EXPECT_EQ(rng.next(), refFinal)
+                    << "RNG state diverged: " << where;
+                const playback::DeliveryWork work = ws.work - workBefore;
+                if (!firstWork) firstWork = work;
+                EXPECT_EQ(work, *firstWork) << "verdict work: " << where;
+                if (kernel != playback::detail::McKernel::kAuto) {
+                  const std::uint64_t replays =
+                      ws.mcReplayedSamples - replaysBefore;
+                  EXPECT_EQ(replays,
+                            test::expectedReplays(
+                                *dg, losses, samples, seed,
+                                test::pinnedLanes(kernel, samples)))
+                      << "replays: " << where;
+                  replayed += replays;
+                }
+              }
+              playback::detail::setMcKernelForTest(
+                  playback::detail::McKernel::kAuto);
             }
-            playback::detail::setMcKernelForTest(
-                playback::detail::McKernel::kAuto);
           }
         }
       }
     }
   }
+  if (std::find(kernels.begin(), kernels.end(),
+                playback::detail::McKernel::kLanes4Avx2) != kernels.end())
+    EXPECT_GT(replayed, 0u);
   if (!missing.empty()) GTEST_SKIP() << "kernels not run here: " << missing;
 }
 

@@ -84,6 +84,27 @@ TEST(ThreadDeterminism, ExportsAreByteIdenticalAcrossThreadCounts) {
   }
 }
 
+// The work counts a sweep reports are pure functions of its inputs:
+// decision-memo lookups and stored decisions, decision replay work and
+// Monte-Carlo verdict work. The memo's hit/miss split is not among them
+// (see DecisionMemo::Stats).
+TEST(ThreadDeterminism, WorkCountsAreThreadInvariant) {
+  const RunOutput one = runWithThreads(1);
+  const RunOutput four = runWithThreads(4);
+  const routing::DecisionMemo::Stats& a = one.result.memoStats;
+  const routing::DecisionMemo::Stats& b = four.result.memoStats;
+  EXPECT_GT(a.lookups(), 0u);
+  EXPECT_EQ(a.lookups(), b.lookups());
+  EXPECT_GT(a.decisions, 0u);
+  EXPECT_EQ(a.decisions, b.decisions);
+  EXPECT_EQ(a.edgeLists, b.edgeLists);
+  EXPECT_EQ(a.contexts, b.contexts);
+  EXPECT_EQ(one.result.replay.decisions, four.result.replay.decisions);
+  EXPECT_EQ(one.result.replay.intervals, four.result.replay.intervals);
+  EXPECT_GT(one.result.delivery.dijkstraRuns, 0u);
+  EXPECT_EQ(one.result.delivery, four.result.delivery);
+}
+
 TEST(ThreadDeterminism, RepeatedRunsAreByteIdentical) {
   const RunOutput a = runWithThreads(4);
   const RunOutput b = runWithThreads(4);
