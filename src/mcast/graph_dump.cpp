@@ -87,10 +87,9 @@ void validateRequest(const trace::Trace& trace,
 }
 
 /// Renders the graph `kind` has in force for `group` at
-/// request.interval, labeled `schemeName`. Adaptive kinds restore each
-/// receiver from its decision replay through the interval: the checkpoint
-/// just after `interval` holds the selection in force there. Static kinds
-/// freeze their union at baseline.
+/// request.interval, labeled `schemeName`. Adaptive kinds take each
+/// receiver's selection at the interval from its decision timeline and
+/// serve their union; static kinds freeze their union at baseline.
 std::string dumpGraph(const graph::Graph& overlay, const trace::Trace& trace,
                       const trace::Topology& topology, const Group& group,
                       GroupSchemeKind kind,
@@ -98,27 +97,31 @@ std::string dumpGraph(const graph::Graph& overlay, const trace::Trace& trace,
                       std::string_view schemeName,
                       const GraphDumpRequest& request) {
   validateRequest(trace, request);
-  auto scheme = makeGroupScheme(kind, overlay, group, schemeParams);
-  scheme->initialize(routing::NetworkView::baseline(trace));
-  if (isAdaptive(kind)) {
+  graph::DisseminationGraph dg(overlay, group.source,
+                               group.receivers.front());
+  if (!isAdaptive(kind)) {
+    auto scheme = makeGroupScheme(kind, overlay, group, schemeParams);
+    scheme->initialize(routing::NetworkView::baseline(trace));
+    dg = scheme->current();
+  } else {
     const trace::ConditionIndex index(trace);
     const playback::DecisionReplay replay(
         overlay, trace, index,
         static_cast<std::size_t>(request.viewStaleness));
-    const std::size_t stops[] = {request.interval + 1};
-    std::vector<routing::DecisionCheckpoint> checkpoints;
+    const playback::IntervalWindow window{request.interval,
+                                          request.interval + 1};
+    std::vector<playback::DecisionTimeline> timelines;
     for (std::size_t i = 0; i < group.receivers.size(); ++i) {
-      checkpoints.push_back(std::move(
+      timelines.push_back(
           replay.run(unicastEquivalent(kind), receiverFlow(group, i),
                      receiverSchemeParams(group, i, schemeParams), nullptr,
-                     stops)[0]));
+                     {&window, 1}));
     }
-    std::vector<const routing::DecisionCheckpoint*> starts;
-    for (const routing::DecisionCheckpoint& c : checkpoints)
-      starts.push_back(&c);
-    scheme->restoreReceivers(starts);
+    std::vector<const std::vector<graph::EdgeId>*> selections;
+    for (const playback::DecisionTimeline& timeline : timelines)
+      selections.push_back(&timeline.selectionAt(request.interval));
+    uniteSelections(dg, selections);
   }
-  const graph::DisseminationGraph& dg = scheme->current();
   return request.format == DumpFormat::kDot
              ? renderDot(dg, topology, group.source, group.receivers)
              : renderJson(dg, topology, group.source, group.receivers,

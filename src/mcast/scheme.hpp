@@ -1,11 +1,11 @@
 // Group routing schemes: one dissemination graph per receiver set.
 //
-// GroupScheme parallels routing::RoutingScheme but selects a single
-// graph covering every receiver. Each group scheme kind is the lift of
-// one unicast kind (unicastEquivalent below); dynamic variants hold one
-// unicast sub-scheme per receiver and serve the union of their
-// selections, so a single-receiver group reproduces the unicast scheme's
-// decisions bit for bit. Static variants freeze the union at baseline.
+// Each group scheme kind is the lift of one unicast kind
+// (unicastEquivalent below) and selects a single graph covering every
+// receiver. Adaptive kinds serve the union of their receivers' unicast
+// selections (uniteSelections), so a single-receiver group reproduces
+// the unicast scheme's decisions bit for bit. Static kinds freeze the
+// union at baseline (GroupScheme).
 #pragma once
 
 #include <cstddef>
@@ -18,10 +18,8 @@
 #include "graph/dissemination_graph.hpp"
 #include "graph/graph.hpp"
 #include "mcast/group.hpp"
-#include "routing/decision_memo.hpp"
 #include "routing/network_view.hpp"
 #include "routing/scheme.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace dg::mcast {
 
@@ -59,55 +57,44 @@ bool isAdaptive(GroupSchemeKind kind);
 routing::SchemeParams receiverSchemeParams(const Group& group, std::size_t i,
                                            const routing::SchemeParams& params);
 
+/// An adaptive kind's graph: rebuilds `out` in place as the union of
+/// its receivers' unicast selections (each a sorted edge list), taken in
+/// receiver order. Playback scores this union from the receivers'
+/// decision timelines (playback::DecisionReplay); nothing else builds it.
+void uniteSelections(
+    graph::DisseminationGraph& out,
+    std::span<const std::vector<graph::EdgeId>* const> selections);
+
+/// A static kind: its union is frozen from the healthy baseline at
+/// initialize() and never revisited, mirroring the unicast static
+/// schemes. Adaptive kinds have no group scheme -- see uniteSelections.
 class GroupScheme {
  public:
-  GroupScheme(const graph::Graph& overlay, Group group,
+  /// Throws std::invalid_argument for an adaptive kind.
+  GroupScheme(GroupSchemeKind kind, const graph::Graph& overlay, Group group,
               routing::SchemeParams params);
-  virtual ~GroupScheme() = default;
   GroupScheme(const GroupScheme&) = delete;
   GroupScheme& operator=(const GroupScheme&) = delete;
 
-  virtual std::string_view name() const = 0;
   /// Called once with the healthy-baseline view before any select().
-  virtual void initialize(const routing::NetworkView& baselineView) = 0;
-  /// Returns the group graph for the view's interval. The reference
-  /// stays valid until the next select() on this scheme.
-  virtual const graph::DisseminationGraph& select(
-      const routing::NetworkView& view) = 0;
-  /// True when selecting against the healthy baseline is a fixed point,
-  /// letting the playback engine skip re-selection on clean intervals.
-  virtual bool steadyOnBaseline() const { return false; }
-  /// The selection in force: the last select()'s result, or after
-  /// initialize() / restoreReceivers() what the next baseline select()
-  /// would return.
-  virtual const graph::DisseminationGraph& current() const = 0;
-  /// Adaptive kinds, right after initialize(): restores receiver i's
-  /// sub-scheme from `receivers[i]`, a checkpoint of its unicast context
-  /// (see playback::DecisionReplay), then rebuilds the union once. Static
-  /// kinds have no decision state and accept only an empty span.
-  virtual void restoreReceivers(
-      std::span<const routing::DecisionCheckpoint* const> receivers);
-
-  virtual void setTelemetry(telemetry::Telemetry* telemetry,
-                            std::string groupLabel);
-  /// Attaches the shared memo to each per-receiver sub-scheme under its
-  /// unicast-equivalent context key; no-op for static schemes.
-  virtual void attachDecisionMemo(routing::DecisionMemo* /*memo*/) {}
-
-  const Group& group() const { return group_; }
-
- protected:
-  routing::SchemeParams receiverParams(std::size_t i) const {
-    return receiverSchemeParams(group_, i, params_);
+  void initialize(const routing::NetworkView& baselineView);
+  /// The frozen group graph, whatever the view.
+  const graph::DisseminationGraph& select(const routing::NetworkView&) const {
+    return union_;
   }
+  /// The frozen group graph.
+  const graph::DisseminationGraph& current() const { return union_; }
 
+ private:
+  GroupSchemeKind kind_;
   const graph::Graph& overlay_;
   Group group_;
   routing::SchemeParams params_;
-  telemetry::Telemetry* telemetry_ = nullptr;
-  std::string groupLabel_;
+  graph::DisseminationGraph union_;
 };
 
+/// The group scheme of a static kind; throws std::invalid_argument for an
+/// adaptive one.
 std::unique_ptr<GroupScheme> makeGroupScheme(GroupSchemeKind kind,
                                              const graph::Graph& overlay,
                                              const Group& group,

@@ -90,27 +90,30 @@ std::vector<std::pair<std::size_t, std::size_t>> resolveWindows(
   return resolved;
 }
 
-/// The decision contexts of a sweep whose tasks start mid-trace, each
-/// with the ascending task starts to checkpoint. Phase 1 replays every
-/// context once (DecisionReplay::run, which replays each stop from the
-/// context's last history-free decision) and phase-2 tasks restore their
-/// start state from here, so a context shared by several tasks -- the
+/// The decision contexts of a sweep -- (unicast equivalent,
+/// source->receiver, receiver params) for every receiver of an adaptive
+/// job -- each with the windows its jobs score. Phase 1 decides every
+/// context once over its windows (DecisionReplay::run, which starts each
+/// window from the context's last history-free decision) and phase-2
+/// tasks read the timelines, so a context shared by several tasks -- the
 /// chunks of one job, or groups with a common source-receiver pair -- is
-/// replayed once per sweep instead of once per task. Checkpoints are pure
-/// functions of (context, stop), so results do not depend on which worker
-/// replays which context.
+/// decided once per sweep instead of once per task. Timelines are pure
+/// functions of (context, windows), so results do not depend on which
+/// worker replays which context.
 class ReplayPlan {
  public:
   struct Context {
     routing::SchemeKind kind{};
     routing::Flow flow;
     routing::SchemeParams params;
-    std::vector<std::size_t> stops;
-    std::vector<routing::DecisionCheckpoint> checkpoints;
+    std::vector<IntervalWindow> windows;
+    DecisionTimeline timeline;
   };
 
   /// The index of context (kind, flow, params), added on first sight.
-  /// Contexts are identified by memo.contextKey, which interns exactly.
+  /// Contexts are identified by memo.contextKey, which interns exactly --
+  /// and interning every context here, before the workers start, is what
+  /// lets phase 1 use the memo without a lock.
   std::size_t context(routing::DecisionMemo& memo, routing::SchemeKind kind,
                       routing::Flow flow,
                       const routing::SchemeParams& params) {
@@ -119,38 +122,53 @@ class ReplayPlan {
     if (added) contexts_.push_back(Context{kind, flow, params, {}, {}});
     return it->second;
   }
-  /// Notes a task of `context` that starts at first > 0.
-  void addStop(std::size_t context, std::size_t first) {
-    contexts_[context].stops.push_back(first);
+  /// Notes a job of `context` that scores `window`.
+  void addWindow(std::size_t context, IntervalWindow window) {
+    contexts_[context].windows.push_back(window);
   }
-  /// Sorts and dedupes every context's stops and lists the contexts some
-  /// task starts mid-trace in. Call once, after the last addStop().
+  /// Sorts and merges every context's windows and orders the contexts for
+  /// phase 1: every dynamic-two-disjoint context first (stage 1), because
+  /// the targeted contexts of the same flows read their memo tables
+  /// (stage 2). Call once, after the last addWindow().
   void seal() {
     for (std::size_t i = 0; i < contexts_.size(); ++i) {
-      std::vector<std::size_t>& stops = contexts_[i].stops;
-      if (stops.empty()) continue;
-      std::sort(stops.begin(), stops.end());
-      stops.erase(std::unique(stops.begin(), stops.end()), stops.end());
-      replayed_.push_back(i);
+      std::vector<IntervalWindow>& windows = contexts_[i].windows;
+      std::sort(windows.begin(), windows.end());
+      std::size_t kept = 0;
+      for (const IntervalWindow& w : windows) {
+        if (kept > 0 && w.first <= windows[kept - 1].second) {
+          windows[kept - 1].second = std::max(windows[kept - 1].second,
+                                              w.second);
+        } else {
+          windows[kept++] = w;
+        }
+      }
+      windows.resize(kept);
+    }
+    for (const bool first : {true, false}) {
+      for (std::size_t i = 0; i < contexts_.size(); ++i) {
+        if ((contexts_[i].kind == routing::SchemeKind::DynamicTwoDisjoint) ==
+            first)
+          order_.push_back(i);
+      }
+      if (first) firstStage_ = order_.size();
     }
   }
 
-  std::size_t replayCount() const { return replayed_.size(); }
-  /// The i-th context to replay (phase 1 fills its checkpoints).
-  Context& replayContext(std::size_t i) { return contexts_[replayed_[i]]; }
-
-  /// The checkpoint of `context` at `first`, which must have been added.
-  const routing::DecisionCheckpoint& at(std::size_t context,
-                                        std::size_t first) const {
-    const Context& c = contexts_[context];
-    const auto it = std::lower_bound(c.stops.begin(), c.stops.end(), first);
-    return c.checkpoints.at(static_cast<std::size_t>(it - c.stops.begin()));
+  std::size_t size() const { return contexts_.size(); }
+  /// Contexts [0, firstStage()) of the phase-1 order run before the rest.
+  std::size_t firstStage() const { return firstStage_; }
+  /// The i-th context of the phase-1 order.
+  Context& ordered(std::size_t i) { return contexts_[order_[i]]; }
+  const DecisionTimeline* timeline(std::size_t context) const {
+    return &contexts_[context].timeline;
   }
 
  private:
   std::unordered_map<std::uint64_t, std::size_t> index_;
   std::vector<Context> contexts_;
-  std::vector<std::size_t> replayed_;
+  std::vector<std::size_t> order_;
+  std::size_t firstStage_ = 0;
 };
 
 std::vector<mcast::Group> oneReceiverGroups(
@@ -222,22 +240,24 @@ SweepStats runSweep(
   if (spec.units.empty() || spec.schemes.empty())
     throw std::invalid_argument("sweep: empty units or schemes");
 
-  // Packed sweeps score from the container and split jobs at its chunks;
-  // the chunk is the accumulation block, so the per-job fold below
-  // reproduces a single-threaded blocked run bit for bit. The cursor mode
-  // is what worker-private condition sources require.
+  // Packed sweeps decode the container once (readAll() CRC-checks every
+  // chunk) and split jobs at its chunks; the chunk is the accumulation
+  // block, so the per-job fold below reproduces a single-threaded blocked
+  // run bit for bit.
   const bool packed = !packedPath.empty();
-  std::optional<store::PackedTraceReader> reader;
   std::optional<trace::Trace> packedTrace;
   GroupPlaybackParams playback = spec.playback;
   std::size_t chunkIntervals = 0;
+  std::uint64_t fingerprint = 0;
   if (packed) {
-    reader.emplace(store::PackedTraceReader::open(packedPath));
-    if (reader->info().intervalCount == 0 || reader->info().chunkCount == 0)
+    store::PackedTraceReader reader =
+        store::PackedTraceReader::open(packedPath);
+    if (reader.info().intervalCount == 0 || reader.info().chunkCount == 0)
       throw std::invalid_argument("sweep: empty packed trace");
-    packedTrace.emplace(reader->readAll());
+    packedTrace.emplace(reader.readAll());
     trace = &*packedTrace;
-    chunkIntervals = reader->info().chunkIntervals;
+    chunkIntervals = reader.info().chunkIntervals;
+    fingerprint = reader.contentFingerprint();
     playback.base.conditionCursor = true;
     playback.base.accumBlockIntervals = chunkIntervals;
   }
@@ -248,13 +268,14 @@ SweepStats runSweep(
   const PlaybackEngine engine(overlay, *trace, playback.base,
                               playback.deliveredK);
 
+  // The sweep's decision memo. Phase 1 gives each context's table one
+  // owner (see ReplayPlan), so it takes no lock.
+  routing::DecisionMemo memo;
   SweepStats stats;
   const bool useMemoCache = packed && !spec.memoCachePath.empty();
-  std::uint64_t fingerprint = 0;
   if (useMemoCache) {
-    fingerprint = reader->contentFingerprint();
-    stats.memoCacheLoad = loadMemoCache(spec.memoCachePath, fingerprint,
-                                        engine.decisionMemoMutable());
+    stats.memoCacheLoad =
+        loadMemoCache(spec.memoCachePath, fingerprint, memo);
     DG_LOG(Info) << "memo cache " << spec.memoCachePath << ": "
                  << memoCacheLoadResultName(stats.memoCacheLoad);
   }
@@ -300,57 +321,66 @@ SweepStats runSweep(
 
   // Phase-1 plan: one decision context per receiver of each adaptive job
   // -- its unicast equivalent for source->receiver -- so jobs sharing a
-  // source-receiver pair share one replay. Static kinds carry no decision
-  // state and need none.
+  // source-receiver pair share one timeline. Static jobs decide once, at
+  // initialize(), into a frozen graph.
   ReplayPlan plan;
   std::vector<std::vector<std::size_t>> jobContexts(jobs);
+  std::vector<std::size_t> staticJobs;
   for (std::size_t job = 0; job < jobs; ++job) {
-    const mcast::Group& unit = spec.units[job / schemeCount];
+    const std::size_t u = job / schemeCount;
+    const mcast::Group& unit = spec.units[u];
     const mcast::GroupSchemeKind kind = spec.schemes[job % schemeCount];
-    if (!mcast::isAdaptive(kind)) continue;
+    if (!mcast::isAdaptive(kind)) {
+      staticJobs.push_back(job);
+      continue;
+    }
     for (std::size_t i = 0; i < unit.receivers.size(); ++i) {
-      jobContexts[job].push_back(plan.context(
-          engine.decisionMemoMutable(), mcast::unicastEquivalent(kind),
+      const std::size_t context = plan.context(
+          memo, mcast::unicastEquivalent(kind),
           mcast::receiverFlow(unit, i),
-          mcast::receiverSchemeParams(unit, i, spec.schemeParams)));
+          mcast::receiverSchemeParams(unit, i, spec.schemeParams));
+      plan.addWindow(context, windows[u]);
+      jobContexts[job].push_back(context);
     }
   }
-  for (std::size_t task = 0; task < tasks; ++task) {
-    const auto [first, last] = taskRange(task);
-    if (first == 0 || first >= last) continue;
-    for (const std::size_t context : jobContexts[task / chunkCount])
-      plan.addStop(context, first);
-  }
   plan.seal();
+  std::vector<std::vector<const DecisionTimeline*>> jobTimelines(jobs);
+  for (std::size_t job = 0; job < jobs; ++job) {
+    for (const std::size_t context : jobContexts[job])
+      jobTimelines[job].push_back(plan.timeline(context));
+  }
+  std::vector<std::optional<graph::DisseminationGraph>> frozen(jobs);
 
-  std::atomic<std::size_t> nextContext{0};
+  const std::size_t laterContexts = plan.size() - plan.firstStage();
+  std::atomic<std::size_t> nextFirst{0};
+  std::atomic<std::size_t> nextLater{0};
   std::atomic<std::size_t> next{0};
   std::barrier phases(static_cast<std::ptrdiff_t>(threadCount));
+  const auto decide = [&](ReplayPlan::Context& c) {
+    c.timeline =
+        engine.replayTimeline(c.kind, c.flow, c.params, &memo, c.windows);
+  };
   const auto worker = [&] {
-    for (std::size_t i = nextContext++; i < plan.replayCount();
-         i = nextContext++) {
-      ReplayPlan::Context& c = plan.replayContext(i);
-      c.checkpoints =
-          engine.replayCheckpoints(c.kind, c.flow, c.params, c.stops);
+    // Phase 1, stage 1: the dynamic-two-disjoint contexts.
+    for (std::size_t i = nextFirst++; i < plan.firstStage(); i = nextFirst++)
+      decide(plan.ordered(i));
+    phases.arrive_and_wait();
+    // Stage 2: every other context, then the static jobs' graphs.
+    for (std::size_t i = nextLater++; i < laterContexts + staticJobs.size();
+         i = nextLater++) {
+      if (i < laterContexts) {
+        decide(plan.ordered(plan.firstStage() + i));
+        continue;
+      }
+      const std::size_t job = staticJobs[i - laterContexts];
+      frozen[job].emplace(engine.frozenGraph(spec.units[job / schemeCount],
+                                             spec.schemes[job % schemeCount],
+                                             spec.schemeParams));
     }
     phases.arrive_and_wait();
 
-    // Packed: a worker-private reader and cursor feeds, so chunk decode
-    // state is never shared across threads. Two sources because the
-    // decision cursor lags the truth cursor by the view staleness, so
-    // near a chunk boundary they sit in different chunks -- one shared
-    // source would thrash.
-    std::optional<store::PackedTraceReader> workerReader;
-    std::optional<store::PackedConditionSource> decisionSource;
-    std::optional<store::PackedConditionSource> truthSource;
-    if (packed) {
-      workerReader.emplace(store::PackedTraceReader::open(packedPath));
-      decisionSource.emplace(*workerReader);
-      truthSource.emplace(*workerReader);
-    }
-    std::vector<const routing::DecisionCheckpoint*> starts;
-    // One evaluator workspace per worker: its lane-jump polynomials and
-    // pattern table are built once, not once per task.
+    // Phase 2: score. One evaluator workspace per worker: its lane-jump
+    // polynomials and pattern table are built once, not once per task.
     DeliveryWorkspace workspace;
     for (;;) {
       const std::size_t task = next.fetch_add(1);
@@ -358,28 +388,19 @@ SweepStats runSweep(
       const std::size_t job = task / chunkCount;
       const auto [first, last] = taskRange(task);
       if (first >= last) continue;
-      starts.clear();
-      if (first > 0) {
-        for (const std::size_t context : jobContexts[job])
-          starts.push_back(&plan.at(context, first));
-      }
       const mcast::Group& unit = spec.units[job / schemeCount];
       const mcast::GroupSchemeKind kind = spec.schemes[job % schemeCount];
-      trace::ConditionSource* decision =
-          packed ? &*decisionSource : nullptr;
-      trace::ConditionSource* truth = packed ? &*truthSource : nullptr;
+      const UnitDecisions decisions{
+          jobTimelines[job], frozen[job] ? &*frozen[job] : nullptr};
       telemetry::Telemetry* sink =
           telemetry != nullptr ? taskTelemetry[task].get() : nullptr;
       partials[task] =
           spec.flowUnits
-              ? engine.runChunkPartial(
-                    mcast::receiverFlow(unit, 0),
-                    mcast::unicastEquivalent(kind), spec.schemeParams, first,
-                    last, starts.empty() ? nullptr : starts[0], decision,
-                    truth, sink, &workspace)
-              : engine.runChunkPartial(unit, kind, spec.schemeParams, first,
-                                       last, starts, decision, truth, sink,
-                                       &workspace);
+              ? engine.runChunkPartial(mcast::receiverFlow(unit, 0),
+                                       mcast::unicastEquivalent(kind), first,
+                                       last, decisions, sink, &workspace)
+              : engine.runChunkPartial(unit, kind, first, last, decisions,
+                                       sink, &workspace);
     }
   };
   if (threadCount == 1) {
@@ -411,8 +432,11 @@ SweepStats runSweep(
         static_cast<std::uint64_t>(util::nowNanos() - mergeStart));
 
   if (telemetry != nullptr) {
+    std::vector<const telemetry::Telemetry*> taskResults;
+    taskResults.reserve(tasks);
     for (const auto& taskResult : taskTelemetry)
-      telemetry->merge(*taskResult);
+      taskResults.push_back(taskResult.get());
+    telemetry->merge(taskResults);
     // Runner-level metrics, recorded after the sequential merge.
     const char* prefix = spec.flowUnits ? "dg_playback" : "dg_mcast";
     telemetry->metrics.counter(std::string(prefix) + "_jobs_total")
@@ -424,8 +448,8 @@ SweepStats runSweep(
   }
 
   if (useMemoCache)
-    saveMemoCache(spec.memoCachePath, fingerprint, engine.decisionMemo());
-  stats.memoStats = engine.decisionMemo().stats();
+    saveMemoCache(spec.memoCachePath, fingerprint, memo);
+  stats.memoStats = memo.stats();
   const StageTimings& timings = engine.stageTimings();
   stats.stages.decodeNs = timings.decodeNs.load(std::memory_order_relaxed);
   stats.stages.mcNs = timings.mcNs.load(std::memory_order_relaxed);
@@ -436,12 +460,14 @@ SweepStats runSweep(
   stats.replay = engine.replayWork();
 
   DG_LOG(Info) << "sweep complete: " << jobs << " runs, " << chunkCount
-               << " chunks, " << threadCount << " threads, "
-               << plan.replayCount() << " contexts replayed ("
-               << stats.replay.decisions << " decisions over "
-               << stats.replay.intervals << " intervals), "
-               << stats.delivery.dijkstraRuns << " verdict Dijkstra runs, "
-               << stats.delivery.inferredVerdicts << " verdicts inferred";
+               << " chunks, " << threadCount << " threads, " << plan.size()
+               << " contexts decided (" << stats.replay.decisions
+               << " decisions over " << stats.replay.intervals
+               << " intervals; memo " << stats.memoStats.decisionHits
+               << " hits / " << stats.memoStats.decisionMisses
+               << " misses), " << stats.delivery.dijkstraRuns
+               << " verdict Dijkstra runs, " << stats.delivery.inferredVerdicts
+               << " verdicts inferred";
   return stats;
 }
 

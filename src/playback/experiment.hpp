@@ -84,7 +84,7 @@ struct ExperimentResult {
     std::uint64_t mcNs = 0;
     /// Near-lossless (exact) evaluation.
     std::uint64_t evalNs = 0;
-    /// Routing decisions: phase-1 replays and scoring selects.
+    /// Routing decisions: the phase-1 decision replays.
     std::uint64_t memoNs = 0;
     std::uint64_t mergeNs = 0;
   };
@@ -143,26 +143,29 @@ struct SweepStats {
 /// scheme, chunk) task. With `packedPath` empty the sweep replays the
 /// in-memory `trace`, one task per job over its window (chunk boundaries
 /// would reset the per-run classification-event dedup and change the
-/// trace export). Otherwise it reads the packed dgtrace file: every job is
-/// split at the container's chunks, each worker thread opens its own
-/// PackedTraceReader and feeds its cursors from private
-/// PackedConditionSources (decode state is never shared),
-/// PlaybackParams::conditionCursor is forced on and accumBlockIntervals is
-/// forced to the chunk length, and the decision-memo sidecar applies.
+/// trace export). Otherwise it decodes the packed dgtrace file once
+/// (PackedTraceReader::readAll, which CRC-checks every chunk) and splits
+/// every job at the container's chunks; PlaybackParams::conditionCursor is
+/// forced on, accumBlockIntervals is forced to the chunk length, and the
+/// decision-memo sidecar applies.
 ///
-/// One worker pool runs in two phases: phase 1 replays each distinct
-/// decision context -- (unicast equivalent, source->receiver, receiver
-/// params) for every receiver of an adaptive job -- once over the
-/// in-memory trace, checkpointing it at every task start (each stop
-/// replayed from the context's last history-free decision, see
-/// DecisionReplay); after a
-/// barrier, phase 2 runs the tasks, each restoring its checkpoints instead
-/// of re-running warm-up, with one private Telemetry per task. Each job's
-/// partials are then folded in ascending chunk order -- the same merge
-/// tree as a single-threaded blocked run -- and handed to `finish` in job
-/// order, and the task telemetry is merged into `telemetry` in task
-/// order. Results and every export are therefore identical at any thread
-/// count.
+/// One worker pool runs in two phases. Phase 1 decides: it replays each
+/// distinct decision context -- (unicast equivalent, source->receiver,
+/// receiver params) for every receiver of an adaptive job -- once over
+/// the windows its jobs score, into a DecisionTimeline (each window
+/// started from the context's last history-free decision, see
+/// DecisionReplay), and freezes each static job's graph. The sweep owns
+/// its decision memo (absorbing and saving the sidecar when one is set),
+/// and each context's table belongs to the worker replaying it, so the
+/// memo takes no lock: the dynamic-two-disjoint contexts are replayed first,
+/// and after a barrier the targeted contexts of the same flows read their
+/// tables. After a second barrier, phase 2 scores the tasks from the
+/// timelines -- no scheme, no memo lookup -- with one private Telemetry
+/// per task. Each job's partials are then folded in ascending chunk order
+/// -- the same merge tree as a single-threaded blocked run -- and handed
+/// to `finish` in job order, and the task telemetry is merged into
+/// `telemetry` in task order. Results, every export and the memo counts
+/// are therefore identical at any thread count.
 SweepStats runSweep(
     const graph::Graph& overlay, const trace::Trace* trace,
     const std::string& packedPath, const SweepSpec& spec,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -32,6 +33,11 @@ std::uint64_t unitMixSeed(std::uint64_t seed, const mcast::Group& group,
   mix(static_cast<std::uint64_t>(mcast::unicastEquivalent(kind)));
   mix(interval);
   return x;
+}
+
+/// The classification a DecisionTimeline span mask stands for.
+routing::FlowProblem problemOf(std::uint8_t mask) {
+  return {(mask & 1u) != 0, (mask & 2u) != 0, (mask & 4u) != 0};
 }
 
 }  // namespace
@@ -105,6 +111,19 @@ void RunPartial::merge(RunPartial&& later) {
   }
 }
 
+std::size_t DecisionTimeline::spanAt(std::size_t t) const {
+  // The first span ending after t.
+  const auto it = std::upper_bound(
+      spans.begin(), spans.end(), t,
+      [](std::size_t interval, const Span& span) {
+        return interval < span.last;
+      });
+  if (it == spans.end() || it->first > t)
+    throw std::out_of_range("DecisionTimeline: interval " +
+                            std::to_string(t) + " is not covered");
+  return static_cast<std::size_t>(it - spans.begin());
+}
+
 DecisionReplay::DecisionReplay(const graph::Graph& overlay,
                                const trace::Trace& trace,
                                const trace::ConditionIndex& index,
@@ -154,20 +173,22 @@ std::size_t DecisionReplay::lastBaselineDecision(std::size_t stop) const {
 namespace {
 
 /// The view each decision interval sees: the baseline view before any
-/// interval is visible or while the interval `staleness` earlier is
+/// interval is visible (`warmupUntil`: the staleness, past the interval
+/// the scheme starts at) or while the interval `staleness` earlier is
 /// clean, otherwise that interval through a fingerprinted cursor view.
 class DecisionViews {
  public:
   DecisionViews(const trace::Trace& trace, const trace::ConditionIndex& index,
-                std::size_t staleness)
+                std::size_t staleness, std::size_t warmupUntil)
       : trace_(&trace),
         index_(&index),
         staleness_(staleness),
+        warmupUntil_(warmupUntil),
         baseline_(routing::NetworkView::baseline(trace)),
         cursor_(trace) {}
 
   bool isBaseline(std::size_t t) const {
-    return t < staleness_ || !trace_->hasDeviation(t - staleness_);
+    return t < warmupUntil_ || !trace_->hasDeviation(t - staleness_);
   }
   const routing::NetworkView& baseline() const { return baseline_; }
 
@@ -185,6 +206,7 @@ class DecisionViews {
   const trace::Trace* trace_;
   const trace::ConditionIndex* index_;
   std::size_t staleness_;
+  std::size_t warmupUntil_;
   routing::NetworkView baseline_;
   trace::ConditionTimeline cursor_;
   std::optional<routing::NetworkView> view_;
@@ -199,10 +221,10 @@ class DecisionViews {
 /// holds apply) and the graph of the last *re-plan* that found a route (a
 /// middle-only decision whose weights differ from the previous
 /// middle-only decision's). Decision views are classified backwards from
-/// the stop, down to the previous stop whose exact state is known, and
-/// the scheme itself re-plans only the middle-only decisions the pair
-/// needs. Requires a baseline view that classifies as no problem, so that
-/// only deviating decisions can detect anything.
+/// the stop, down to where the walk already is (whose exact state is
+/// known), and the scheme itself re-plans only the middle-only decisions
+/// the pair needs. Requires a baseline view that classifies as no
+/// problem, so that only deviating decisions can detect anything.
 class TargetedRecovery {
  public:
   TargetedRecovery(routing::RoutingScheme& scheme, DecisionViews& views,
@@ -224,11 +246,11 @@ class TargetedRecovery {
                 .any();
   }
 
-  /// The checkpoint at `stop`, given the exact state `before` at the
-  /// previous stop `floor` < stop (interval 0 and the initial state for
-  /// the first stop).
-  routing::DecisionCheckpoint at(std::size_t stop, std::size_t floor,
-                                 const routing::SchemeState& before) {
+  /// Leaves the scheme in its state after decision stop - 1 and returns
+  /// that decision's selection, given that the scheme holds its exact
+  /// state at `floor` < stop (interval 0 and the initial state at first).
+  const graph::DisseminationGraph& at(std::size_t stop, std::size_t floor) {
+    const routing::SchemeState before = scheme_->saveState();
     lowest_ = stop;
     floor_ = floor;
     const std::size_t last = stop - 1;
@@ -257,9 +279,10 @@ class TargetedRecovery {
       scheme_->restoreState(pre);
       dg = &select(last);
     }
-    return {scheme_->saveState(), dg->edges()};
+    return *dg;
   }
 
+  /// select() calls so far.
   std::uint64_t decisions() const { return decisions_; }
   /// The earliest decision interval the last at() read.
   std::size_t lowest() const { return lowest_; }
@@ -360,84 +383,146 @@ class TargetedRecovery {
   std::uint64_t decisions_ = 0;
 };
 
-}  // namespace
+/// Builds one timeline: adds each decision's span in interval order,
+/// extending the last span while the selection and classification hold.
+class TimelineRecorder {
+ public:
+  /// Decisions before `from` are not recorded.
+  void recordFrom(std::size_t from) { from_ = from; }
 
-// dgcheck: cold: runs once per (context, sweep); allocates one checkpoint per stop
-std::vector<routing::DecisionCheckpoint> DecisionReplay::run(
-    routing::SchemeKind kind, routing::Flow flow,
-    const routing::SchemeParams& params, routing::DecisionMemo* memo,
-    std::span<const std::size_t> stops) const {
-  auto scheme = routing::makeScheme(kind, *overlay_, flow, params);
-  if (memo != nullptr)
-    scheme->setDecisionMemo(memo, memo->contextKey(kind, flow, params));
-  DecisionViews views(*trace_, *index_, staleness_);
-  scheme->initialize(views.baseline());
-  const routing::SchemeState initial = scheme->saveState();
-  std::size_t previous = 0;
-  for (const std::size_t stop : stops) {
-    if (stop <= previous || stop > trace_->intervalCount())
-      throw std::out_of_range("DecisionReplay::run: stops must ascend in "
-                              "(0, intervalCount]");
-    previous = stop;
+  /// Decision `first`'s selection and classification, in force through
+  /// `last` (exclusive).
+  // dgcheck: cold: phase 1 only, once per decision span
+  void add(std::size_t first, std::size_t last,
+           const std::vector<graph::EdgeId>& edges,
+           std::optional<routing::FlowProblem> problem) {
+    first = std::max(first, from_);
+    if (last <= first) return;
+    const std::uint8_t mask =
+        problem ? static_cast<std::uint8_t>((problem->source ? 1u : 0u) |
+                                            (problem->destination ? 2u : 0u) |
+                                            (problem->middle ? 4u : 0u))
+                : DecisionTimeline::kUnclassified;
+    std::vector<DecisionTimeline::Span>& spans = timeline_.spans;
+    if (!spans.empty()) {
+      DecisionTimeline::Span& back = spans.back();
+      if (back.last == first && back.problem == mask &&
+          timeline_.lists[back.list] == edges) {
+        back.last = last;
+        return;
+      }
+    }
+    const auto [it, added] = index_.emplace(
+        edges, static_cast<std::uint32_t>(timeline_.lists.size()));
+    if (added) timeline_.lists.push_back(edges);
+    spans.push_back({first, last, it->second, mask});
   }
 
-  std::vector<routing::DecisionCheckpoint> checkpoints;
-  checkpoints.reserve(stops.size());
-  std::uint64_t decisions = 0;
-  std::uint64_t intervals = 0;
+  DecisionTimeline take() { return std::move(timeline_); }
+
+ private:
+  DecisionTimeline timeline_;
+  std::map<std::vector<graph::EdgeId>, std::uint32_t> index_;
+  std::size_t from_ = 0;
+};
+
+}  // namespace
+
+// dgcheck: cold: runs once per (context, sweep); allocates the timeline
+DecisionTimeline DecisionReplay::decide(
+    routing::SchemeKind kind, routing::Flow flow,
+    const routing::SchemeParams& params, routing::DecisionMemo* memo,
+    std::span<const IntervalWindow> windows, std::size_t origin) const {
+  std::size_t previous = origin;
+  for (const auto& [first, last] : windows) {
+    if (first < previous || last > trace_->intervalCount())
+      throw std::out_of_range(
+          "DecisionReplay: windows must ascend, not overlap and end inside "
+          "the trace");
+    previous = std::max(first, last);
+  }
+  auto scheme = routing::makeScheme(kind, *overlay_, flow, params);
+  if (memo != nullptr) {
+    const std::optional<std::uint64_t> key =
+        memo->findContext(kind, flow, params);
+    if (!key)
+      throw std::invalid_argument(
+          "DecisionReplay: the context is not interned in the memo");
+    scheme->setDecisionMemo(memo, *key);
+  }
+  DecisionViews views(*trace_, *index_, staleness_, origin + staleness_);
+  scheme->initialize(views.baseline());
+
   const bool targeted = kind == routing::SchemeKind::TargetedRedundancy;
   std::optional<TargetedRecovery> recovery;
-  if (targeted) {
+  if (targeted && origin == 0) {
     recovery.emplace(*scheme, views, deviatingIntervals_, staleness_);
     if (!recovery->applies()) recovery.reset();
   }
-  if (recovery) {
-    std::size_t floor = 0;
-    for (const std::size_t stop : stops) {
-      checkpoints.push_back(recovery->at(
-          stop, floor,
-          checkpoints.empty() ? initial : checkpoints.back().state));
-      intervals += stop - recovery->lowest();
-      floor = stop;
-    }
-    decisions = recovery->decisions();
-  } else {
-    // A select on the fingerprinted baseline view returns a cached-graph
-    // scheme to its initial state -- unless the baseline has no timely
-    // route, when it keeps whatever graph it had.
-    const bool baselineResets = !targeted && !initial.edges.empty();
-    const graph::DisseminationGraph* dg = nullptr;
-    std::size_t t = 0;
-    for (const std::size_t stop : stops) {
-      if (baselineResets) {
-        const std::size_t restart = lastBaselineDecision(stop);
-        if (restart != kNoDecision && restart >= t) {
-          scheme->restoreState(initial);
-          t = restart;
-        }
+  // A select on the fingerprinted baseline view returns a cached-graph
+  // scheme to its initial state -- unless the baseline has no timely
+  // route, when it keeps whatever graph it had. (A select right after
+  // initialize() is a fixed-point no-op.)
+  const bool baselineResets =
+      !targeted && !scheme->select(views.baseline()).edges().empty();
+
+  TimelineRecorder recorder;
+  Work work;
+  // The next decision to make; the scheme holds its state before it.
+  std::size_t t = origin;
+  for (const auto& [first, last] : windows) {
+    if (first >= last) continue;
+    // The selection in force when the window starts is recorded too.
+    const std::size_t from = first > origin ? first - 1 : origin;
+    recorder.recordFrom(from);
+    std::size_t lowest = t;
+    if (t < from) {
+      if (recovery) {
+        const graph::DisseminationGraph& dg = recovery->at(first, t);
+        recorder.add(first - 1, first, dg.edges(), scheme->classification());
+        lowest = recovery->lowest();
+        t = first;
+      } else if (baselineResets) {
+        const std::size_t restart = lastBaselineDecision(first);
+        if (restart != kNoDecision && restart >= t) t = restart;
+        lowest = t;
       }
-      if (t < stop) intervals += stop - t;
-      // A steady-span jump may carry t past `stop`: the state is at its
-      // fixed point across the whole span, so it is the state at `stop`.
-      while (t < stop) {
-        ++decisions;
-        if (views.isBaseline(t)) {
-          dg = &scheme->select(views.baseline());
-          if (scheme->steadyOnBaseline()) {
-            t = nextDeviatingDecision(t + 1);
-            continue;
-          }
-        } else {
-          dg = &scheme->select(views.at(t));
-        }
-        ++t;
-      }
-      checkpoints.push_back({scheme->saveState(), dg->edges()});
     }
+    while (t < last) {
+      const bool baseline = views.isBaseline(t);
+      const graph::DisseminationGraph& dg =
+          scheme->select(baseline ? views.baseline() : views.at(t));
+      ++work.decisions;
+      // A steady span: every decision up to the next deviating one is a
+      // no-op select with this outcome.
+      const std::size_t next =
+          baseline && scheme->steadyOnBaseline()
+              ? std::min(nextDeviatingDecision(t + 1), last)
+              : t + 1;
+      recorder.add(t, next, dg.edges(), scheme->classification());
+      t = next;
+    }
+    work.intervals += last - lowest;
   }
-  decisions_.fetch_add(decisions, std::memory_order_relaxed);
-  intervals_.fetch_add(intervals, std::memory_order_relaxed);
-  return checkpoints;
+  if (recovery) work.decisions += recovery->decisions();
+  decisions_.fetch_add(work.decisions, std::memory_order_relaxed);
+  intervals_.fetch_add(work.intervals, std::memory_order_relaxed);
+  return recorder.take();
+}
+
+DecisionTimeline DecisionReplay::run(
+    routing::SchemeKind kind, routing::Flow flow,
+    const routing::SchemeParams& params, routing::DecisionMemo* memo,
+    std::span<const IntervalWindow> windows) const {
+  return decide(kind, flow, params, memo, windows, 0);
+}
+
+DecisionTimeline DecisionReplay::runFresh(
+    routing::SchemeKind kind, routing::Flow flow,
+    const routing::SchemeParams& params, routing::DecisionMemo* memo,
+    std::size_t first, std::size_t last) const {
+  const IntervalWindow window{first, last};
+  return decide(kind, flow, params, memo, {&window, 1}, first);
 }
 
 PlaybackEngine::PlaybackEngine(const graph::Graph& overlay,
@@ -462,40 +547,84 @@ PlaybackEngine::PlaybackEngine(const graph::Graph& overlay,
         "PlaybackEngine: Monte-Carlo sample count must be at least 1");
 }
 
-std::vector<routing::DecisionCheckpoint> PlaybackEngine::replayCheckpoints(
+// dgcheck: cold: runs once per (context, sweep)
+DecisionTimeline PlaybackEngine::replayTimeline(
     routing::SchemeKind kind, routing::Flow flow,
-    const routing::SchemeParams& schemeParams,
-    std::span<const std::size_t> stops) const {
+    const routing::SchemeParams& schemeParams, routing::DecisionMemo* memo,
+    std::span<const IntervalWindow> windows) const {
   const std::int64_t t0 = params_.collectStageTimings ? util::nowNanos() : 0;
-  std::vector<routing::DecisionCheckpoint> checkpoints =
-      replay_.run(kind, flow, schemeParams, &decisionMemo_, stops);
+  DecisionTimeline timeline =
+      replay_.run(kind, flow, schemeParams, memo, windows);
   if (params_.collectStageTimings) {
     stageTimings_.memoNs.fetch_add(
         static_cast<std::uint64_t>(util::nowNanos() - t0),
         std::memory_order_relaxed);
   }
-  return checkpoints;
+  return timeline;
 }
 
-PlaybackEngine::ScoreSpec PlaybackEngine::flowSpec(
-    const mcast::Group& unit, routing::SchemeKind kind,
+// dgcheck: cold: runs once per static (unit, scheme) job
+graph::DisseminationGraph PlaybackEngine::frozenGraph(
+    const mcast::Group& group, mcast::GroupSchemeKind kind,
+    const routing::SchemeParams& schemeParams) const {
+  if (mcast::isAdaptive(kind))
+    throw std::invalid_argument(
+        "PlaybackEngine::frozenGraph: adaptive kinds have no frozen graph");
+  auto scheme = mcast::makeGroupScheme(kind, *overlay_, group, schemeParams);
+  scheme->initialize(routing::NetworkView::baseline(*trace_));
+  return scheme->current();
+}
+
+// dgcheck: cold: runs once per standalone call
+PlaybackEngine::OwnedDecisions PlaybackEngine::decideUnit(
+    const mcast::Group& group, mcast::GroupSchemeKind kind,
     const routing::SchemeParams& schemeParams, std::size_t first,
-    std::size_t last) {
-  ScoreSpec spec = groupSpec(unit, mcast::groupEquivalent(kind),
-                             schemeParams, first, last);
+    std::size_t last, bool fresh) const {
+  OwnedDecisions decisions;
+  if (!mcast::isAdaptive(kind)) {
+    decisions.frozen.emplace(frozenGraph(group, kind, schemeParams));
+    return decisions;
+  }
+  const std::int64_t t0 = params_.collectStageTimings ? util::nowNanos() : 0;
+  routing::DecisionMemo memo;
+  const IntervalWindow window{first, last};
+  decisions.timelines.reserve(group.receivers.size());
+  for (std::size_t i = 0; i < group.receivers.size(); ++i) {
+    const routing::SchemeKind unicast = mcast::unicastEquivalent(kind);
+    const routing::Flow flow = mcast::receiverFlow(group, i);
+    const routing::SchemeParams params =
+        mcast::receiverSchemeParams(group, i, schemeParams);
+    memo.contextKey(unicast, flow, params);
+    decisions.timelines.push_back(
+        fresh ? replay_.runFresh(unicast, flow, params, &memo, first, last)
+              : replay_.run(unicast, flow, params, &memo, {&window, 1}));
+  }
+  for (const DecisionTimeline& timeline : decisions.timelines)
+    decisions.receivers.push_back(&timeline);
+  if (params_.collectStageTimings) {
+    stageTimings_.memoNs.fetch_add(
+        static_cast<std::uint64_t>(util::nowNanos() - t0),
+        std::memory_order_relaxed);
+  }
+  return decisions;
+}
+
+PlaybackEngine::ScoreSpec PlaybackEngine::flowSpec(const mcast::Group& unit,
+                                                   routing::SchemeKind kind,
+                                                   std::size_t first,
+                                                   std::size_t last) {
+  ScoreSpec spec = groupSpec(unit, mcast::groupEquivalent(kind), first, last);
   spec.names = &kFlowNames;
   spec.schemeLabel = routing::schemeName(kind);
   return spec;
 }
 
 PlaybackEngine::ScoreSpec PlaybackEngine::groupSpec(
-    const mcast::Group& group, mcast::GroupSchemeKind kind,
-    const routing::SchemeParams& schemeParams, std::size_t first,
+    const mcast::Group& group, mcast::GroupSchemeKind kind, std::size_t first,
     std::size_t last) {
   ScoreSpec spec;
   spec.group = &group;
   spec.kind = kind;
-  spec.schemeParams = &schemeParams;
   spec.names = &kGroupNames;
   spec.schemeLabel = mcast::groupSchemeName(kind);
   spec.first = first;
@@ -516,7 +645,10 @@ FlowSchemeResult PlaybackEngine::runRange(
     const routing::SchemeParams& schemeParams, std::size_t first,
     std::size_t last, telemetry::Telemetry* telemetry) const {
   const mcast::Group unit = mcast::oneReceiverGroup(flow);
-  ScoreSpec spec = flowSpec(unit, kind, schemeParams, first, last);
+  ScoreSpec spec = flowSpec(unit, kind, first, last);
+  const OwnedDecisions decisions =
+      decideUnit(unit, spec.kind, schemeParams, first, last, true);
+  spec.decisions = decisions.view();
   spec.telemetry = telemetry;
   return finalizePartial(flow, kind, score(spec));
 }
@@ -526,7 +658,10 @@ std::vector<double> PlaybackEngine::missTimeline(
     const routing::SchemeParams& schemeParams, std::size_t first,
     std::size_t last) const {
   const mcast::Group unit = mcast::oneReceiverGroup(flow);
-  ScoreSpec spec = flowSpec(unit, kind, schemeParams, first, last);
+  ScoreSpec spec = flowSpec(unit, kind, first, last);
+  const OwnedDecisions decisions =
+      decideUnit(unit, spec.kind, schemeParams, first, last, true);
+  spec.decisions = decisions.view();
   std::vector<double> timeline;
   timeline.reserve(last > first ? last - first : 0);
   spec.timelineOut = &timeline;
@@ -535,24 +670,13 @@ std::vector<double> PlaybackEngine::missTimeline(
 }
 
 RunPartial PlaybackEngine::runChunkPartial(
-    routing::Flow flow, routing::SchemeKind kind,
-    const routing::SchemeParams& schemeParams, std::size_t first,
-    std::size_t last, const routing::DecisionCheckpoint* start,
-    trace::ConditionSource* decisionSource,
-    trace::ConditionSource* truthSource, telemetry::Telemetry* telemetry,
-    DeliveryWorkspace* workspace) const {
+    routing::Flow flow, routing::SchemeKind kind, std::size_t first,
+    std::size_t last, const UnitDecisions& decisions,
+    telemetry::Telemetry* telemetry, DeliveryWorkspace* workspace) const {
   const mcast::Group unit = mcast::oneReceiverGroup(flow);
-  ScoreSpec spec = flowSpec(unit, kind, schemeParams, first, last);
-  // Static kinds carry no decision state to restore.
-  const bool restore = first > 0 && mcast::isAdaptive(spec.kind);
-  if ((first == 0 && start != nullptr) || (restore && start == nullptr))
-    throw std::invalid_argument(
-        "PlaybackEngine::runChunkPartial: a start checkpoint is required "
-        "exactly when first > 0 (optional for static kinds)");
+  ScoreSpec spec = flowSpec(unit, kind, first, last);
+  spec.decisions = decisions;
   spec.chunk = true;
-  spec.starts = {&start, restore ? 1u : 0u};
-  spec.decisionSource = decisionSource;
-  spec.truthSource = truthSource;
   spec.telemetry = telemetry;
   spec.workspace = workspace;
   return score(spec);
@@ -561,17 +685,18 @@ RunPartial PlaybackEngine::runChunkPartial(
 RunPartial PlaybackEngine::runChunkPartial(
     routing::Flow flow, routing::SchemeKind kind,
     const routing::SchemeParams& schemeParams, std::size_t first,
-    std::size_t last, trace::ConditionSource* decisionSource,
+    std::size_t last, trace::ConditionSource* /*decisionSource*/,
     trace::ConditionSource* truthSource,
     telemetry::Telemetry* telemetry) const {
-  std::vector<routing::DecisionCheckpoint> start;
-  if (first > 0) {
-    const std::array<std::size_t, 1> stops{first};
-    start = replayCheckpoints(kind, flow, schemeParams, stops);
-  }
-  return runChunkPartial(flow, kind, schemeParams, first, last,
-                         start.empty() ? nullptr : &start[0], decisionSource,
-                         truthSource, telemetry);
+  const mcast::Group unit = mcast::oneReceiverGroup(flow);
+  ScoreSpec spec = flowSpec(unit, kind, first, last);
+  const OwnedDecisions decisions =
+      decideUnit(unit, spec.kind, schemeParams, first, last, false);
+  spec.decisions = decisions.view();
+  spec.chunk = true;
+  spec.truthSource = truthSource;
+  spec.telemetry = telemetry;
+  return score(spec);
 }
 
 FlowSchemeResult PlaybackEngine::finalizePartial(routing::Flow flow,
@@ -603,28 +728,21 @@ GroupSchemeResult PlaybackEngine::runRange(
     const mcast::Group& group, mcast::GroupSchemeKind kind,
     const routing::SchemeParams& schemeParams, std::size_t first,
     std::size_t last, telemetry::Telemetry* telemetry) const {
-  ScoreSpec spec = groupSpec(group, kind, schemeParams, first, last);
+  ScoreSpec spec = groupSpec(group, kind, first, last);
+  const OwnedDecisions decisions =
+      decideUnit(group, kind, schemeParams, first, last, true);
+  spec.decisions = decisions.view();
   spec.telemetry = telemetry;
   return finalizePartial(group, kind, score(spec));
 }
 
 RunPartial PlaybackEngine::runChunkPartial(
-    const mcast::Group& group, mcast::GroupSchemeKind kind,
-    const routing::SchemeParams& schemeParams, std::size_t first,
-    std::size_t last,
-    std::span<const routing::DecisionCheckpoint* const> receiverStarts,
-    trace::ConditionSource* decisionSource,
-    trace::ConditionSource* truthSource, telemetry::Telemetry* telemetry,
-    DeliveryWorkspace* workspace) const {
-  if (receiverStarts.empty() == (first > 0 && mcast::isAdaptive(kind)))
-    throw std::invalid_argument(
-        "PlaybackEngine::runChunkPartial: receiver checkpoints are "
-        "required exactly when first > 0 and the kind is adaptive");
-  ScoreSpec spec = groupSpec(group, kind, schemeParams, first, last);
+    const mcast::Group& group, mcast::GroupSchemeKind kind, std::size_t first,
+    std::size_t last, const UnitDecisions& decisions,
+    telemetry::Telemetry* telemetry, DeliveryWorkspace* workspace) const {
+  ScoreSpec spec = groupSpec(group, kind, first, last);
+  spec.decisions = decisions;
   spec.chunk = true;
-  spec.starts = receiverStarts;
-  spec.decisionSource = decisionSource;
-  spec.truthSource = truthSource;
   spec.telemetry = telemetry;
   spec.workspace = workspace;
   return score(spec);
@@ -633,22 +751,17 @@ RunPartial PlaybackEngine::runChunkPartial(
 RunPartial PlaybackEngine::runChunkPartial(
     const mcast::Group& group, mcast::GroupSchemeKind kind,
     const routing::SchemeParams& schemeParams, std::size_t first,
-    std::size_t last, trace::ConditionSource* decisionSource,
+    std::size_t last, trace::ConditionSource* /*decisionSource*/,
     trace::ConditionSource* truthSource,
     telemetry::Telemetry* telemetry) const {
-  std::vector<std::vector<routing::DecisionCheckpoint>> checkpoints;
-  std::vector<const routing::DecisionCheckpoint*> starts;
-  if (first > 0 && mcast::isAdaptive(kind)) {
-    const std::array<std::size_t, 1> stops{first};
-    for (std::size_t i = 0; i < group.receivers.size(); ++i) {
-      checkpoints.push_back(replayCheckpoints(
-          mcast::unicastEquivalent(kind), mcast::receiverFlow(group, i),
-          mcast::receiverSchemeParams(group, i, schemeParams), stops));
-    }
-    for (const auto& receiver : checkpoints) starts.push_back(&receiver[0]);
-  }
-  return runChunkPartial(group, kind, schemeParams, first, last, starts,
-                         decisionSource, truthSource, telemetry);
+  ScoreSpec spec = groupSpec(group, kind, first, last);
+  const OwnedDecisions decisions =
+      decideUnit(group, kind, schemeParams, first, last, false);
+  spec.decisions = decisions.view();
+  spec.chunk = true;
+  spec.truthSource = truthSource;
+  spec.telemetry = telemetry;
+  return score(spec);
 }
 
 GroupSchemeResult PlaybackEngine::finalizePartial(const mcast::Group& group,
@@ -681,31 +794,51 @@ GroupSchemeResult PlaybackEngine::finalizePartial(const mcast::Group& group,
 RunPartial PlaybackEngine::score(const ScoreSpec& spec) const {
   if (spec.first > spec.last || spec.last > trace_->intervalCount())
     throw std::out_of_range("PlaybackEngine: bad interval range");
-  if (!params_.conditionCursor &&
-      (spec.decisionSource != nullptr || spec.truthSource != nullptr))
+  if (!params_.conditionCursor && spec.truthSource != nullptr)
     throw std::logic_error(
         "PlaybackEngine: condition sources require conditionCursor mode");
   // dgcheck: setup begin
   const mcast::Group& group = *spec.group;
   const std::size_t receiverCount = group.receivers.size();
-  auto scheme = mcast::makeGroupScheme(spec.kind, *overlay_, group,
-                                       *spec.schemeParams);
-  scheme->attachDecisionMemo(&decisionMemo_);
-  const routing::NetworkView baselineView =
-      routing::NetworkView::baseline(*trace_);
-  scheme->initialize(baselineView);
-  if (!spec.starts.empty()) scheme->restoreReceivers(spec.starts);
+  const std::span<const DecisionTimeline* const> timelines =
+      spec.decisions.receivers;
+  const bool adaptive = spec.decisions.frozen == nullptr;
+  if (adaptive != mcast::isAdaptive(spec.kind) ||
+      (adaptive && timelines.size() != receiverCount))
+    throw std::invalid_argument(
+        "PlaybackEngine: an adaptive kind scores one decision timeline per "
+        "receiver, a static kind its frozen graph");
 
-  // Replay cursors: the decision cursor tracks the (stale) interval the
-  // scheme sees, the truth cursor tracks the interval being scored. A
-  // null source replays from the in-memory trace.
-  std::optional<trace::ConditionTimeline> decisionCursor;
-  std::optional<trace::ConditionTimeline> truthCursor;
-  if (spec.decisionSource != nullptr) {
-    decisionCursor.emplace(*spec.decisionSource);
-  } else {
-    decisionCursor.emplace(*trace_);
+  // The selection: a static kind's frozen graph, or the union of the
+  // receivers' selections, rebuilt in place whenever one of them changes.
+  graph::DisseminationGraph unionGraph(*overlay_, group.source,
+                                       group.receivers.front());
+  const graph::DisseminationGraph* const dg =
+      adaptive ? &unionGraph : spec.decisions.frozen;
+  // Per receiver: the span in force and its selection and classification.
+  std::vector<std::size_t> spanIndex(adaptive ? receiverCount : 0);
+  std::vector<const std::vector<graph::EdgeId>*> selections(spanIndex.size());
+  std::vector<std::uint8_t> problem(spanIndex.size());
+  // Bumped at every rebuild: equal values mean an unchanged selection.
+  std::uint64_t selection = 0;
+  // The next interval at which some receiver's span ends.
+  std::size_t nextChange = spec.first;
+  if (adaptive && spec.first < spec.last) {
+    // Chunk tasks start from the selection in force at `first`.
+    const std::size_t from =
+        spec.chunk && spec.first > 0 ? spec.first - 1 : spec.first;
+    for (std::size_t r = 0; r < receiverCount; ++r) {
+      spanIndex[r] = timelines[r]->spanAt(from);
+      const DecisionTimeline::Span& span = timelines[r]->spans[spanIndex[r]];
+      selections[r] = &timelines[r]->lists[span.list];
+      problem[r] = span.problem;
+    }
+    mcast::uniteSelections(unionGraph, selections);
   }
+
+  // Truth cursor: the interval being scored. A null source replays from
+  // the in-memory trace.
+  std::optional<trace::ConditionTimeline> truthCursor;
   if (spec.truthSource != nullptr) {
     truthCursor.emplace(*spec.truthSource);
   } else {
@@ -724,20 +857,20 @@ RunPartial PlaybackEngine::score(const ScoreSpec& spec) const {
 
   // Telemetry handles, resolved once per range (null when detached).
   telemetry::Telemetry* telemetry = spec.telemetry;
-  telemetry::Counter* intervalsCounter = nullptr;
   telemetry::Counter* mcIntervalsCounter = nullptr;
   telemetry::Counter* mcSamplesCounter = nullptr;
   telemetry::Counter* switchCounter = nullptr;
   telemetry::HistogramMetric* missHistogram = nullptr;
   std::vector<graph::EdgeId> lastSelectedEdges;
   bool haveSelected = false;
+  const util::SimTime intervalLength = trace_->intervalLength();
   if (telemetry != nullptr) {
-    const std::string label = mcast::groupLabel(group);
-    scheme->setTelemetry(telemetry, label);
-    const telemetry::Labels labels{{spec.names->unitKey, label},
-                                   {"scheme", std::string(spec.schemeLabel)}};
+    const telemetry::Labels labels{
+        {spec.names->unitKey, mcast::groupLabel(group)},
+        {"scheme", std::string(spec.schemeLabel)}};
     telemetry::MetricsRegistry& metrics = telemetry->metrics;
-    intervalsCounter = &metrics.counter(spec.names->intervals, labels);
+    metrics.counter(spec.names->intervals, labels)
+        .inc(spec.last - spec.first);
     mcIntervalsCounter = &metrics.counter(spec.names->mcIntervals, labels);
     mcSamplesCounter = &metrics.counter(spec.names->mcSamples, labels);
     switchCounter = &metrics.counter(spec.names->graphSwitches, labels);
@@ -746,26 +879,98 @@ RunPartial PlaybackEngine::score(const ScoreSpec& spec) const {
     if (spec.chunk && spec.first > 0) {
       // GraphSwitch continuity: the previous chunk ended with this
       // selection in force.
-      lastSelectedEdges = scheme->current().edges();
+      lastSelectedEdges = dg->edges();
       haveSelected = true;
+    }
+    // Each decision counts its classification, as the schemes' own
+    // recordClassification() does per select(): in bulk, span by span.
+    for (std::size_t r = 0; r < spanIndex.size() && spec.first < spec.last;
+         ++r) {
+      std::array<std::uint64_t, 8> counts{};
+      const std::vector<DecisionTimeline::Span>& spans = timelines[r]->spans;
+      for (std::size_t k = spanIndex[r];
+           k < spans.size() && spans[k].first < spec.last; ++k) {
+        if (spans[k].problem == DecisionTimeline::kUnclassified) continue;
+        counts[spans[k].problem] +=
+            std::min(spans[k].last, spec.last) -
+            std::max(spans[k].first, spec.first);
+      }
+      for (std::uint8_t mask = 0; mask < counts.size(); ++mask) {
+        if (counts[mask] == 0) continue;
+        metrics
+            .counter("dg_routing_classifications_total",
+                     {{"flow", std::to_string(group.source) + "->" +
+                                   std::to_string(group.receivers[r])},
+                      {"scheme", std::string(routing::schemeName(
+                                     mcast::unicastEquivalent(spec.kind)))},
+                      {"class", routing::flowProblemLabel(problemOf(mask))}})
+            .inc(counts[mask]);
+      }
     }
   }
 
-  const bool useCursor = params_.conditionCursor;
+  // At a span end: moves every receiver to the span in force at t,
+  // rebuilds the union if a selection changed, and records the trace
+  // events the schemes and the scoring loop recorded per decision --
+  // each classifying receiver's ProblemClassified when its classification
+  // changes (and at the first interval), in receiver order, then the
+  // group's GraphSwitch.
+  const auto advance = [&](std::size_t t) {
+    bool changed = false;
+    nextChange = spec.last;
+    for (std::size_t r = 0; r < spanIndex.size(); ++r) {
+      const std::vector<DecisionTimeline::Span>& spans = timelines[r]->spans;
+      std::size_t k = spanIndex[r];
+      while (k < spans.size() && spans[k].last <= t) ++k;
+      if (k == spans.size() || spans[k].first > t)
+        throw std::out_of_range(
+            "PlaybackEngine: a decision timeline does not cover the range");
+      spanIndex[r] = k;
+      const std::vector<graph::EdgeId>* list =
+          &timelines[r]->lists[spans[k].list];
+      if (list != selections[r]) {
+        selections[r] = list;
+        changed = true;
+      }
+      nextChange = std::min(nextChange, spans[k].last);
+      if (telemetry != nullptr &&
+          spans[k].problem != DecisionTimeline::kUnclassified &&
+          (t == spec.first || spans[k].problem != problem[r])) {
+        telemetry->now = static_cast<util::SimTime>(t) * intervalLength;
+        telemetry->trace.record(telemetry->now,
+                                telemetry::TraceEventKind::ProblemClassified,
+                                -1, group.source, -1, 0.0,
+                                routing::flowProblemLabel(
+                                    problemOf(spans[k].problem)));
+      }
+      problem[r] = spans[k].problem;
+    }
+    if (changed) {
+      mcast::uniteSelections(unionGraph, selections);
+      ++selection;
+    }
+    if (telemetry != nullptr && (changed || !haveSelected)) {
+      if (haveSelected && dg->edges() != lastSelectedEdges) {
+        telemetry->now = static_cast<util::SimTime>(t) * intervalLength;
+        switchCounter->inc();
+        telemetry->trace.record(
+            telemetry->now, telemetry::TraceEventKind::GraphSwitch, -1,
+            group.source, -1, static_cast<double>(dg->edges().size()),
+            std::string(spec.schemeLabel));
+      }
+      lastSelectedEdges = dg->edges();
+      haveSelected = true;
+    }
+  };
+
   // missTimeline evaluates every interval fresh so each Monte-Carlo
   // interval reflects its own RNG stream; scoring runs reuse the
   // evaluation of clean intervals while the selected graph is unchanged
   // (including Monte-Carlo ones -- identical inputs, identical
   // distribution).
   const bool reuseCleanEvals = spec.timelineOut == nullptr;
-  // Steady fast path: while the scheme is at its clean fixed point and
-  // the decision view stays on baseline, select() calls are provably
-  // no-ops and may be skipped -- but only when nobody can observe them:
-  // telemetry counts classifications per call, and missTimeline must
-  // evaluate every interval fresh.
-  const bool fastPathOk =
-      useCursor && telemetry == nullptr && reuseCleanEvals;
   const bool collectLatencies = params_.collectIntervalLatencies;
+  const bool useCursor = params_.conditionCursor;
 
   RunPartial total;
   RunPartial block;
@@ -773,7 +978,7 @@ RunPartial PlaybackEngine::score(const ScoreSpec& spec) const {
   RunPartial* const acc = blockLen > 0 ? &block : &total;
   acc->resize(receiverCount);
 
-  const double intervalSeconds = util::toSeconds(trace_->intervalLength());
+  const double intervalSeconds = util::toSeconds(intervalLength);
   DeliveryWorkspace ownWorkspace;
   DeliveryWorkspace& workspace =
       spec.workspace != nullptr ? *spec.workspace : ownWorkspace;
@@ -799,33 +1004,23 @@ RunPartial PlaybackEngine::score(const ScoreSpec& spec) const {
   std::vector<int> deliveredHistogram(receiverCount + 1);
   std::vector<double> dp(receiverCount + 1);
 
-  // Run-local reuse: when the interval is clean and the scheme returns
-  // the same graph as last time, the evaluation is unchanged. `cachedDg`
-  // short-circuits the edge-list comparison: it is reset on every actual
-  // select(), so pointer equality implies the selection was not touched
-  // since the cache was filled.
+  // Run-local reuse: when the interval is clean and the selection is the
+  // same as last time, the evaluation is unchanged. `cachedSelection`
+  // short-circuits the edge-list comparison: it is the selection counter
+  // when the cache was filled.
   std::vector<graph::EdgeId> cachedEdges;
   bool cacheValid = false;
-  const graph::DisseminationGraph* cachedDg = nullptr;
+  std::uint64_t cachedSelection = 0;
 
   const bool timed = params_.collectStageTimings;
   std::uint64_t decodeNs = 0;
   std::uint64_t mcNs = 0;
   std::uint64_t evalNs = 0;
-  std::uint64_t memoNs = 0;
   std::uint64_t mergeNs = 0;
   std::int64_t t0 = 0;
   const auto lap = [&t0](std::uint64_t& stage) {
     stage += static_cast<std::uint64_t>(util::nowNanos() - t0);
   };
-
-  const graph::DisseminationGraph* dg = nullptr;
-  bool steady = false;
-
-  const auto staleness = static_cast<std::size_t>(params_.viewStaleness);
-  // Intervals below this are decided on the baseline view regardless of
-  // trace content (the scheme cannot have observed anything yet).
-  const std::size_t warmupUntil = (spec.chunk ? 0 : spec.first) + staleness;
   // dgcheck: setup end
   for (std::size_t t = spec.first; t < spec.last; ++t) {
     if (blockLen > 0 && t != spec.first && t % blockLen == 0) {
@@ -838,57 +1033,15 @@ RunPartial PlaybackEngine::score(const ScoreSpec& spec) const {
       block.resize(receiverCount);
       if (timed) lap(mergeNs);
       cacheValid = false;
-      cachedDg = nullptr;
     }
-    if (telemetry != nullptr) {
-      telemetry->now =
-          static_cast<util::SimTime>(t) * trace_->intervalLength();
-    }
-    // --- Decision: what does the scheme believe right now? -------------
-    const bool baselineDecision =
-        t < warmupUntil || !trace_->hasDeviation(t - staleness);
-    if (baselineDecision) {
-      if (!(steady && fastPathOk)) {
-        if (timed) t0 = util::nowNanos();
-        dg = &scheme->select(baselineView);
-        steady = scheme->steadyOnBaseline();
-        if (timed) lap(memoNs);
-        cachedDg = nullptr;
-      }
-    } else {
-      const std::size_t viewInterval = t - staleness;
-      if (timed) t0 = util::nowNanos();
-      if (useCursor) decisionCursor->seek(viewInterval);
-      const routing::NetworkView view =
-          useCursor ? routing::NetworkView::borrowing(
-                          *decisionCursor,
-                          conditionIndex_.contentId(viewInterval))
-                    : routing::NetworkView::atInterval(*trace_, viewInterval);
-      if (timed) {
-        lap(decodeNs);
-        t0 = util::nowNanos();
-      }
-      dg = &scheme->select(view);
-      if (timed) lap(memoNs);
-      steady = false;
-      cachedDg = nullptr;
-    }
-    if (telemetry != nullptr) {
-      if (haveSelected && dg->edges() != lastSelectedEdges) {
-        switchCounter->inc();
-        telemetry->trace.record(
-            telemetry->now, telemetry::TraceEventKind::GraphSwitch, -1,
-            group.source, -1, static_cast<double>(dg->edges().size()),
-            std::string(spec.schemeLabel));
-      }
-      lastSelectedEdges = dg->edges();
-      haveSelected = true;
-    }
+    // --- Selection: the decisions made beforehand ----------------------
+    if (t >= nextChange) advance(t);
 
     // --- Outcome under the interval's true conditions ------------------
     const bool clean = !trace_->hasDeviation(t);
-    const bool reuse = reuseCleanEvals && clean && cacheValid &&
-                       (dg == cachedDg || dg->edges() == cachedEdges);
+    const bool reuse =
+        reuseCleanEvals && clean && cacheValid &&
+        (selection == cachedSelection || dg->edges() == cachedEdges);
     if (!reuse) {
       IntervalEval& eval = fresh;
       std::span<const double> lossRates;
@@ -974,7 +1127,7 @@ RunPartial PlaybackEngine::score(const ScoreSpec& spec) const {
         cachedEdges = dg->edges();
         cachedEval = eval;
         cacheValid = true;
-        cachedDg = dg;
+        cachedSelection = selection;
       }
       if (eval.monteCarlo && mcIntervalsCounter != nullptr) {
         mcIntervalsCounter->inc();
@@ -982,10 +1135,7 @@ RunPartial PlaybackEngine::score(const ScoreSpec& spec) const {
       }
     }
     const IntervalEval& eval = reuse ? cachedEval : fresh;
-    if (intervalsCounter != nullptr) {
-      intervalsCounter->inc();
-      missHistogram->observe(eval.missAll);
-    }
+    if (missHistogram != nullptr) missHistogram->observe(eval.missAll);
     if (spec.timelineOut != nullptr) spec.timelineOut->push_back(eval.missAll);  // dgcheck: ok(R5): diagnostic miss-timeline output; absent in benchmark runs
 
     for (std::size_t r = 0; r < receiverCount; ++r) {
@@ -1017,11 +1167,12 @@ RunPartial PlaybackEngine::score(const ScoreSpec& spec) const {
     if (timed) lap(mergeNs);
   }
   total.deliveryWork += workspace.work - workBefore;
+  if (telemetry != nullptr && spec.first < spec.last)
+    telemetry->now = static_cast<util::SimTime>(spec.last - 1) * intervalLength;
   if (timed) {
     stageTimings_.decodeNs.fetch_add(decodeNs, std::memory_order_relaxed);
     stageTimings_.mcNs.fetch_add(mcNs, std::memory_order_relaxed);
     stageTimings_.evalNs.fetch_add(evalNs, std::memory_order_relaxed);
-    stageTimings_.memoNs.fetch_add(memoNs, std::memory_order_relaxed);
     stageTimings_.mergeNs.fetch_add(mergeNs, std::memory_order_relaxed);
   }
   return total;

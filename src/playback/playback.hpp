@@ -22,20 +22,24 @@
 // lossy are evaluated by Monte-Carlo over the per-hop outcome model.
 //
 // Hot-path architecture (see DESIGN.md, "Playback performance
-// architecture"): replay is driven by trace::ConditionTimeline cursors
-// (O(changes) per interval, zero allocation) handing out fingerprinted
-// borrowed NetworkViews; routing decisions are memoized across jobs in an
-// engine-owned, exact-keyed, internally synchronized memo. Monte-Carlo
-// evaluations are never memoized across intervals -- each interval draws
-// from its own deterministic RNG stream -- so results are bit-identical
-// with the cursor on or off.
+// architecture"): a scheme's decisions depend only on the monitored
+// view, never on packet outcomes, so they are made first -- once per
+// decision context, by DecisionReplay, into run-length DecisionTimelines
+// (memoized across contexts in an exact-keyed decision memo) -- and the
+// scoring loop only reads them. Truth conditions come from a
+// trace::ConditionTimeline cursor (O(changes) per interval, zero
+// allocation). Monte-Carlo evaluations are never memoized across
+// intervals -- each interval draws from its own deterministic RNG stream
+// -- so results are bit-identical with the cursor on or off.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -194,11 +198,12 @@ struct RunPartial {
 /// Cumulative wall-clock nanoseconds per replay stage, summed across all
 /// runs on one engine (workers add their local tallies once per range,
 /// relaxed). Collected only when PlaybackParams::collectStageTimings is
-/// set. "decode" is condition access (cursor seeks, span fetches, vector
-/// materialization), "mc" is Monte-Carlo evaluation, "eval" is the exact
-/// near-lossless evaluation (per-receiver misses plus the delivered-to-k
-/// tail), "memo" is routing decisions only -- decision replays and
-/// scoring selects -- and "merge" is block folds and partial merges.
+/// set. "decode" is truth-condition access (cursor seeks, span fetches,
+/// vector materialization), "mc" is Monte-Carlo evaluation, "eval" is the
+/// exact near-lossless evaluation (per-receiver misses plus the
+/// delivered-to-k tail), "memo" is routing decisions only -- every one is
+/// made by a decision replay (DecisionReplay) -- and "merge" is block
+/// folds and partial merges.
 struct StageTimings {
   std::atomic<std::uint64_t> decodeNs{0};
   std::atomic<std::uint64_t> mcNs{0};
@@ -207,67 +212,122 @@ struct StageTimings {
   std::atomic<std::uint64_t> mergeNs{0};
 };
 
-/// Rolls routing-decision state forward to a list of stops, exactly as a
-/// full run's decisions from interval 0 would: the view lags by the
-/// staleness, and decisions before any deviation is visible use the
-/// baseline view. It is the only code that rolls scheme state over a
-/// prefix; the engine and the sweep runner start mid-trace tasks from its
-/// checkpoints. Views come from the in-memory trace, so no packed chunk
-/// is decoded, and no telemetry is attached, so skipped selects are
-/// unobservable.
+/// One decision context's selections over the intervals its tasks
+/// score, run-length encoded: each span is a run of consecutive decision
+/// intervals with the same selection and, for the schemes that classify,
+/// the same problem-detector classification. Spans ascend and do not
+/// overlap; intervals no task scores are left out.
+struct DecisionTimeline {
+  /// The `problem` of a span of a scheme that does not classify.
+  static constexpr std::uint8_t kUnclassified = 0xFF;
+
+  struct Span {
+    /// First decision interval.
+    std::size_t first = 0;
+    /// One past the last.
+    std::size_t last = 0;
+    /// The selection: an index into `lists`.
+    std::uint32_t list = 0;
+    /// The classification, source | destination << 1 | middle << 2, or
+    /// kUnclassified.
+    std::uint8_t problem = kUnclassified;
+  };
+  std::vector<Span> spans;
+  /// The distinct selections (sorted member edges), interned, so equal
+  /// selections have equal ids.
+  std::vector<std::vector<graph::EdgeId>> lists;
+
+  /// The index of the span covering interval t, which must be covered.
+  std::size_t spanAt(std::size_t t) const;
+  /// The selection in force at interval t, which must be covered.
+  const std::vector<graph::EdgeId>& selectionAt(std::size_t t) const {
+    return lists[spans[spanAt(t)].list];
+  }
+};
+
+/// A half-open interval range [first, last).
+using IntervalWindow = std::pair<std::size_t, std::size_t>;
+
+/// Makes every routing decision of one context, once, into a
+/// DecisionTimeline. It is the only code that drives a routing scheme
+/// over a trace for playback: the engine and the sweep runner score from
+/// its timelines and never select themselves. Views come from the
+/// in-memory trace, so no packed chunk is decoded, and no telemetry is
+/// attached; the timeline carries what telemetry needs (classifications
+/// and selection changes).
 ///
-/// Each stop is replayed from the context's last history-free decision
-/// before it, not from interval 0 (DESIGN.md, "One bounded decision
-/// replay per context"):
+/// The decision at interval t sees interval t - staleness through a
+/// fingerprinted view, or the baseline view while that interval is clean
+/// or before any interval is visible. Clean steady spans are jumped in
+/// O(log deviations) via the schemes' steadyOnBaseline() fixed-point
+/// contract. Each window starts from the context's last history-free
+/// decision before it, not from interval 0 (DESIGN.md, "One bounded
+/// decision replay per context"):
 ///  - Cached-graph kinds (single path, two disjoint paths): a select on
-///    the fingerprinted baseline view leaves the state initialize() left,
-///    so the walk restarts at the last baseline decision before the stop.
-///    A context whose baseline has no timely route keeps the graph it had
-///    there and walks from interval 0.
+///    the fingerprinted baseline view returns the scheme to the state
+///    initialize() left, so the walk restarts at the last baseline
+///    decision before the window. A context whose baseline has no timely
+///    route keeps the graph it had there and walks on from where it is.
 ///  - Targeted redundancy: the hold-down counters depend only on the last
 ///    holdDownIntervals decisions, and the middle-problem fallback on
 ///    the last middle-only decisions back to the last re-plan that found
 ///    a route. Both are recovered by classifying decision views backwards
-///    from the stop -- bounded below by the previous stop, whose
-///    checkpoint is known -- and re-planning only where the state needs
-///    it. A context whose baseline view itself classifies as a problem
-///    walks from interval 0.
-/// Forward walks jump clean steady spans in O(log deviations) via the
-/// schemes' steadyOnBaseline() fixed-point contract.
+///    from the window start -- bounded below by where the walk already
+///    is, whose state is known -- and re-planning only where the state
+///    needs it. A context whose baseline view itself classifies as a
+///    problem walks from interval 0.
 ///
-/// Group schemes restore each receiver's sub-scheme from the checkpoint
-/// of its unicast context. A group run makes extra select() calls on
-/// sub-schemes that are steady on baseline (while another receiver is
-/// not); the steadyOnBaseline() contract makes those calls no-ops, so the
-/// per-receiver replay reaches the state the group would.
+/// A group's selection at t is the union of its receivers' unicast
+/// selections at t (mcast::uniteSelections), each from the timeline of
+/// the receiver's own context.
 class DecisionReplay {
  public:
   DecisionReplay(const graph::Graph& overlay, const trace::Trace& trace,
                  const trace::ConditionIndex& index, std::size_t staleness);
 
-  /// Replays the context (kind, flow, params) up to stops.back() and
-  /// returns one checkpoint per stop, in order: the scheme's state when
-  /// interval `stop` is about to be decided, and the selection in force.
-  /// `stops` must be ascending and > 0. `memo` (nullable) is attached
-  /// under the context's key, as in a scoring run.
-  std::vector<routing::DecisionCheckpoint> run(
-      routing::SchemeKind kind, routing::Flow flow,
-      const routing::SchemeParams& params, routing::DecisionMemo* memo,
-      std::span<const std::size_t> stops) const;
+  /// Decides the context (kind, flow, params) over `windows` (ascending,
+  /// disjoint, non-empty, inside the trace) as one uninterrupted run from
+  /// interval 0 would. The timeline covers [first - 1, last) of each
+  /// window -- from interval 0 when first == 0 -- so that the selection
+  /// in force when a window starts is known too. `memo` (nullable) is
+  /// attached under the context's key: the context must already be
+  /// interned there (DecisionMemo::contextKey), since a replay only looks
+  /// it up -- it throws std::invalid_argument otherwise -- and so never
+  /// adds to a memo that concurrent replays read.
+  DecisionTimeline run(routing::SchemeKind kind, routing::Flow flow,
+                       const routing::SchemeParams& params,
+                       routing::DecisionMemo* memo,
+                       std::span<const IntervalWindow> windows) const;
 
-  /// Work of every run() on this replay so far, summed. Each count is a
-  /// pure function of the contexts and stops replayed, so a sweep's
+  /// Decides [first, last) with the scheme initialized at `first`, as if
+  /// the trace began there: decisions before first + staleness see the
+  /// baseline view (the engine's runRange and missTimeline).
+  DecisionTimeline runFresh(routing::SchemeKind kind, routing::Flow flow,
+                            const routing::SchemeParams& params,
+                            routing::DecisionMemo* memo, std::size_t first,
+                            std::size_t last) const;
+
+  /// Work of every run on this replay so far, summed. Each count is a
+  /// pure function of the contexts and windows replayed, so a sweep's
   /// totals do not depend on its thread count.
   struct Work {
     /// select() calls.
     std::uint64_t decisions = 0;
-    /// Decision intervals covered: for each stop, from the earliest
-    /// decision whose view the replay read (or walked from) to the stop.
+    /// Decision intervals covered: for each window, from the earliest
+    /// decision whose view the replay read (or walked from) to its end.
     std::uint64_t intervals = 0;
   };
   Work work() const;
 
  private:
+  /// run() and runFresh(): the scheme is initialized at interval
+  /// `origin` (0 for run()), and decisions before origin + staleness see
+  /// the baseline view.
+  DecisionTimeline decide(routing::SchemeKind kind, routing::Flow flow,
+                          const routing::SchemeParams& params,
+                          routing::DecisionMemo* memo,
+                          std::span<const IntervalWindow> windows,
+                          std::size_t origin) const;
   /// Smallest interval t >= fromInterval whose *decision* view (t -
   /// staleness) carries a deviation; trace end if none.
   std::size_t nextDeviatingDecision(std::size_t fromInterval) const;
@@ -287,6 +347,14 @@ class DecisionReplay {
   mutable std::atomic<std::uint64_t> intervals_{0};
 };
 
+/// The decisions one scoring pass reads: each receiver's timeline, in
+/// receiver order, for the adaptive kinds (mcast::isAdaptive), or the
+/// graph a static kind froze at initialize().
+struct UnitDecisions {
+  std::span<const DecisionTimeline* const> receivers;
+  const graph::DisseminationGraph* frozen = nullptr;
+};
+
 class PlaybackEngine {
  public:
   /// `deliveredK` is the group runs' delivered-to-k bar (see
@@ -299,10 +367,10 @@ class PlaybackEngine {
   // {flow="src->dst", scheme=schemeName(kind)} and named dg_playback_*.
 
   /// Replays the whole trace for one flow under one scheme. `telemetry`
-  /// (nullable) collects per-interval counters and histograms,
-  /// classification counts from the scheme, and GraphSwitch trace events;
-  /// `telemetry->now` tracks the sim-time start of the interval being
-  /// replayed.
+  /// (nullable) collects per-interval counters and histograms, the
+  /// scheme's classification counts and ProblemClassified events, and
+  /// GraphSwitch events, each stamped with (and `telemetry->now` left
+  /// at) the sim-time start of its interval.
   FlowSchemeResult run(routing::Flow flow, routing::SchemeKind kind,
                        const routing::SchemeParams& schemeParams,
                        telemetry::Telemetry* telemetry = nullptr) const;
@@ -322,14 +390,13 @@ class PlaybackEngine {
                                    const routing::SchemeParams& schemeParams,
                                    std::size_t first, std::size_t last) const;
 
-  /// Chunk-parallel building block: replays [first, last) and returns the
-  /// partial accumulation, starting from `start` -- the checkpoint at
-  /// `first` of this (kind, flow, params) context from replayCheckpoints,
-  /// null when first == 0 (static kinds carry no decision state and may
-  /// pass null anywhere). `decisionSource` and `truthSource` (nullable ->
-  /// replay from the in-memory trace) let each worker cursor over its own
-  /// PackedConditionSource so no decode state is shared across threads.
-  /// Requires conditionCursor mode when a source is given.
+  /// Chunk-parallel building block: scores [first, last) and returns the
+  /// partial accumulation, reading the selections from `decisions` -- for
+  /// an adaptive kind, the timeline of this (kind, flow, params) context
+  /// from DecisionReplay::run over a window that includes [first, last)
+  /// (so it also holds the selection in force at `first`); for a static
+  /// kind, frozenGraph(). No scheme is built and no memo is read. Truth
+  /// conditions come from one cursor over the engine's trace.
   ///
   /// With params().accumBlockIntervals == B > 0 and chunks aligned to B,
   /// merging the partials of a run's chunks in ascending order yields the
@@ -342,16 +409,16 @@ class PlaybackEngine {
   /// passes the one it owns to every task it runs. Results do not depend
   /// on it, and the partial's deliveryWork counts only this range's work.
   RunPartial runChunkPartial(routing::Flow flow, routing::SchemeKind kind,
-                             const routing::SchemeParams& schemeParams,
                              std::size_t first, std::size_t last,
-                             const routing::DecisionCheckpoint* start,
-                             trace::ConditionSource* decisionSource,
-                             trace::ConditionSource* truthSource,
+                             const UnitDecisions& decisions,
                              telemetry::Telemetry* telemetry,
                              DeliveryWorkspace* workspace = nullptr) const;
 
-  /// Single-task form: replays this context to {first} itself, then
-  /// scores from that checkpoint.
+  /// Single-task form: decides this context over [first, last) itself
+  /// (with a decision memo private to the call), then scores. Decisions
+  /// are made over the engine's in-memory trace, so `decisionSource` is
+  /// not read; `truthSource` (nullable -> the in-memory trace) feeds the
+  /// truth cursor and requires conditionCursor mode.
   RunPartial runChunkPartial(routing::Flow flow, routing::SchemeKind kind,
                              const routing::SchemeParams& schemeParams,
                              std::size_t first, std::size_t last,
@@ -377,22 +444,18 @@ class PlaybackEngine {
                              std::size_t first, std::size_t last,
                              telemetry::Telemetry* telemetry = nullptr) const;
 
-  /// The group form of runChunkPartial. `receiverStarts` holds each
-  /// receiver's checkpoint at `first` from replayCheckpoints of its
-  /// context -- (unicastEquivalent(kind), receiverFlow, receiver params)
-  /// -- and is empty when first == 0 or the kind is static
-  /// (!isAdaptive).
-  RunPartial runChunkPartial(
-      const mcast::Group& group, mcast::GroupSchemeKind kind,
-      const routing::SchemeParams& schemeParams, std::size_t first,
-      std::size_t last,
-      std::span<const routing::DecisionCheckpoint* const> receiverStarts,
-      trace::ConditionSource* decisionSource,
-      trace::ConditionSource* truthSource, telemetry::Telemetry* telemetry,
-      DeliveryWorkspace* workspace = nullptr) const;
+  /// The group form of runChunkPartial: for an adaptive kind,
+  /// `decisions` holds each receiver's timeline of its context --
+  /// (unicastEquivalent(kind), receiverFlow, receiver params) -- in
+  /// receiver order, and the group's selection is their union.
+  RunPartial runChunkPartial(const mcast::Group& group,
+                             mcast::GroupSchemeKind kind, std::size_t first,
+                             std::size_t last, const UnitDecisions& decisions,
+                             telemetry::Telemetry* telemetry,
+                             DeliveryWorkspace* workspace = nullptr) const;
 
-  /// Single-task form: replays each receiver's context to {first} itself,
-  /// then scores from those checkpoints.
+  /// Single-task form: decides each receiver's context over [first,
+  /// last) itself, then scores (see the flow form).
   RunPartial runChunkPartial(const mcast::Group& group,
                              mcast::GroupSchemeKind kind,
                              const routing::SchemeParams& schemeParams,
@@ -405,28 +468,25 @@ class PlaybackEngine {
                                     mcast::GroupSchemeKind kind,
                                     RunPartial&& total) const;
 
-  /// The decision replay of one context over the engine's trace (see
-  /// DecisionReplay::run), with the engine's decision memo attached.
-  /// Groups that share a source-receiver pair share its checkpoints.
-  /// Counted in StageTimings::memoNs when stage timings are on, and in
-  /// replayWork().
-  std::vector<routing::DecisionCheckpoint> replayCheckpoints(
+  /// The decision timeline of one context over `windows`:
+  /// DecisionReplay::run on the engine's trace, with `memo` (nullable,
+  /// the context already interned) attached. Groups that share a
+  /// source-receiver pair share its timeline. Counted in
+  /// StageTimings::memoNs when stage timings are on, and in replayWork().
+  DecisionTimeline replayTimeline(
       routing::SchemeKind kind, routing::Flow flow,
-      const routing::SchemeParams& schemeParams,
-      std::span<const std::size_t> stops) const;
-  /// Work of every replayCheckpoints() call on this engine so far.
+      const routing::SchemeParams& schemeParams, routing::DecisionMemo* memo,
+      std::span<const IntervalWindow> windows) const;
+  /// The graph a static group kind freezes at initialize() from the
+  /// baseline view (the `frozen` of its UnitDecisions).
+  graph::DisseminationGraph frozenGraph(
+      const mcast::Group& group, mcast::GroupSchemeKind kind,
+      const routing::SchemeParams& schemeParams) const;
+  /// Work of every replayTimeline() call on this engine so far.
   DecisionReplay::Work replayWork() const { return replay_.work(); }
 
   const trace::Trace& trace() const { return *trace_; }
   const PlaybackParams& params() const { return params_; }
-
-  /// The engine's cross-job decision memo (for hit-rate reporting).
-  const routing::DecisionMemo& decisionMemo() const { return decisionMemo_; }
-  /// Mutable handle for the persistent sidecar cache (memo_cache.*) and
-  /// the sweep's replay plan: absorb a loaded snapshot before runs,
-  /// snapshot after, intern contexts. Memoized decisions are pure
-  /// functions of their keys, so pre-seeding cannot change results.
-  routing::DecisionMemo& decisionMemoMutable() const { return decisionMemo_; }
 
   /// Per-stage wall-clock tallies (populated only when
   /// PlaybackParams::collectStageTimings is set).
@@ -447,19 +507,16 @@ class PlaybackEngine {
   struct ScoreSpec {
     const mcast::Group* group = nullptr;
     mcast::GroupSchemeKind kind{};
-    const routing::SchemeParams* schemeParams = nullptr;
     const UnitNames* names = nullptr;
     std::string_view schemeLabel;
     std::size_t first = 0;
     std::size_t last = 0;
-    /// Chunk tasks: the scheme's history starts at interval 0 -- it is
-    /// restored at `first` from `starts` (each receiver's checkpoint;
-    /// empty = fresh), and the selection in force at `first` counts as
-    /// the previous one for GraphSwitch events. Otherwise (runRange,
-    /// missTimeline) the scheme starts fresh at `first`.
+    UnitDecisions decisions;
+    /// Chunk tasks: the decisions' history starts at interval 0, and the
+    /// selection in force at `first` counts as the previous one for
+    /// GraphSwitch events. Otherwise (runRange, missTimeline) the
+    /// decisions start fresh at `first`.
     bool chunk = false;
-    std::span<const routing::DecisionCheckpoint* const> starts;
-    trace::ConditionSource* decisionSource = nullptr;
     trace::ConditionSource* truthSource = nullptr;
     telemetry::Telemetry* telemetry = nullptr;
     /// missTimeline: per-interval miss appended, every interval
@@ -469,16 +526,32 @@ class PlaybackEngine {
     DeliveryWorkspace* workspace = nullptr;
   };
 
-  static ScoreSpec flowSpec(const mcast::Group& unit,
-                            routing::SchemeKind kind,
+  /// Decisions a standalone call makes for itself.
+  struct OwnedDecisions {
+    std::vector<DecisionTimeline> timelines;
+    std::vector<const DecisionTimeline*> receivers;
+    std::optional<graph::DisseminationGraph> frozen;
+    UnitDecisions view() const {
+      return {receivers, frozen ? &*frozen : nullptr};
+    }
+  };
+  /// Decides every receiver of `group` over [first, last) with a private
+  /// memo: with history from interval 0 (`fresh` false, chunk tasks) or
+  /// starting fresh at `first`.
+  OwnedDecisions decideUnit(const mcast::Group& group,
+                            mcast::GroupSchemeKind kind,
                             const routing::SchemeParams& schemeParams,
-                            std::size_t first, std::size_t last);
-  static ScoreSpec groupSpec(const mcast::Group& group,
-                             mcast::GroupSchemeKind kind,
-                             const routing::SchemeParams& schemeParams,
-                             std::size_t first, std::size_t last);
+                            std::size_t first, std::size_t last,
+                            bool fresh) const;
 
-  /// The per-interval scoring loop (decision, truth conditions,
+  static ScoreSpec flowSpec(const mcast::Group& unit,
+                            routing::SchemeKind kind, std::size_t first,
+                            std::size_t last);
+  static ScoreSpec groupSpec(const mcast::Group& group,
+                             mcast::GroupSchemeKind kind, std::size_t first,
+                             std::size_t last);
+
+  /// The per-interval scoring loop (selection, truth conditions,
   /// evaluation, accumulation) over [spec.first, spec.last) -- the only
   /// one in the library.
   RunPartial score(const ScoreSpec& spec) const;
@@ -490,12 +563,6 @@ class PlaybackEngine {
   trace::ConditionIndex conditionIndex_;
   DecisionReplay replay_;
   mutable StageTimings stageTimings_;
-
-  /// Cross-job decision memo. Mutable + internally synchronized: one
-  /// const engine is shared across sweep worker threads, and every
-  /// memoized decision is a pure function of its exact key, so results
-  /// are independent of thread count and insertion order.
-  mutable routing::DecisionMemo decisionMemo_;
 };
 
 }  // namespace dg::playback

@@ -7,124 +7,168 @@
 
 namespace dg::routing {
 
+namespace {
+
+/// Lexicographic order on edge lists that also compares a stored vector
+/// with a borrowed span, so a lookup needs no key copy.
+struct EdgeListLess {
+  using is_transparent = void;
+  template <typename A, typename B>
+  bool operator()(const A& a, const B& b) const {
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                        b.end());
+  }
+};
+
+constexpr std::size_t kNoPartner = static_cast<std::size_t>(-1);
+
+/// The kind whose decisions `kind`'s memoized decisions are: targeted
+/// redundancy memoizes only its middle-problem re-plan, which is
+/// dynamic-two-disjoint's re-plan.
+bool partners(SchemeKind a, SchemeKind b) {
+  return (a == SchemeKind::TargetedRedundancy &&
+          b == SchemeKind::DynamicTwoDisjoint) ||
+         (a == SchemeKind::DynamicTwoDisjoint &&
+          b == SchemeKind::TargetedRedundancy);
+}
+
+}  // namespace
+
 struct DecisionMemo::Context {
   SchemeKind kind;
   Flow flow;
   SchemeParams params;
+  std::size_t partner = kNoPartner;
+  /// View fingerprint -> edge-list id in `lists`, or kNoRoute.
+  std::unordered_map<std::uint64_t, std::uint32_t> byFingerprint;
+  std::map<std::vector<graph::EdgeId>, std::uint32_t, EdgeListLess> listIndex;
+  std::vector<const std::vector<graph::EdgeId>*> lists;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+
+  std::optional<std::uint32_t> find(std::uint64_t fingerprint,
+                                    std::vector<graph::EdgeId>& out) const {
+    const auto it = byFingerprint.find(fingerprint);
+    if (it == byFingerprint.end()) return std::nullopt;
+    if (it->second != kNoRoute) {
+      const std::vector<graph::EdgeId>& list = *lists[it->second];
+      out.assign(list.begin(), list.end());
+    }
+    return it->second;
+  }
 };
 
 DecisionMemo::DecisionMemo() = default;
 DecisionMemo::~DecisionMemo() = default;
 
-namespace {
-
-std::uint64_t packKey(std::uint64_t contextKey, std::uint64_t fingerprint) {
-  // Both components are dense interned ids, so 32 bits each is ample; the
-  // packed key therefore stays exact (no lossy hashing).
-  return (contextKey << 32) | (fingerprint & 0xFFFFFFFFULL);
-}
-
-}  // namespace
-
-// dgcheck: cold: runs once per (flow, scheme, chunk) registration
+// dgcheck: cold: runs once per decision context, before the replay
 std::uint64_t DecisionMemo::contextKey(SchemeKind kind, const Flow& flow,
                                        const SchemeParams& params) {
-  const std::scoped_lock lock(mutex_);
+  std::size_t partner = kNoPartner;
+  for (std::size_t i = 0; i < contexts_.size(); ++i) {
+    const Context& c = contexts_[i];
+    if (!(c.flow == flow && c.params == params)) continue;
+    if (c.kind == kind) return i;
+    if (partners(c.kind, kind)) partner = i;
+  }
+  if (contexts_.size() >= 0xFFFFFFFFULL)
+    throw std::length_error("DecisionMemo: too many contexts");
+  const std::size_t key = contexts_.size();
+  contexts_.push_back(Context{kind, flow, params, partner, {}, {}, {}, 0, 0});
+  if (partner != kNoPartner) contexts_[partner].partner = key;
+  return key;
+}
+
+std::optional<std::uint64_t> DecisionMemo::findContext(
+    SchemeKind kind, const Flow& flow, const SchemeParams& params) const {
   for (std::size_t i = 0; i < contexts_.size(); ++i) {
     const Context& c = contexts_[i];
     if (c.kind == kind && c.flow == flow && c.params == params) return i;
   }
-  if (contexts_.size() >= 0xFFFFFFFFULL)
-    throw std::length_error("DecisionMemo: too many contexts");
-  contexts_.push_back(Context{kind, flow, params});
-  return contexts_.size() - 1;
+  return std::nullopt;
 }
 
 std::optional<std::uint32_t> DecisionMemo::findDecision(
     std::uint64_t contextKey, std::uint64_t viewFingerprint,
     std::vector<graph::EdgeId>& out) {
-  const std::scoped_lock lock(mutex_);
-  const auto it = decisions_.find(packKey(contextKey, viewFingerprint));
-  if (it == decisions_.end()) {
-    ++misses_;
-    return std::nullopt;
-  }
-  ++hits_;
-  if (it->second != kNoRoute) {
-    const std::vector<graph::EdgeId>& list = *edgeLists_[it->second];
-    out.assign(list.begin(), list.end());
-  }
-  return it->second;
+  Context& c = contexts_[contextKey];
+  std::optional<std::uint32_t> found = c.find(viewFingerprint, out);
+  if (!found && c.partner != kNoPartner)
+    found = contexts_[c.partner].find(viewFingerprint, out);
+  ++(found ? c.hits : c.misses);
+  return found;
 }
 
 void DecisionMemo::storeDecision(std::uint64_t contextKey,
                                  std::uint64_t viewFingerprint,
                                  std::uint32_t edgeListId) {
-  const std::scoped_lock lock(mutex_);
-  decisions_.emplace(packKey(contextKey, viewFingerprint), edgeListId);
+  contexts_[contextKey].byFingerprint.emplace(viewFingerprint, edgeListId);
 }
 
-// dgcheck: cold: runs only on a memo miss (new edge list); amortized to zero in steady state
+// dgcheck: cold: runs only on a memo miss; allocates only for a new edge list
 std::uint32_t DecisionMemo::internEdgeList(
-    std::span<const graph::EdgeId> edges) {
-  const std::scoped_lock lock(mutex_);
-  std::vector<graph::EdgeId> key(edges.begin(), edges.end());
-  const auto [it, inserted] = edgeListIndex_.emplace(
-      std::move(key), static_cast<std::uint32_t>(edgeLists_.size()));
-  if (inserted) edgeLists_.push_back(&it->first);
-  return it->second;
+    std::uint64_t contextKey, std::span<const graph::EdgeId> edges) {
+  Context& c = contexts_[contextKey];
+  const auto it = c.listIndex.find(edges);
+  if (it != c.listIndex.end()) return it->second;
+  const auto id = static_cast<std::uint32_t>(c.lists.size());
+  const auto inserted =
+      c.listIndex.emplace(std::vector<graph::EdgeId>(edges.begin(),
+                                                     edges.end()),
+                          id);
+  c.lists.push_back(&inserted.first->first);
+  return id;
 }
 
 DecisionMemo::Snapshot DecisionMemo::snapshot() const {
-  const std::scoped_lock lock(mutex_);
   Snapshot snap;
-  snap.edgeLists.reserve(edgeLists_.size());
-  for (const std::vector<graph::EdgeId>* list : edgeLists_)
-    snap.edgeLists.push_back(*list);
+  // One edge-list table for the file: each list once, in order of first
+  // use by the sorted decisions of the contexts in order.
+  std::map<std::vector<graph::EdgeId>, std::uint32_t, EdgeListLess> global;
   snap.contexts.resize(contexts_.size());
   for (std::size_t i = 0; i < contexts_.size(); ++i) {
+    const Context& c = contexts_[i];
     Snapshot::ContextEntry& entry = snap.contexts[i];
-    entry.kind = contexts_[i].kind;
-    entry.flow = contexts_[i].flow;
-    entry.params = contexts_[i].params;
-  }
-  for (const auto& [packed, edgeListId] : decisions_) {
-    const std::size_t context = static_cast<std::size_t>(packed >> 32);
-    const std::uint64_t fingerprint = packed & 0xFFFFFFFFULL;
-    snap.contexts.at(context).decisions.emplace_back(fingerprint, edgeListId);
-  }
-  for (Snapshot::ContextEntry& entry : snap.contexts) {
+    entry.kind = c.kind;
+    entry.flow = c.flow;
+    entry.params = c.params;
+    entry.decisions.assign(c.byFingerprint.begin(), c.byFingerprint.end());
     std::sort(entry.decisions.begin(), entry.decisions.end());
+    for (auto& [fingerprint, id] : entry.decisions) {
+      if (id == kNoRoute) continue;
+      const std::vector<graph::EdgeId>& list = *c.lists[id];
+      const auto [it, added] = global.emplace(
+          list, static_cast<std::uint32_t>(snap.edgeLists.size()));
+      if (added) snap.edgeLists.push_back(list);
+      id = it->second;
+    }
   }
   return snap;
 }
 
 void DecisionMemo::absorb(const Snapshot& snapshot) {
-  // Re-intern through the public API (it takes the lock itself): the
-  // snapshot's ids are the donor process's interning order, not ours.
-  std::vector<std::uint32_t> edgeListIds;
-  edgeListIds.reserve(snapshot.edgeLists.size());
-  for (const std::vector<graph::EdgeId>& list : snapshot.edgeLists)
-    edgeListIds.push_back(internEdgeList(list));
   for (const Snapshot::ContextEntry& entry : snapshot.contexts) {
     const std::uint64_t context =
         contextKey(entry.kind, entry.flow, entry.params);
     for (const auto& [fingerprint, edgeListId] : entry.decisions) {
-      const std::uint32_t mapped = edgeListId == kNoRoute
-                                       ? kNoRoute
-                                       : edgeListIds.at(edgeListId);
+      if (contexts_[context].byFingerprint.count(fingerprint) != 0) continue;
+      const std::uint32_t mapped =
+          edgeListId == kNoRoute
+              ? kNoRoute
+              : internEdgeList(context, snapshot.edgeLists.at(edgeListId));
       storeDecision(context, fingerprint, mapped);
     }
   }
 }
 
 DecisionMemo::Stats DecisionMemo::stats() const {
-  const std::scoped_lock lock(mutex_);
   Stats s;
-  s.decisionHits = hits_;
-  s.decisionMisses = misses_;
-  s.decisions = decisions_.size();
-  s.edgeLists = edgeLists_.size();
+  for (const Context& c : contexts_) {
+    s.decisionHits += c.hits;
+    s.decisionMisses += c.misses;
+    s.decisions += c.byFingerprint.size();
+    s.edgeLists += c.lists.size();
+  }
   s.contexts = contexts_.size();
   return s;
 }

@@ -17,15 +17,24 @@
 // pure in the view (the targeted scheme's hold-down state machine) must
 // simply not consult the memo.
 //
-// Thread safety: all methods are internally synchronized; the playback
-// experiment runner shares one memo across its worker threads. Stored
-// values are pure functions of their keys, so results are independent of
-// which thread inserts first.
+// One table per context: each context's decisions, edge lists and
+// hit/miss counts live in its own table, written only through its own
+// context key. The targeted scheme's middle-problem re-plan is
+// dynamic-two-disjoint's re-plan, so the two contexts of one (flow,
+// params) are partners: a lookup that misses its own table reads the
+// partner's before it counts a miss.
+//
+// Threads: the memo takes no lock. contextKey() and absorb() add
+// contexts and must not run concurrently with anything. Once every
+// context is interned, lookups and stores through distinct contexts may
+// run concurrently, provided no context is written while its partner
+// reads it -- the sweep runner replays every dynamic-two-disjoint context
+// before any targeted one. Stored values are pure functions of their
+// keys, so results do not depend on the schedule.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -48,36 +57,49 @@ class DecisionMemo {
   DecisionMemo& operator=(const DecisionMemo&) = delete;
 
   /// Interns a decision context; equal (kind, flow, params) triples map
-  /// to the same key. Called once per playback job, not per interval.
+  /// to the same key. Links a targeted context with the
+  /// dynamic-two-disjoint context of the same flow and params, whichever
+  /// is interned second. Not thread-safe (see above).
   std::uint64_t contextKey(SchemeKind kind, const Flow& flow,
                            const SchemeParams& params);
+  /// The key of an interned context, or nullopt. Adds nothing, so it may
+  /// run concurrently with lookups and stores.
+  std::optional<std::uint64_t> findContext(SchemeKind kind, const Flow& flow,
+                                           const SchemeParams& params) const;
 
-  /// Looks up the decision for (context, view fingerprint). Returns the
-  /// interned edge-list id, kNoRoute for a memoized no-route decision,
-  /// or nullopt on a miss. For an edge-list id the list is copied into
-  /// `out` (cleared first) under the same lock; otherwise `out` is left
-  /// alone. One lock per hit keeps the shared memo's traffic down.
+  /// Looks up the decision for (context, view fingerprint) in the
+  /// context's table, then in its partner's. Returns the edge-list id,
+  /// kNoRoute for a memoized no-route decision, or nullopt on a miss;
+  /// counts a hit or a miss on `contextKey`. For an edge-list id the list
+  /// is copied into `out` (cleared first); otherwise `out` is left alone.
+  /// The id is only meaningful to compare with kNoRoute: ids are per
+  /// table.
   std::optional<std::uint32_t> findDecision(std::uint64_t contextKey,
                                             std::uint64_t viewFingerprint,
                                             std::vector<graph::EdgeId>& out);
 
+  /// Stores a decision in the context's own table; `edgeListId` comes
+  /// from internEdgeList on the same context, or is kNoRoute. An existing
+  /// entry wins.
   void storeDecision(std::uint64_t contextKey, std::uint64_t viewFingerprint,
                      std::uint32_t edgeListId);
 
-  /// Interns an edge list (sorted member edges of a dissemination graph);
-  /// equal lists map to the same id.
-  std::uint32_t internEdgeList(std::span<const graph::EdgeId> edges);
+  /// Interns an edge list (sorted member edges of a dissemination graph)
+  /// in the context's table; equal lists map to the same id. Allocates
+  /// only when the list is new.
+  std::uint32_t internEdgeList(std::uint64_t contextKey,
+                               std::span<const graph::EdgeId> edges);
 
-  /// Memo traffic and contents. Lookups (hits + misses), decisions,
-  /// edge lists and contexts are the same at any thread count. The split
-  /// of lookups into hits and misses is not: two workers can miss the
-  /// same key at once, and both count a miss where one thread counts a
-  /// miss and a hit. Only a 1-thread run repeats its hits and misses.
+  /// Memo traffic and contents, summed over the context tables. Every
+  /// count is a pure function of what each context looked up and stored,
+  /// in its owner's order, so a sweep -- whose phase 1 gives each table
+  /// one owner -- reports the same counts at any thread count.
   struct Stats {
     std::uint64_t decisionHits = 0;
     std::uint64_t decisionMisses = 0;
     /// Distinct (context, view) decisions stored.
     std::size_t decisions = 0;
+    /// Distinct edge lists per context, summed over contexts.
     std::size_t edgeLists = 0;
     std::size_t contexts = 0;
 
@@ -105,7 +127,8 @@ class DecisionMemo {
   };
 
   /// Deterministic snapshot: contexts in interning order, decisions
-  /// sorted by fingerprint (serializing twice yields identical bytes).
+  /// sorted by fingerprint, edge lists in order of first use by those
+  /// decisions (serializing twice yields identical bytes).
   Snapshot snapshot() const;
 
   /// Merges a snapshot in. Existing entries win on conflict (emplace
@@ -116,15 +139,7 @@ class DecisionMemo {
  private:
   struct Context;
 
-  mutable std::mutex mutex_;
   std::vector<Context> contexts_;
-  // (contextKey, fingerprint) -> edge-list id. Both components are dense
-  // interned ids, so the packed key is exact.
-  std::unordered_map<std::uint64_t, std::uint32_t> decisions_;
-  std::map<std::vector<graph::EdgeId>, std::uint32_t> edgeListIndex_;
-  std::vector<const std::vector<graph::EdgeId>*> edgeLists_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
 };
 
 }  // namespace dg::routing

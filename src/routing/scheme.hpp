@@ -12,6 +12,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -66,34 +67,22 @@ struct SchemeParams {
 
 class DecisionMemo;
 
-/// A scheme's decision state as a value: everything select() reads back
-/// from its own earlier calls. One layout serves every scheme; each saves
-/// the fields it has and leaves the rest at their defaults.
+/// Targeted redundancy's decision state as a value: everything its
+/// select() reads back from its own earlier calls. The bounded decision
+/// replay (playback::DecisionReplay) rebuilds it at a window start instead
+/// of walking the decisions from interval 0.
 struct SchemeState {
-  /// Cached-graph schemes: the current selection. Targeted redundancy:
-  /// the middle-problem fallback graph.
+  /// The middle-problem fallback graph.
   std::vector<graph::EdgeId> edges;
-  /// Cached-graph schemes: the routing weights of the last unfingerprinted
-  /// decision. Targeted redundancy: the weights of the last middle-problem
-  /// re-plan.
+  /// The weights of the last middle-problem re-plan.
   std::vector<util::SimTime> weights;
-  /// Cached-graph schemes: the fingerprint of the last decision's view.
-  std::uint64_t lastFingerprint = NetworkView::kNoFingerprint;
-  /// Targeted redundancy: the hold-down state machine.
+  /// The hold-down state machine.
   FlowProblem lastProblem;
   int sourceHold = 0;
   int destinationHold = 0;
   bool steadyOnBaseline = false;
 
   bool operator==(const SchemeState&) const = default;
-};
-
-/// A scheme's state at one stop of a decision replay, plus the member
-/// edges of the selection in force there (GraphSwitch continuity across
-/// chunk boundaries, and the input of a group scheme's union).
-struct DecisionCheckpoint {
-  SchemeState state;
-  std::vector<graph::EdgeId> lastEdges;
 };
 
 class RoutingScheme {
@@ -118,26 +107,30 @@ class RoutingScheme {
   /// True when the scheme has reached a fixed point under clean
   /// conditions: another select() on the fingerprinted baseline view
   /// would return the current selection unchanged and leave every
-  /// decision-affecting state variable unchanged. The playback engine
-  /// uses this to elide per-interval select() calls across clean steady
-  /// spans (only while telemetry is detached -- classification counters
-  /// must still tick per call when attached) and to bulk-skip clean
-  /// spans during the decision replay (playback::DecisionReplay). It
-  /// also makes the extra selects a group scheme issues to steady
-  /// receivers no-ops, which lets group tasks restore from the unicast
-  /// replay's checkpoints. Schemes that cannot
-  /// promise a fixed point return false (the default), which is always
-  /// safe.
+  /// decision-affecting state variable unchanged. The decision replay
+  /// (playback::DecisionReplay) uses this to jump clean steady spans in
+  /// one step. Schemes that cannot promise a fixed point return false
+  /// (the default), which is always safe.
   virtual bool steadyOnBaseline() const { return false; }
 
-  /// The decision state as a value. restoreState() must be applied to a
-  /// freshly initialize()d scheme of the same (kind, flow, params); that
-  /// scheme then selects exactly as the one whose state was saved would
-  /// have. Precomputed structure (initialize()'s output), telemetry and
-  /// the memo attachment are not part of the state. This is how chunk
-  /// tasks start mid-trace without replaying [0, first) themselves.
-  virtual SchemeState saveState() const = 0;
-  virtual void restoreState(const SchemeState& state) = 0;
+  /// The problem-detector classification of the last select(), for the
+  /// schemes that classify (targeted redundancy); nullopt otherwise. It
+  /// is what recordClassification() counted for that call.
+  virtual std::optional<FlowProblem> classification() const {
+    return std::nullopt;
+  }
+
+  /// The decision state as a value, for the schemes whose history the
+  /// bounded decision replay rebuilds (targeted redundancy). The
+  /// cached-graph kinds need none: a select on the fingerprinted baseline
+  /// view returns them to their initial state, so the replay re-decides
+  /// from their last baseline decision instead. restoreState() must be
+  /// applied to a freshly initialize()d scheme of the same (kind, flow,
+  /// params); that scheme then selects exactly as the one whose state was
+  /// saved would have. The base versions save nothing and reject a
+  /// restore.
+  virtual SchemeState saveState() const { return {}; }
+  virtual void restoreState(const SchemeState& state);
 
   const graph::Graph& overlay() const { return *overlay_; }
   Flow flow() const { return flow_; }
@@ -159,10 +152,11 @@ class RoutingScheme {
   /// params). Only decisions that are pure functions of a fingerprinted
   /// view go through the memo: the dynamic schemes' re-plans, and the
   /// targeted scheme's middle-problem re-plan, which is
-  /// dynamic-two-disjoint's re-plan and shares its context. The targeted
-  /// hold-down state machine itself never does. Selection results are
-  /// bit-identical with and without a memo attached.
-  virtual void setDecisionMemo(DecisionMemo* memo, std::uint64_t contextKey) {
+  /// dynamic-two-disjoint's re-plan and also reads that context's table
+  /// (see DecisionMemo). The targeted hold-down state machine itself never
+  /// does. Selection results are bit-identical with and without a memo
+  /// attached.
+  void setDecisionMemo(DecisionMemo* memo, std::uint64_t contextKey) {
     memo_ = memo;
     memoContext_ = contextKey;
   }

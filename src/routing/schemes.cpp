@@ -1,6 +1,7 @@
 #include "routing/scheme.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -53,6 +54,11 @@ std::string flowProblemLabel(const FlowProblem& problem) {
   if (problem.destination) append("destination");
   if (problem.middle) append("middle");
   return label.empty() ? "none" : label;
+}
+
+void RoutingScheme::restoreState(const SchemeState&) {
+  throw std::logic_error(std::string(name()) +
+                         ": this scheme has no decision state to restore");
 }
 
 void RoutingScheme::recordClassification(const FlowProblem& detected) {
@@ -164,23 +170,9 @@ class CachedGraphScheme : public RoutingScheme {
   /// fast path then returns current_ without touching any state, and the
   /// static variants never mutate state in select() at all. Dynamic
   /// schemes driven with unfingerprinted views report false (safe: the
-  /// playback fast path only ever sees fingerprinted views).
+  /// decision replay only ever sees fingerprinted views).
   bool steadyOnBaseline() const override {
     return lastFingerprint_ == NetworkView::kBaselineFingerprint;
-  }
-
-  SchemeState saveState() const override {
-    SchemeState state;
-    state.edges = current_.edges();
-    state.weights = cachedWeights_;
-    state.lastFingerprint = lastFingerprint_;
-    return state;
-  }
-
-  void restoreState(const SchemeState& state) override {
-    assignEdges(current_, state.edges);
-    cachedWeights_ = state.weights;
-    lastFingerprint_ = state.lastFingerprint;
   }
 
  protected:
@@ -237,9 +229,10 @@ class CachedGraphScheme : public RoutingScheme {
       }
       const bool found = recompute(view);
       if (memo_ != nullptr) {
-        memo_->storeDecision(memoContext_, fp,
-                             found ? memo_->internEdgeList(current_.edges())
-                                   : DecisionMemo::kNoRoute);
+        memo_->storeDecision(
+            memoContext_, fp,
+            found ? memo_->internEdgeList(memoContext_, current_.edges())
+                  : DecisionMemo::kNoRoute);
       }
       cachedWeights_.clear();
       lastFingerprint_ = fp;
@@ -432,21 +425,11 @@ class TargetedScheme : public RoutingScheme {
     steadyOnBaseline_ = state.steadyOnBaseline;
   }
 
-  /// The middle-problem re-plan is dynamic-two-disjoint's re-plan, so it
-  /// is memoized under that scheme's context for the same flow and
-  /// params: the two schemes share every middle-problem decision.
-  void setDecisionMemo(DecisionMemo* memo, std::uint64_t contextKey) override {
-    RoutingScheme::setDecisionMemo(memo, contextKey);
-    if (memo != nullptr) {
-      replanContext_ =
-          memo->contextKey(SchemeKind::DynamicTwoDisjoint, flow_, params_);
-    }
-  }
-
   // dgcheck: cold: decision path; classification allocates nothing, and only a middle-problem re-plan allocates (its returned paths and graph; solver scratch lives in the scheme's DisjointPathsWorkspace)
   const DisseminationGraph& select(const NetworkView& view) override {
     const FlowProblem detected =
         detector_.classify(view, flow_.source, flow_.destination);
+    lastDetected_ = detected;
     recordClassification(detected);
     // Flap damping: hold targeted graphs for holdDownIntervals further
     // decisions after the detector stops firing.
@@ -499,21 +482,27 @@ class TargetedScheme : public RoutingScheme {
     return graphs_.twoDisjoint;
   }
 
+  std::optional<FlowProblem> classification() const override {
+    return lastDetected_;
+  }
+
   /// The classification used by the most recent select() (for analysis).
   FlowProblem lastProblem() const { return lastProblem_; }
   const TargetedGraphs& graphs() const { return graphs_; }
 
  private:
   /// Re-plans the fallback on dynamicWeights_ (the view's routing
-  /// weights), consulting the memo for fingerprinted views. When the view
-  /// offers no timely route, the previous fallback stays.
+  /// weights), consulting the memo for fingerprinted views. The re-plan is
+  /// dynamic-two-disjoint's re-plan, so the memo also finds decisions that
+  /// scheme made for the same flow and params (DecisionMemo partners).
+  /// When the view offers no timely route, the previous fallback stays.
   void replanMiddle(const NetworkView& view) {
     const std::uint64_t fp = view.fingerprint();
     const bool memoized =
         memo_ != nullptr && fp != NetworkView::kNoFingerprint;
     if (memoized) {
       if (const auto id =
-              memo_->findDecision(replanContext_, fp, edgeScratch_)) {
+              memo_->findDecision(memoContext_, fp, edgeScratch_)) {
         if (*id != DecisionMemo::kNoRoute)
           assignEdges(dynamicFallback_, edgeScratch_);
         return;
@@ -529,9 +518,10 @@ class TargetedScheme : public RoutingScheme {
     }
     if (memoized) {
       const std::uint32_t id =
-          paths.empty() ? DecisionMemo::kNoRoute
-                        : memo_->internEdgeList(dynamicFallback_.edges());
-      memo_->storeDecision(replanContext_, fp, id);
+          paths.empty()
+              ? DecisionMemo::kNoRoute
+              : memo_->internEdgeList(memoContext_, dynamicFallback_.edges());
+      memo_->storeDecision(memoContext_, fp, id);
     }
   }
 
@@ -542,7 +532,7 @@ class TargetedScheme : public RoutingScheme {
   std::vector<util::SimTime> weightsScratch_;
   std::vector<graph::EdgeId> edgeScratch_;
   graph::DisjointPathsWorkspace disjointWs_;
-  std::uint64_t replanContext_ = 0;
+  FlowProblem lastDetected_;
   FlowProblem lastProblem_;
   int sourceHold_ = 0;
   int destinationHold_ = 0;

@@ -13,6 +13,9 @@
 // byte-identical regardless of thread count.
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace_log.hpp"
 #include "util/sim_time.hpp"
@@ -33,6 +36,18 @@ struct Telemetry {
     metrics.merge(other.metrics);
     trace.merge(other.trace);
     if (other.now > now) now = other.now;
+  }
+  /// Merges several in order, as one merge() each would, but with one
+  /// trace-log sort for all of them.
+  void merge(std::span<const Telemetry* const> others) {
+    std::vector<const TraceLog*> logs;
+    logs.reserve(others.size());
+    for (const Telemetry* other : others) {
+      metrics.merge(other->metrics);
+      logs.push_back(&other->trace);
+      if (other->now > now) now = other->now;
+    }
+    trace.merge(logs);
   }
 };
 

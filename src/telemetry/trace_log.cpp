@@ -70,11 +70,19 @@ std::vector<TraceEvent> TraceLog::eventsOfKind(TraceEventKind kind) const {
 }
 
 void TraceLog::merge(const TraceLog& other) {
-  const std::uint64_t previouslyLost = dropped() + other.dropped();
+  const TraceLog* const others[] = {&other};
+  merge(others);
+}
+
+void TraceLog::merge(std::span<const TraceLog* const> others) {
+  std::uint64_t previouslyLost = dropped();
   std::vector<TraceEvent> merged = events();
-  std::vector<TraceEvent> theirs = other.events();
-  merged.insert(merged.end(), std::make_move_iterator(theirs.begin()),
-                std::make_move_iterator(theirs.end()));
+  for (const TraceLog* other : others) {
+    previouslyLost += other->dropped();
+    std::vector<TraceEvent> theirs = other->events();
+    merged.insert(merged.end(), std::make_move_iterator(theirs.begin()),
+                  std::make_move_iterator(theirs.end()));
+  }
   std::stable_sort(merged.begin(), merged.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
                      return a.time < b.time;

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -91,6 +92,11 @@ class TraceLog {
   /// and re-subjected to this log's capacity. Merging per-worker logs in
   /// job order therefore yields the same log for any thread count.
   void merge(const TraceLog& other);
+  /// Folds several logs in at once, with the result of merging them one
+  /// by one in order -- the order is by time, then by log, then by
+  /// position, and the newest events are kept either way -- but one sort
+  /// instead of one per log.
+  void merge(std::span<const TraceLog* const> others);
 
  private:
   std::size_t capacity_;

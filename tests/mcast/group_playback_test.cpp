@@ -226,10 +226,11 @@ TEST(GroupPlayback, ChunkPartialsFoldToBlockedRunExactly) {
   }
 }
 
-TEST(GroupPlayback, RestoredReceiverCheckpointsFoldToRunRange) {
-  // Each receiver's unicast context is replayed once, checkpointed at
-  // every chunk start; each chunk restores its three receivers from those
-  // checkpoints and scores. Folded in order, the partials must reproduce
+TEST(GroupPlayback, ReceiverTimelinesFoldToRunRange) {
+  // Each receiver's unicast context is decided into a timeline -- once
+  // over the whole trace, and once per chunk window, each window started
+  // from its bounded replay -- and each chunk scores its three receivers
+  // from one of them. Folded in order, the partials must reproduce
   // runRange over the whole trace bit for bit.
   const trace::Topology topology = trace::Topology::ltn12();
   const trace::SyntheticTrace synth = lossyTrace(topology.graph());
@@ -248,32 +249,39 @@ TEST(GroupPlayback, RestoredReceiverCheckpointsFoldToRunRange) {
   group.deadlines = {util::milliseconds(65), util::milliseconds(80),
                      util::milliseconds(55)};
   const routing::SchemeParams schemeParams;
-  std::vector<std::size_t> stops;
-  for (std::size_t first = block; first < intervals; first += block)
-    stops.push_back(first);
+  const playback::IntervalWindow all{0, intervals};
 
   for (const GroupSchemeKind kind :
        {GroupSchemeKind::kDynamicTrees, GroupSchemeKind::kDynamicMesh,
         GroupSchemeKind::kTargetedReceivers}) {
-    std::vector<std::vector<routing::DecisionCheckpoint>> checkpoints;
+    std::vector<playback::DecisionTimeline> timelines;
     for (std::size_t i = 0; i < group.receivers.size(); ++i) {
-      checkpoints.push_back(engine.replayCheckpoints(
+      timelines.push_back(engine.replayTimeline(
           unicastEquivalent(kind), receiverFlow(group, i),
-          receiverSchemeParams(group, i, schemeParams), stops));
-      ASSERT_EQ(checkpoints.back().size(), stops.size());
+          receiverSchemeParams(group, i, schemeParams), nullptr,
+          {&all, 1}));
     }
     GroupRunPartial folded;
     for (std::size_t c = 0; c * block < intervals; ++c) {
       const std::size_t first = c * block;
       const std::size_t last = std::min(first + block, intervals);
-      std::vector<const routing::DecisionCheckpoint*> starts;
-      if (c > 0) {
-        for (const auto& receiver : checkpoints)
-          starts.push_back(&receiver[c - 1]);
+      const playback::IntervalWindow window{first, last};
+      std::vector<playback::DecisionTimeline> chunkTimelines;
+      std::vector<const playback::DecisionTimeline*> receivers;
+      for (std::size_t i = 0; i < group.receivers.size(); ++i) {
+        if (c % 2 == 0) {
+          receivers.push_back(&timelines[i]);
+        } else {
+          chunkTimelines.push_back(engine.replayTimeline(
+              unicastEquivalent(kind), receiverFlow(group, i),
+              receiverSchemeParams(group, i, schemeParams), nullptr,
+              {&window, 1}));
+        }
       }
-      folded.merge(engine.runChunkPartial(group, kind, schemeParams, first,
-                                          last, starts, nullptr, nullptr,
-                                          nullptr));
+      for (const playback::DecisionTimeline& t : chunkTimelines)
+        receivers.push_back(&t);
+      folded.merge(engine.runChunkPartial(group, kind, first, last,
+                                          {receivers, nullptr}, nullptr));
     }
     const GroupSchemeResult chunked =
         engine.finalizePartial(group, kind, std::move(folded));

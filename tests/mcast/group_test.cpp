@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
+#include "graph/dissemination_graph.hpp"
 #include "mcast/group.hpp"
 #include "mcast/scheme.hpp"
 #include "trace/topology.hpp"
@@ -124,6 +126,35 @@ TEST(GroupScheme, UnicastEquivalentCoversEveryKind) {
     seen.push_back(unicast);
   }
   EXPECT_EQ(seen.size(), 6u);
+}
+
+TEST(GroupScheme, OnlyStaticKindsHaveASchemeObject) {
+  // An adaptive kind's graph is the union of its receivers' decisions
+  // (uniteSelections); only the static kinds freeze a graph of their own.
+  const trace::Topology topology = trace::Topology::ltn12();
+  const Group group =
+      makeGroup(topology.at("NYC"), {topology.at("SJC"), topology.at("LAX")});
+  for (const GroupSchemeKind kind : allGroupSchemeKinds()) {
+    if (isAdaptive(kind)) {
+      EXPECT_THROW(makeGroupScheme(kind, topology.graph(), group, {}),
+                   std::invalid_argument)
+          << groupSchemeName(kind);
+    } else {
+      EXPECT_NO_THROW(makeGroupScheme(kind, topology.graph(), group, {}))
+          << groupSchemeName(kind);
+    }
+  }
+}
+
+TEST(GroupScheme, UniteSelectionsTakesEveryReceiversEdges) {
+  const trace::Topology topology = trace::Topology::ltn12();
+  graph::DisseminationGraph out(topology.graph(), 0, 1);
+  out.addEdge(7);
+  const std::vector<graph::EdgeId> a{0, 2};
+  const std::vector<graph::EdgeId> b{2, 3};
+  const std::vector<const std::vector<graph::EdgeId>*> selections{&a, &b};
+  uniteSelections(out, selections);
+  EXPECT_EQ(out.edges(), (std::vector<graph::EdgeId>{0, 2, 3}));
 }
 
 }  // namespace

@@ -116,11 +116,32 @@ TEST(McastProperties, EverySchemeGraphConnectsSourceToEveryReceiver) {
         // not deadline pruning on arbitrary geometries.
         routing::SchemeParams params;
         params.deadline = util::seconds(10);
+        // Adaptive kinds: the union of the receivers' first decisions,
+        // which see the baseline view.
+        const trace::ConditionIndex index(tr);
+        const playback::DecisionReplay replay(topo.graph(), tr, index, 1);
+        const playback::IntervalWindow first{0, 1};
         for (const GroupSchemeKind kind : allGroupSchemeKinds()) {
-          const auto scheme =
-              makeGroupScheme(kind, topo.graph(), group, params);
-          scheme->initialize(baseline);
-          const graph::DisseminationGraph& dg = scheme->select(baseline);
+          graph::DisseminationGraph dg(topo.graph(), group.source,
+                                       group.receivers.front());
+          if (isAdaptive(kind)) {
+            std::vector<playback::DecisionTimeline> timelines;
+            for (std::size_t i = 0; i < group.receivers.size(); ++i) {
+              timelines.push_back(replay.run(
+                  unicastEquivalent(kind), receiverFlow(group, i),
+                  receiverSchemeParams(group, i, params), nullptr,
+                  {&first, 1}));
+            }
+            std::vector<const std::vector<graph::EdgeId>*> selections;
+            for (const playback::DecisionTimeline& timeline : timelines)
+              selections.push_back(&timeline.selectionAt(0));
+            uniteSelections(dg, selections);
+          } else {
+            const auto scheme =
+                makeGroupScheme(kind, topo.graph(), group, params);
+            scheme->initialize(baseline);
+            dg = scheme->select(baseline);
+          }
           if (dg.source() != group.source)
             return prop::fail(std::string(groupSchemeName(kind)) +
                               ": wrong source");

@@ -1,19 +1,23 @@
-// Bounded decision replay against the full-prefix walk it replaced.
+// Decision timelines against the full-prefix walk.
 //
-// DecisionReplay::run starts each stop from the context's last
-// history-free decision instead of interval 0. The frozen oracle below is
-// the full-prefix walk: every decision from interval 0, with clean steady
-// spans jumped by the steadyOnBaseline() contract. For every scheme kind,
-// staleness 0-2 and decision memo on and off, the bounded checkpoints must
-// equal the oracle's field by field -- at 50 seeded stops plus stops
-// placed at each situation the bounded walk has to get right -- and a
-// scheme restored from each must select exactly as an uninterrupted run
-// for 500 further decisions.
+// DecisionReplay::run decides a context over windows, starting each from
+// the context's last history-free decision instead of interval 0. The
+// frozen oracle below is the full-prefix walk: every decision of a scheme
+// walked from interval 0, one select() per interval. For every scheme
+// kind, staleness 0-2 and decision memo on and off, the whole-window
+// timeline, a timeline stitched from chunks split at every stop, and
+// single-window timelines started at every stop (each covering 500
+// further decisions) must all select and classify as the oracle does --
+// at 50 seeded stops plus stops placed at each situation the bounded
+// start has to get right.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -31,7 +35,6 @@
 namespace dg::playback {
 namespace {
 
-using routing::DecisionCheckpoint;
 using routing::NetworkView;
 using routing::SchemeKind;
 using routing::SchemeParams;
@@ -40,55 +43,72 @@ using routing::SchemeState;
 constexpr std::size_t kIntervals = 1800;
 constexpr std::size_t kFollow = 500;
 
-/// The full-prefix replay, frozen as the oracle: one walk from interval 0
-/// over every stop, jumping clean steady spans.
-std::vector<DecisionCheckpoint> fullPrefixReplay(
-    const graph::Graph& overlay, const trace::Trace& trace,
-    const trace::ConditionIndex& index, std::size_t staleness,
-    SchemeKind kind, routing::Flow flow, const SchemeParams& params,
-    routing::DecisionMemo* memo, const std::vector<std::size_t>& stops) {
-  std::vector<std::size_t> deviating;
-  for (std::size_t t = 0; t < trace.intervalCount(); ++t) {
-    if (trace.hasDeviation(t)) deviating.push_back(t);
+/// One decision of the oracle: the selection and the classification
+/// mask (DecisionTimeline::Span::problem).
+struct Decided {
+  std::vector<graph::EdgeId> edges;
+  std::uint8_t problem = DecisionTimeline::kUnclassified;
+};
+
+std::uint8_t maskOf(const std::optional<routing::FlowProblem>& p) {
+  if (!p) return DecisionTimeline::kUnclassified;
+  return static_cast<std::uint8_t>((p->source ? 1 : 0) |
+                                   (p->destination ? 2 : 0) |
+                                   (p->middle ? 4 : 0));
+}
+
+/// Expects `timeline` to decide [first, last) as the oracle did.
+void expectFollows(const DecisionTimeline& timeline,
+                   const std::vector<Decided>& oracle, std::size_t first,
+                   std::size_t last, const std::string& where) {
+  for (std::size_t t = first; t < last; ++t) {
+    const DecisionTimeline::Span& span = timeline.spans[timeline.spanAt(t)];
+    ASSERT_EQ(timeline.lists[span.list], oracle[t].edges)
+        << where << ", interval " << t;
+    ASSERT_EQ(span.problem, oracle[t].problem)
+        << where << ", interval " << t;
   }
-  const auto nextDeviatingDecision = [&](std::size_t from) {
-    const std::size_t fromView = from > staleness ? from - staleness : 0;
-    const auto it =
-        std::lower_bound(deviating.begin(), deviating.end(), fromView);
-    if (it == deviating.end()) return trace.intervalCount();
-    return std::max(from, *it + staleness);
-  };
+}
 
-  auto scheme = routing::makeScheme(kind, overlay, flow, params);
-  if (memo != nullptr)
-    scheme->setDecisionMemo(memo, memo->contextKey(kind, flow, params));
-  const NetworkView baselineView = NetworkView::baseline(trace);
-  scheme->initialize(baselineView);
-  trace::ConditionTimeline cursor(trace);
+/// Equal spans, and equal selections behind their list ids.
+bool sameTimeline(const DecisionTimeline& a, const DecisionTimeline& b) {
+  if (a.spans.size() != b.spans.size()) return false;
+  for (std::size_t i = 0; i < a.spans.size(); ++i) {
+    const DecisionTimeline::Span& x = a.spans[i];
+    const DecisionTimeline::Span& y = b.spans[i];
+    if (x.first != y.first || x.last != y.last || x.problem != y.problem ||
+        a.lists[x.list] != b.lists[y.list])
+      return false;
+  }
+  return true;
+}
 
-  std::vector<DecisionCheckpoint> checkpoints;
-  const graph::DisseminationGraph* dg = nullptr;
-  std::size_t t = 0;
-  for (const std::size_t stop : stops) {
-    while (t < stop) {
-      if (t < staleness || !trace.hasDeviation(t - staleness)) {
-        dg = &scheme->select(baselineView);
-        if (scheme->steadyOnBaseline()) {
-          t = nextDeviatingDecision(t + 1);
-          continue;
-        }
-        ++t;
-      } else {
-        const std::size_t viewInterval = t - staleness;
-        cursor.seek(viewInterval);
-        dg = &scheme->select(NetworkView::borrowing(
-            cursor, index.contentId(viewInterval)));
-        ++t;
+/// Concatenates the parts of chunk timelines inside their chunks, merging
+/// spans that continue across a chunk boundary.
+DecisionTimeline stitch(const std::vector<DecisionTimeline>& chunks,
+                        const std::vector<IntervalWindow>& windows) {
+  DecisionTimeline out;
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    for (const DecisionTimeline::Span& span : chunks[c].spans) {
+      const std::size_t first = std::max(span.first, windows[c].first);
+      const std::size_t last = std::min(span.last, windows[c].second);
+      if (first >= last) continue;
+      const std::vector<graph::EdgeId>& edges = chunks[c].lists[span.list];
+      if (!out.spans.empty() && out.spans.back().last == first &&
+          out.spans.back().problem == span.problem &&
+          out.lists[out.spans.back().list] == edges) {
+        out.spans.back().last = last;
+        continue;
       }
+      auto it = std::find(out.lists.begin(), out.lists.end(), edges);
+      if (it == out.lists.end()) it = out.lists.insert(it, edges);
+      out.spans.push_back(
+          {first, last,
+           static_cast<std::uint32_t>(it - out.lists.begin()),
+           span.problem});
     }
-    checkpoints.push_back({scheme->saveState(), dg->edges()});
   }
-  return checkpoints;
+  return out;
 }
 
 /// The flow's baseline shortest route.
@@ -273,87 +293,80 @@ class BoundedReplay
     return scheme;
   }
 
-  /// Checks one context: every kind, bounded vs oracle at `stops` (as one
-  /// multi-stop replay and as single-stop replays), then 500 follow-ups.
-  /// Appends the work of the adaptive kinds' single-stop replays in the
-  /// last third of the trace to `lateWork` (nullable).
+  /// Checks one context for every kind: the whole-window timeline, the
+  /// chunks split at `stops` stitched together, and a single window
+  /// [stop, stop + 500) per stop against the oracle. For the adaptive
+  /// kinds' stops in the last third of the trace, appends to `lateWork`
+  /// (nullable) the work of replaying the window [stop, stop + 1) alone,
+  /// less that window's one interval: the bounded start's.
   void check(const trace::Trace& trace, const SchemeParams& params,
              const std::set<std::size_t>& stopSet, const char* label,
              std::vector<std::pair<std::size_t, DecisionReplay::Work>>*
                  lateWork) {
     const auto [staleness, withMemo] = GetParam();
     const trace::ConditionIndex index(trace);
-    const std::vector<std::size_t> stops(stopSet.begin(), stopSet.end());
+    const std::size_t n = trace.intervalCount();
+    std::vector<IntervalWindow> chunks;
+    std::size_t from = 0;
+    for (const std::size_t stop : stopSet) {
+      chunks.push_back({from, stop});
+      from = stop;
+    }
+    chunks.push_back({from, n});
+    routing::DecisionMemo memo;
+    routing::DecisionMemo* const m = withMemo ? &memo : nullptr;
     for (const SchemeKind kind : routing::allSchemeKinds()) {
-      // The uninterrupted run: every decision, no jumps.
-      routing::DecisionMemo followMemo;
+      const std::string where = std::string(label) + ", " +
+                                std::string(routing::schemeName(kind)) +
+                                ", staleness " + std::to_string(staleness) +
+                                (withMemo ? ", memo" : "");
+      memo.contextKey(kind, flow_, params);
+      // The oracle: every decision from interval 0, no jumps.
       Decider decider(trace, index, staleness);
-      auto whole = fresh(kind, params, &followMemo, decider.baseline());
-      std::vector<SchemeState> states;
-      std::vector<std::vector<graph::EdgeId>> selected;
-      for (std::size_t t = 0; t < trace.intervalCount(); ++t) {
-        states.push_back(whole->saveState());
-        selected.push_back(decider.decide(*whole, t).edges());
+      auto whole = fresh(kind, params, nullptr, decider.baseline());
+      std::vector<Decided> oracle;
+      for (std::size_t t = 0; t < n; ++t) {
+        const graph::DisseminationGraph& dg = decider.decide(*whole, t);
+        oracle.push_back({dg.edges(), maskOf(whole->classification())});
       }
-      states.push_back(whole->saveState());
 
-      const std::vector<DecisionCheckpoint> oracle =
-          fullPrefixReplay(topology_.graph(), trace, index, staleness, kind,
-                           flow_, params, nullptr, stops);
-      routing::DecisionMemo memo;
       const DecisionReplay replay(topology_.graph(), trace, index, staleness);
-      const std::vector<DecisionCheckpoint> bounded = replay.run(
-          kind, flow_, params, withMemo ? &memo : nullptr, stops);
-      ASSERT_EQ(bounded.size(), stops.size());
+      const IntervalWindow all{0, n};
+      const DecisionTimeline wholeWindow = replay.run(kind, flow_, params, m,
+                                                      {&all, 1});
+      expectFollows(wholeWindow, oracle, 0, n, where + ", whole window");
 
-      for (std::size_t i = 0; i < stops.size(); ++i) {
-        const std::size_t stop = stops[i];
-        const std::string where = std::string(label) + ", " +
-                                  std::string(routing::schemeName(kind)) +
-                                  ", staleness " + std::to_string(staleness) +
-                                  (withMemo ? ", memo" : "") + ", stop " +
-                                  std::to_string(stop);
-        // The oracle agrees with the uninterrupted run...
-        ASSERT_TRUE(oracle[i].state == states[stop]) << where;
-        ASSERT_EQ(oracle[i].lastEdges, selected[stop - 1]) << where;
-        // ...and the bounded replay with the oracle, field by field.
-        const SchemeState& got = bounded[i].state;
-        const SchemeState& want = oracle[i].state;
-        EXPECT_EQ(got.edges, want.edges) << where;
-        EXPECT_EQ(got.weights, want.weights) << where;
-        EXPECT_EQ(got.lastFingerprint, want.lastFingerprint) << where;
-        EXPECT_TRUE(got.lastProblem == want.lastProblem) << where;
-        EXPECT_EQ(got.sourceHold, want.sourceHold) << where;
-        EXPECT_EQ(got.destinationHold, want.destinationHold) << where;
-        EXPECT_EQ(got.steadyOnBaseline, want.steadyOnBaseline) << where;
-        ASSERT_EQ(bounded[i].lastEdges, oracle[i].lastEdges) << where;
+      std::vector<DecisionTimeline> chunked;
+      for (const IntervalWindow& chunk : chunks) {
+        chunked.push_back(replay.run(kind, flow_, params, m, {&chunk, 1}));
+        // Each chunk also holds the selection in force when it starts.
+        expectFollows(chunked.back(), oracle,
+                      chunk.first > 0 ? chunk.first - 1 : 0, chunk.second,
+                      where + ", chunk at " + std::to_string(chunk.first));
+      }
+      EXPECT_TRUE(sameTimeline(stitch(chunked, chunks), wholeWindow))
+          << where << ", stitched chunks";
 
-        // A single-stop replay scans down to interval 0 instead of the
-        // previous stop, and must agree too.
+      for (const std::size_t stop : stopSet) {
+        const std::size_t end = std::min(stop + kFollow, n);
+        const IntervalWindow window{stop, end};
         const DecisionReplay single(topology_.graph(), trace, index,
                                     staleness);
-        const std::vector<std::size_t> one{stop};
-        const std::vector<DecisionCheckpoint> alone =
-            single.run(kind, flow_, params, withMemo ? &memo : nullptr, one);
-        ASSERT_TRUE(alone[0].state == want) << where << " (single stop)";
-        ASSERT_EQ(alone[0].lastEdges, oracle[i].lastEdges)
-            << where << " (single stop)";
-        if (lateWork != nullptr && adaptive(kind) &&
-            stop >= trace.intervalCount() * 2 / 3) {
-          lateWork->push_back({stop, single.work()});
+        const DecisionTimeline alone =
+            single.run(kind, flow_, params, m, {&window, 1});
+        expectFollows(alone, oracle, stop - 1, end,
+                      where + ", window at " + std::to_string(stop));
+        if (lateWork != nullptr && adaptive(kind) && stop >= n * 2 / 3) {
+          // The window's own decision is left in: it may share one
+          // select() with the decisions before it.
+          const DecisionReplay prefix(topology_.graph(), trace, index,
+                                      staleness);
+          const IntervalWindow one{stop, stop + 1};
+          prefix.run(kind, flow_, params, m, {&one, 1});
+          DecisionReplay::Work work = prefix.work();
+          work.intervals -= 1;
+          lateWork->push_back({stop, work});
         }
-
-        // 500 follow-up decisions from the restored state.
-        Decider resumed(trace, index, staleness);
-        auto scheme = fresh(kind, params, &followMemo, resumed.baseline());
-        scheme->restoreState(got);
-        const std::size_t end =
-            std::min(stop + kFollow, trace.intervalCount());
-        for (std::size_t t = stop; t < end; ++t) {
-          ASSERT_EQ(resumed.decide(*scheme, t).edges(), selected[t])
-              << where << ", interval " << t;
-        }
-        EXPECT_TRUE(scheme->saveState() == states[end]) << where;
       }
     }
   }
@@ -446,8 +459,8 @@ TEST_P(BoundedReplay, CheckpointsMatchTheFullPrefixWalk) {
   std::vector<std::pair<std::size_t, DecisionReplay::Work>> late;
   check(trace, params, stopsFor(episodes), "bounded", &late);
 
-  // No adaptive kind walks from interval 0 here: a late single-stop
-  // replay covers a few episodes at most.
+  // No adaptive kind walks from interval 0 here: a late window starts
+  // from a few episodes back at most.
   ASSERT_FALSE(late.empty());
   for (const auto& [stop, work] : late) {
     EXPECT_LT(work.intervals, 400u) << "stop " << stop;
@@ -471,15 +484,16 @@ TEST_P(BoundedReplay, NoTimelyBaselineRouteWalksFromIntervalZero) {
 
   const trace::ConditionIndex index(trace);
   const std::size_t stop = kIntervals - 7;
+  const IntervalWindow window{stop, stop + 1};
   for (const SchemeKind kind :
        {SchemeKind::DynamicSinglePath, SchemeKind::DynamicTwoDisjoint}) {
     const DecisionReplay replay(topology_.graph(), trace, index,
                                 std::get<0>(GetParam()));
-    const std::vector<std::size_t> stops{stop};
-    const DecisionCheckpoint kept =
-        replay.run(kind, flow_, params, nullptr, stops)[0];
-    EXPECT_FALSE(kept.state.edges.empty()) << routing::schemeName(kind);
-    EXPECT_EQ(replay.work().intervals, stop) << routing::schemeName(kind);
+    const DecisionTimeline kept =
+        replay.run(kind, flow_, params, nullptr, {&window, 1});
+    EXPECT_FALSE(kept.selectionAt(stop - 1).empty())
+        << routing::schemeName(kind);
+    EXPECT_EQ(replay.work().intervals, stop + 1) << routing::schemeName(kind);
   }
 }
 
@@ -492,9 +506,35 @@ TEST_P(BoundedReplay, ProblemBaselineWalksFromIntervalZero) {
   const trace::ConditionIndex index(trace);
   const DecisionReplay replay(topology_.graph(), trace, index,
                               std::get<0>(GetParam()));
-  const std::vector<std::size_t> stops{kIntervals - 7};
-  replay.run(SchemeKind::TargetedRedundancy, flow_, params, nullptr, stops);
-  EXPECT_EQ(replay.work().intervals, kIntervals - 7);
+  const IntervalWindow window{kIntervals - 7, kIntervals - 6};
+  replay.run(SchemeKind::TargetedRedundancy, flow_, params, nullptr,
+             {&window, 1});
+  EXPECT_EQ(replay.work().intervals, kIntervals - 6);
+}
+
+TEST(DecisionReplayMemo, ReplaysOnlyContextsAlreadyInterned) {
+  // A replay never adds a context to the memo it is given, so replays
+  // that share one memo cannot race on its context list.
+  const trace::Topology topology = trace::Topology::ltn12();
+  const routing::Flow flow{topology.at("NYC"), topology.at("SJC")};
+  const trace::Trace trace(util::seconds(10), 20,
+                           trace::healthyBaseline(topology.graph(), 1e-4));
+  const trace::ConditionIndex index(trace);
+  const DecisionReplay replay(topology.graph(), trace, index, 1);
+  const SchemeParams params;
+  const IntervalWindow window{0, 20};
+  routing::DecisionMemo memo;
+  EXPECT_THROW(replay.run(SchemeKind::DynamicTwoDisjoint, flow, params, &memo,
+                          {&window, 1}),
+               std::invalid_argument);
+  EXPECT_EQ(memo.stats().contexts, 0u);
+  memo.contextKey(SchemeKind::DynamicTwoDisjoint, flow, params);
+  EXPECT_EQ(replay
+                .run(SchemeKind::DynamicTwoDisjoint, flow, params, &memo,
+                     {&window, 1})
+                .spans.size(),
+            1u);
+  EXPECT_EQ(memo.stats().contexts, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

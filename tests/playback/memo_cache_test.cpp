@@ -60,18 +60,16 @@ std::string packToTemp(const trace::Trace& tr, const char* name,
 void populate(routing::DecisionMemo& memo) {
   const std::vector<graph::EdgeId> listA = {3, 7, 11};
   const std::vector<graph::EdgeId> listB = {};
-  const std::uint32_t a = memo.internEdgeList(listA);
-  const std::uint32_t b = memo.internEdgeList(listB);
   routing::SchemeParams params;
   const std::uint64_t ctx1 = memo.contextKey(
       routing::SchemeKind::DynamicSinglePath, routing::Flow{1, 9}, params);
   params.deadline = util::milliseconds(80);
   const std::uint64_t ctx2 = memo.contextKey(
       routing::SchemeKind::DynamicSinglePath, routing::Flow{1, 9}, params);
-  memo.storeDecision(ctx1, 5, a);
-  memo.storeDecision(ctx1, 9, b);
+  memo.storeDecision(ctx1, 5, memo.internEdgeList(ctx1, listA));
+  memo.storeDecision(ctx1, 9, memo.internEdgeList(ctx1, listB));
   memo.storeDecision(ctx1, 12, routing::DecisionMemo::kNoRoute);
-  memo.storeDecision(ctx2, 5, b);
+  memo.storeDecision(ctx2, 5, memo.internEdgeList(ctx2, listB));
 }
 
 void expectSnapshotsEqual(const routing::DecisionMemo::Snapshot& a,
@@ -105,11 +103,11 @@ TEST(DecisionMemoSnapshot, AbsorbRoundTripPreservesEverything) {
 TEST(DecisionMemoSnapshot, AbsorbKeepsExistingEntries) {
   routing::DecisionMemo memo;
   populate(memo);
-  const std::uint32_t winner =
-      memo.internEdgeList(std::vector<graph::EdgeId>{42});
   routing::SchemeParams params;
   const std::uint64_t ctx = memo.contextKey(
       routing::SchemeKind::DynamicSinglePath, routing::Flow{1, 9}, params);
+  const std::uint32_t winner =
+      memo.internEdgeList(ctx, std::vector<graph::EdgeId>{42});
   // Conflicting snapshot for (ctx1, fp 5): existing entries must win.
   routing::DecisionMemo donor;
   populate(donor);

@@ -85,9 +85,10 @@ TEST(ThreadDeterminism, ExportsAreByteIdenticalAcrossThreadCounts) {
 }
 
 // The work counts a sweep reports are pure functions of its inputs:
-// decision-memo lookups and stored decisions, decision replay work and
-// Monte-Carlo verdict work. The memo's hit/miss split is not among them
-// (see DecisionMemo::Stats).
+// decision-memo lookups, hits, misses and stored decisions, decision
+// replay work and Monte-Carlo verdict work. Hits and misses repeat too
+// because each context's memo table has one owner in phase 1 (see
+// DecisionMemo).
 TEST(ThreadDeterminism, WorkCountsAreThreadInvariant) {
   const RunOutput one = runWithThreads(1);
   const RunOutput four = runWithThreads(4);
@@ -95,6 +96,10 @@ TEST(ThreadDeterminism, WorkCountsAreThreadInvariant) {
   const routing::DecisionMemo::Stats& b = four.result.memoStats;
   EXPECT_GT(a.lookups(), 0u);
   EXPECT_EQ(a.lookups(), b.lookups());
+  EXPECT_GT(a.decisionHits, 0u);
+  EXPECT_EQ(a.decisionHits, b.decisionHits);
+  EXPECT_GT(a.decisionMisses, 0u);
+  EXPECT_EQ(a.decisionMisses, b.decisionMisses);
   EXPECT_GT(a.decisions, 0u);
   EXPECT_EQ(a.decisions, b.decisions);
   EXPECT_EQ(a.edgeLists, b.edgeLists);

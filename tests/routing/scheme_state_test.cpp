@@ -1,8 +1,7 @@
-// Decision state as a value: a scheme restored from saveState() onto a
-// freshly initialized scheme of the same context selects exactly as the
-// uninterrupted one -- for every kind, with and without a decision memo,
-// at several view stalenesses -- and the targeted scheme's middle-problem
-// re-plan shares dynamic-two-disjoint's memo entries.
+// A decision timeline started mid-trace decides exactly as the
+// uninterrupted scheme -- for every kind, with and without a decision
+// memo, at several view stalenesses -- and the targeted scheme's
+// middle-problem re-plan shares dynamic-two-disjoint's memo entries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +9,7 @@
 #include <set>
 #include <vector>
 
+#include "playback/playback.hpp"
 #include "routing/decision_memo.hpp"
 #include "routing/scheme.hpp"
 #include "trace/condition_timeline.hpp"
@@ -156,8 +156,8 @@ TEST_P(SchemeStateRoundTrip, RestoredSchemeSelectsLikeTheUninterruptedOne) {
   const std::size_t lastStop = kIntervals - kFollow;
 
   // The stops every kind is checked at: seeded random ones plus one of
-  // each situation the state has to carry, located on an uninterrupted
-  // targeted run.
+  // each situation the bounded start has to rebuild, located on an
+  // uninterrupted targeted run.
   std::set<std::size_t> stops;
   util::Rng rng(staleness + 5);
   while (stops.size() < 50) stops.insert(1 + rng.uniformInt(lastStop));
@@ -194,38 +194,39 @@ TEST_P(SchemeStateRoundTrip, RestoredSchemeSelectsLikeTheUninterruptedOne) {
     stops.insert({noRoute, noRoute + 1});
   }
 
+  const playback::DecisionReplay replay(topology_.graph(), episodes_.trace,
+                                        index_, staleness);
   for (const SchemeKind kind : allSchemeKinds()) {
     for (const bool withMemo : {false, true}) {
       DecisionMemo memo;
       DecisionMemo* const m = withMemo ? &memo : nullptr;
+      memo.contextKey(kind, flow_, params_);
       Driver driver(episodes_.trace, index_, staleness);
-      auto whole = fresh(kind, m, driver.baseline());
-      std::vector<SchemeState> states;
+      auto whole = fresh(kind, nullptr, driver.baseline());
       std::vector<std::vector<graph::EdgeId>> selected;
-      for (std::size_t t = 0; t < kIntervals; ++t) {
-        states.push_back(whole->saveState());
+      for (std::size_t t = 0; t < kIntervals; ++t)
         selected.push_back(driver.decide(*whole, t).edges());
-      }
-      states.push_back(whole->saveState());
 
       for (const std::size_t stop : stops) {
-        Driver resumed(episodes_.trace, index_, staleness);
-        auto scheme = fresh(kind, m, resumed.baseline());
-        scheme->restoreState(states[stop]);
-        for (std::size_t t = stop; t < stop + kFollow; ++t) {
-          ASSERT_EQ(resumed.decide(*scheme, t).edges(), selected[t])
+        // The timeline of a window that starts at the stop: its bounded
+        // start rebuilds the state there, and the next kFollow decisions
+        // follow from it.
+        const playback::IntervalWindow window{stop, stop + kFollow};
+        const playback::DecisionTimeline timeline =
+            replay.run(kind, flow_, params_, m, {&window, 1});
+        for (std::size_t t = stop - 1; t < stop + kFollow; ++t) {
+          ASSERT_EQ(timeline.selectionAt(t), selected[t])
               << schemeName(kind) << (withMemo ? " with" : " without")
               << " memo, staleness " << staleness << ", stop " << stop
               << ", interval " << t;
         }
-        EXPECT_TRUE(scheme->saveState() == states[stop + kFollow])
-            << schemeName(kind) << ", stop " << stop;
       }
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Staleness, SchemeStateRoundTrip, ::testing::Values(0u, 2u));
+INSTANTIATE_TEST_SUITE_P(Staleness, SchemeStateRoundTrip,
+                         ::testing::Values(0u, 1u, 2u));
 
 TEST(TargetedMemo, MiddleReplanSharesDynamicTwoDisjointDecisions) {
   const trace::Topology topology = trace::Topology::ltn12();
@@ -306,7 +307,7 @@ TEST(DecisionMemoLookup, FindDecisionCopiesOnlyRoutes) {
   const std::uint64_t ctx =
       memo.contextKey(SchemeKind::DynamicSinglePath, Flow{0, 3}, params);
   const std::vector<graph::EdgeId> route = {1, 4, 7};
-  const std::uint32_t id = memo.internEdgeList(route);
+  const std::uint32_t id = memo.internEdgeList(ctx, route);
   memo.storeDecision(ctx, 5, id);
   memo.storeDecision(ctx, 6, DecisionMemo::kNoRoute);
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace dg::telemetry {
 namespace {
 
@@ -102,6 +104,40 @@ TEST(TraceLog, MergeRespectsCapacityOfTarget) {
   // The four newest survive.
   EXPECT_EQ(small.events().front().time, util::seconds(6));
   EXPECT_EQ(small.events().back().time, util::seconds(9));
+}
+
+// Merging several logs at once leaves what merging them one by one in
+// the same order leaves -- events, their order among equal times, and
+// the drop accounting -- also when the target, or a part, overflows.
+TEST(TraceLog, MergingManyAtOnceMatchesMergingOneByOne) {
+  for (const std::size_t capacity : {std::size_t{6}, std::size_t{64}}) {
+    std::vector<TraceLog> parts(5, TraceLog(8));
+    for (int i = 0; i < 30; ++i) {
+      // Colliding times across parts; the node tells events apart.
+      TraceEvent event = at(util::seconds((i * 7) % 11));
+      event.node = i;
+      parts[static_cast<std::size_t>(i % 5)].record(event);
+    }
+    TraceLog oneByOne(capacity);
+    TraceLog atOnce(capacity);
+    oneByOne.record(at(util::seconds(4)));
+    atOnce.record(at(util::seconds(4)));
+    std::vector<const TraceLog*> pointers;
+    for (const TraceLog& part : parts) {
+      oneByOne.merge(part);
+      pointers.push_back(&part);
+    }
+    atOnce.merge(pointers);
+    EXPECT_EQ(atOnce.recorded(), oneByOne.recorded()) << capacity;
+    EXPECT_EQ(atOnce.dropped(), oneByOne.dropped()) << capacity;
+    const auto expected = oneByOne.events();
+    const auto actual = atOnce.events();
+    ASSERT_EQ(actual.size(), expected.size()) << capacity;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(actual[i].time, expected[i].time) << capacity << " " << i;
+      EXPECT_EQ(actual[i].node, expected[i].node) << capacity << " " << i;
+    }
+  }
 }
 
 TEST(TraceLog, KindNamesAreKebabCase) {
