@@ -54,7 +54,7 @@ struct TransportConfig {
   util::SimTime decisionInterval = util::seconds(10);
   /// Per-link probe period (keeps the monitor fed on idle links).
   util::SimTime probeInterval = util::milliseconds(100);
-  OverlayNodeConfig node;
+  RelayConfig node;
   int monitorMinSamples = 8;
   std::uint64_t seed = 42;
   /// Optional link capacity model (default unlimited); see

@@ -1,26 +1,20 @@
-// The live overlay forwarding engine: dissemination-graph flooding with
-// duplicate suppression plus the per-hop NACK recovery protocol, ported
-// from core::OverlayNode onto real messages and a wall-clock timeline.
-//
-// Differences from the simulated node are strictly mechanical:
-//   - packets are live::Message datagrams instead of net::Packet, and
-//     leave through a LiveNodeSender instead of net::SimulatedNetwork;
-//   - time is an explicit `now` argument (the daemon passes soak time);
-//   - flow metadata (deadline, endpoints, graph mask) travels in-band,
-//     so intermediate nodes need no flow directory -- only stamped
-//     (distributed) mode exists live;
-//   - state lives in std::map (src/live/ is dglint ordered scope).
-// The forwarding rule, duplicate suppression, expiry check, no-echo
-// rule, gap detection and retransmission buffering are line-for-line
-// the simulator's semantics -- that is what makes the live-vs-model
-// differential meaningful.
+// The live daemon's overlay node: a core::Relay driven by real messages
+// and soak time. The relay holds the forwarding and per-hop recovery
+// rules (core/relay.hpp), the same ones the simulator runs, which is what
+// makes the live-vs-model differential meaningful. This driver adds:
+//   - flow metadata (deadline, endpoints, graph mask) read in-band from
+//     each message, so intermediate nodes need no flow directory; only
+//     stamped (distributed) mode exists live;
+//   - the sender and edge fields stamped into every outgoing message,
+//     which leaves through a LiveNodeSender;
+//   - per-flow delivery stats (flowStats), kept ordered by flow id for
+//     the StatsReply.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 
-#include "core/sequence_window.hpp"
+#include "core/relay.hpp"
 #include "graph/graph.hpp"
 #include "live/wire.hpp"
 #include "net/packet.hpp"
@@ -48,18 +42,14 @@ struct LiveFlow {
   std::uint64_t graphMask = 0;
 };
 
-struct LiveNodeConfig {
-  bool recoveryEnabled = true;
-  /// Retransmission buffer per (out-edge, flow), in packets.
-  std::size_t sendBufferPackets = 64;
-};
+using LiveNodeConfig = core::RelayConfig;
 
-class LiveNode {
+class LiveNode final : private core::RelaySink<Message> {
  public:
   LiveNode(graph::NodeId id, const graph::Graph& overlay,
            LiveNodeSender& sender, LiveNodeConfig config = {});
 
-  graph::NodeId id() const { return id_; }
+  graph::NodeId id() const { return relay_.id(); }
 
   /// Injects a fresh data packet (this node must be the flow source).
   void originate(const LiveFlow& flow, net::SequenceNumber sequence,
@@ -76,48 +66,27 @@ class LiveNode {
     return flowStats_;
   }
 
-  std::uint64_t duplicatesDropped() const { return duplicatesDropped_; }
-  std::uint64_t expiredDropped() const { return expiredDropped_; }
-  std::uint64_t nacksSent() const { return nacksSent_; }
-  std::uint64_t retransmissionsSent() const { return retransmissionsSent_; }
+  std::uint64_t duplicatesDropped() const {
+    return relay_.duplicatesDropped();
+  }
+  std::uint64_t expiredDropped() const { return relay_.expiredDropped(); }
+  std::uint64_t nacksSent() const { return relay_.nacksSent(); }
+  std::uint64_t retransmissionsSent() const {
+    return relay_.retransmissionsSent();
+  }
   /// Retransmissions that arrived as the first (useful) copy.
-  std::uint64_t nackRecoveries() const { return nackRecoveries_; }
+  std::uint64_t nackRecoveries() const { return relay_.nackRecoveries(); }
 
  private:
-  struct ReceiveState {
-    net::SequenceNumber expected = 0;
-    core::SequenceWindow requested{1024};  ///< each gap NACKed at most once
-  };
-  struct SendBuffer {
-    std::deque<Message> packets;
-  };
-  static std::uint64_t key(graph::EdgeId edge, net::FlowId flow) {
-    return (static_cast<std::uint64_t>(edge) << 32) | flow;
-  }
+  // RelaySink:
+  void send(graph::EdgeId edge, Message& message) override;
+  void deliver(const Message& message, util::SimTime now) override;
 
   FlowStatsEntry& statsFor(net::FlowId flow);
-  void handleData(const Message& message, util::SimTime now);
-  void handleNack(const Message& message, util::SimTime now);
-  void forward(const Message& message, graph::EdgeId arrivalEdge,
-               util::SimTime now);
-  void noteSequenceForRecovery(const Message& message, util::SimTime now);
-  void bufferForRetransmit(graph::EdgeId outEdge, const Message& message);
 
-  graph::NodeId id_;
-  const graph::Graph* overlay_;
   LiveNodeSender* sender_;
-  LiveNodeConfig config_;
-
-  std::map<net::FlowId, core::SequenceWindow> seen_;
-  std::map<std::uint64_t, ReceiveState> receive_;
-  std::map<std::uint64_t, SendBuffer> sendBuffers_;
+  core::Relay<Message> relay_;
   std::map<net::FlowId, FlowStatsEntry> flowStats_;
-
-  std::uint64_t duplicatesDropped_ = 0;
-  std::uint64_t expiredDropped_ = 0;
-  std::uint64_t nacksSent_ = 0;
-  std::uint64_t retransmissionsSent_ = 0;
-  std::uint64_t nackRecoveries_ = 0;
 };
 
 }  // namespace dg::live

@@ -1,3 +1,6 @@
+// The simulator driver's own rule: packets of flows the directory does
+// not know are dropped. The forwarding and recovery rules it shares with
+// the daemon are tested against both drivers in relay_test.cpp.
 #include "core/overlay_node.hpp"
 
 #include <gtest/gtest.h>
@@ -47,38 +50,22 @@ struct LineHarness {
   std::vector<std::unique_ptr<OverlayNode>> nodes;
   graph::DisseminationGraph dg;
 
-  explicit LineHarness(OverlayNodeConfig config = {},
-                       double residualLoss = 0.0)
-      : trace(test::healthyTrace(line.g, 1000, util::seconds(10),
-                                 residualLoss)),
+  LineHarness()
+      : trace(test::healthyTrace(line.g, 1000, util::seconds(10))),
         network(sim, line.g, trace, 99),
         dg(line.g, line.s, line.d) {
     dg.addPath({line.sm, line.md});
     directory.add(0, routing::Flow{line.s, line.d}, &dg);
     for (graph::NodeId n = 0; n < line.g.nodeCount(); ++n) {
       nodes.push_back(
-          std::make_unique<OverlayNode>(n, network, directory, config));
+          std::make_unique<OverlayNode>(n, network, directory, RelayConfig{}));
       network.setDeliveryHandler(
           n, [this, n](graph::EdgeId e, const net::Packet& p) {
             nodes[n]->handlePacket(e, p);
           });
     }
   }
-
-  void send(net::SequenceNumber seq) {
-    nodes[line.s]->originate(*directory.flowContext(0), seq, sim.now());
-  }
 };
-
-TEST(OverlayNode, DeliversAlongPath) {
-  LineHarness h;
-  h.send(0);
-  h.sim.runUntil(util::seconds(1));
-  ASSERT_EQ(h.directory.deliveries.size(), 1u);
-  EXPECT_EQ(h.directory.deliveries[0].second, 0u);
-  // Two transmissions: S->M, M->D.
-  EXPECT_EQ(h.network.transmissionCount(), 2u);
-}
 
 TEST(OverlayNode, DropsUnknownFlow) {
   LineHarness h;
@@ -89,130 +76,6 @@ TEST(OverlayNode, DropsUnknownFlow) {
   h.sim.runUntil(util::seconds(1));
   EXPECT_TRUE(h.directory.deliveries.empty());
   EXPECT_EQ(h.network.transmissionCount(), 1u);  // not forwarded
-}
-
-TEST(OverlayNode, RecoversFromSingleLoss) {
-  LineHarness h;
-  // Interval 0: 50% loss on S->M; send enough packets that gaps occur.
-  h.trace.setCondition(h.line.sm, 0,
-                       trace::LinkConditions{0.5, util::milliseconds(10)});
-  for (net::SequenceNumber seq = 0; seq < 100; ++seq) {
-    h.sim.scheduleAt(static_cast<util::SimTime>(seq) *
-                         util::milliseconds(10),
-                     [&h, seq] { h.send(seq); });
-  }
-  h.sim.runUntil(util::seconds(20));
-  // All 100 packets fall inside the lossy interval, so retransmissions
-  // also face 50% loss: expected delivery ~ (1-p) + p(1-p) = 75%.
-  EXPECT_GE(h.directory.deliveries.size(), 62u);
-  EXPECT_LE(h.directory.deliveries.size(), 88u);
-  EXPECT_GT(h.nodes[h.line.m]->nacksSent(), 0u);
-  EXPECT_GT(h.nodes[h.line.s]->retransmissionsSent(), 0u);
-}
-
-TEST(OverlayNode, NoRecoveryWhenDisabled) {
-  OverlayNodeConfig config;
-  config.recoveryEnabled = false;
-  LineHarness h(config);
-  h.trace.setCondition(h.line.sm, 0,
-                       trace::LinkConditions{0.5, util::milliseconds(10)});
-  for (net::SequenceNumber seq = 0; seq < 100; ++seq) {
-    h.sim.scheduleAt(static_cast<util::SimTime>(seq) *
-                         util::milliseconds(10),
-                     [&h, seq] { h.send(seq); });
-  }
-  h.sim.runUntil(util::seconds(20));
-  EXPECT_EQ(h.nodes[h.line.m]->nacksSent(), 0u);
-  EXPECT_EQ(h.nodes[h.line.s]->retransmissionsSent(), 0u);
-  // Roughly half the packets are simply gone.
-  EXPECT_LT(h.directory.deliveries.size(), 80u);
-  EXPECT_GT(h.directory.deliveries.size(), 20u);
-}
-
-TEST(OverlayNode, DuplicateSuppressionOnMultipath) {
-  // Diamond with both paths in the graph: destination receives two
-  // copies, delivers once, drops one duplicate.
-  test::Diamond d;
-  const auto trace = test::healthyTrace(d.g, 10);
-  net::Simulator sim;
-  net::SimulatedNetwork network(sim, d.g, trace, 1);
-  TestDirectory directory;
-  graph::DisseminationGraph dg(d.g, d.s, d.d);
-  dg.addPath({d.sa, d.ad});
-  dg.addPath({d.sb, d.bd});
-  directory.add(0, routing::Flow{d.s, d.d}, &dg);
-  std::vector<std::unique_ptr<OverlayNode>> nodes;
-  for (graph::NodeId n = 0; n < d.g.nodeCount(); ++n) {
-    nodes.push_back(
-        std::make_unique<OverlayNode>(n, network, directory, OverlayNodeConfig{}));
-    network.setDeliveryHandler(n,
-                               [&nodes, n](graph::EdgeId e, const net::Packet& p) {
-                                 nodes[n]->handlePacket(e, p);
-                               });
-  }
-  nodes[d.s]->originate(*directory.flowContext(0), 0, sim.now());
-  sim.runUntil(util::seconds(1));
-  EXPECT_EQ(directory.deliveries.size(), 1u);
-  EXPECT_EQ(nodes[d.d]->duplicatesDropped(), 1u);
-  EXPECT_EQ(network.transmissionCount(), 4u);
-}
-
-TEST(OverlayNode, ExpiredPacketsNotForwarded) {
-  LineHarness h;
-  // Deadline shorter than the first hop: M drops instead of forwarding.
-  auto& context = h.directory.add(1, routing::Flow{h.line.s, h.line.d},
-                                  &h.dg, util::milliseconds(5));
-  h.nodes[h.line.s]->originate(context, 0, h.sim.now());
-  h.sim.runUntil(util::seconds(1));
-  EXPECT_TRUE(h.directory.deliveries.empty());
-  EXPECT_EQ(h.network.transmissionCount(), 1u);
-  EXPECT_EQ(h.nodes[h.line.m]->expiredDropped(), 1u);
-}
-
-TEST(OverlayNode, NoEchoRule) {
-  // Flooding graph on the line: M must not send the packet back to S.
-  test::Line line;
-  const auto trace = test::healthyTrace(line.g, 10);
-  net::Simulator sim;
-  net::SimulatedNetwork network(sim, line.g, trace, 1);
-  TestDirectory directory;
-  const auto dg = graph::floodingGraph(line.g, line.s, line.d);
-  directory.add(0, routing::Flow{line.s, line.d}, &dg);
-  std::vector<std::unique_ptr<OverlayNode>> nodes;
-  for (graph::NodeId n = 0; n < line.g.nodeCount(); ++n) {
-    nodes.push_back(std::make_unique<OverlayNode>(n, network, directory,
-                                                  OverlayNodeConfig{}));
-    network.setDeliveryHandler(
-        n, [&nodes, n](graph::EdgeId e, const net::Packet& p) {
-          nodes[n]->handlePacket(e, p);
-        });
-  }
-  nodes[line.s]->originate(*directory.flowContext(0), 0, sim.now());
-  sim.runUntil(util::seconds(1));
-  // S->M, then M->D only (not M->S). D has no member out-edge except
-  // back to M, suppressed. Total: 2 transmissions.
-  EXPECT_EQ(network.transmissionCount(), 2u);
-  EXPECT_EQ(directory.deliveries.size(), 1u);
-}
-
-TEST(OverlayNode, RecoveryRequestedOncePerSequence) {
-  LineHarness h;
-  // Drop exactly seq 1 by blacking out its interval... instead simulate
-  // explicitly: deliver 0, skip 1, deliver 2 and 3 by injecting at M.
-  const auto* context = h.directory.flowContext(0);
-  net::Packet p0;
-  p0.type = net::Packet::Type::Data;
-  p0.flow = context->id;
-  p0.sequence = 0;
-  p0.originTime = 0;
-  auto p2 = p0;
-  p2.sequence = 2;
-  auto p3 = p0;
-  p3.sequence = 3;
-  h.nodes[h.line.m]->handlePacket(h.line.sm, p0);
-  h.nodes[h.line.m]->handlePacket(h.line.sm, p2);  // gap: requests 1
-  h.nodes[h.line.m]->handlePacket(h.line.sm, p3);  // no new gap
-  EXPECT_EQ(h.nodes[h.line.m]->nacksSent(), 1u);
 }
 
 }  // namespace

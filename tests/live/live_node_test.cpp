@@ -1,9 +1,7 @@
-// LiveNode forwarding engine over an in-memory sender: stamped-mask
-// fan-out, no-echo, duplicate suppression, forwarding expiry, delivery
-// classification at the destination, and the per-hop NACK recovery
-// round trip (gap -> NACK on reverse edge -> retransmission -> first
-// copy counts as a recovery). These mirror the simulator-node tests so
-// a divergence pins which engine drifted.
+// The daemon driver's own rule: the destination classifies each first
+// copy as on time or late in flowStats(). The forwarding and recovery
+// rules it shares with the simulator are tested against both drivers in
+// tests/core/relay_test.cpp.
 #include "live/live_node.hpp"
 
 #include <gtest/gtest.h>
@@ -69,71 +67,6 @@ live::Message arrival(const live::LiveFlow& flow, graph::EdgeId edge,
   return m;
 }
 
-TEST(LiveNode, OriginateFansOutOnMaskedOutEdges) {
-  const graph::Graph g = diamond();
-  RecordingSender sender;
-  live::LiveNode node(0, g, sender);
-  node.originate(diamondFlow(), 0, util::milliseconds(100));
-
-  ASSERT_EQ(sender.sent.size(), 2u);
-  EXPECT_EQ(sender.sent[0].edge, 0u);
-  EXPECT_EQ(sender.sent[1].edge, 2u);
-  for (const auto& s : sender.sent) {
-    EXPECT_EQ(s.message.type, live::MessageType::Data);
-    EXPECT_EQ(s.message.sender, 0u);
-    EXPECT_EQ(s.message.edge, s.edge);
-    EXPECT_EQ(s.message.graphMask, kTwoPathMask);
-  }
-  const auto& stats = node.flowStats().at(7);
-  EXPECT_EQ(stats.sent, 1u);
-  EXPECT_EQ(stats.transmissions, 2u);
-}
-
-TEST(LiveNode, NoEchoBackToTheArrivalNeighbor) {
-  const graph::Graph g = diamond();
-  RecordingSender sender;
-  live::LiveNode node(1, g, sender);
-  // Mask deliberately includes B's echo edge (1: B->A) alongside the
-  // forward edge (4: B->D); the no-echo rule must win over the mask.
-  live::LiveFlow flow = diamondFlow();
-  flow.graphMask = (1u << 0) | (1u << 1) | (1u << 4);
-  node.handleMessage(arrival(flow, 0, 0, util::milliseconds(100)),
-                     util::milliseconds(110));
-
-  ASSERT_EQ(sender.sent.size(), 1u);
-  EXPECT_EQ(sender.sent[0].edge, 4u);
-}
-
-TEST(LiveNode, DuplicateSecondCopyDropped) {
-  const graph::Graph g = diamond();
-  RecordingSender sender;
-  live::LiveNode node(3, g, sender);
-  const live::LiveFlow flow = diamondFlow();
-  // The same packet arrives over both diamond branches.
-  node.handleMessage(arrival(flow, 4, 0, util::milliseconds(100)),
-                     util::milliseconds(120));
-  node.handleMessage(arrival(flow, 6, 0, util::milliseconds(100)),
-                     util::milliseconds(125));
-
-  EXPECT_EQ(node.duplicatesDropped(), 1u);
-  const auto& stats = node.flowStats().at(7);
-  EXPECT_EQ(stats.deliveredOnTime, 1u);
-  EXPECT_EQ(stats.deliveredLate, 0u);
-}
-
-TEST(LiveNode, ExpiredPacketIsDroppedNotForwarded) {
-  const graph::Graph g = diamond();
-  RecordingSender sender;
-  live::LiveNode node(1, g, sender);
-  const live::LiveFlow flow = diamondFlow();
-  // Age at forward time equals the deadline: too old to be useful.
-  node.handleMessage(arrival(flow, 0, 0, util::milliseconds(100)),
-                     util::milliseconds(100) + flow.deadline);
-
-  EXPECT_TRUE(sender.sent.empty());
-  EXPECT_EQ(node.expiredDropped(), 1u);
-}
-
 TEST(LiveNode, DestinationClassifiesOnTimeAndLate) {
   const graph::Graph g = diamond();
   RecordingSender sender;
@@ -149,156 +82,6 @@ TEST(LiveNode, DestinationClassifiesOnTimeAndLate) {
   EXPECT_EQ(stats.deliveredLate, 1u);
   EXPECT_EQ(stats.latencySumUs,
             static_cast<std::uint64_t>(2 * flow.deadline + 1));
-}
-
-/// Link A(0) <-> B(1): edges 0 (A->B), 1 (B->A); flow terminates at B.
-struct LinkPair {
-  graph::Graph g;
-  live::LiveFlow flow;
-
-  LinkPair() {
-    g.addNodes(2);
-    g.addBidirectional(0, 1, util::milliseconds(10));
-    flow.id = 3;
-    flow.source = 0;
-    flow.destination = 1;
-    flow.deadline = util::milliseconds(65);
-    flow.graphMask = 1u << 0;
-  }
-};
-
-TEST(LiveNode, GapTriggersNackRetransmissionAndRecovery) {
-  LinkPair link;
-  RecordingSender senderA;
-  RecordingSender senderB;
-  live::LiveNode a(0, link.g, senderA);
-  live::LiveNode b(1, link.g, senderB);
-
-  const auto deliverToB = [&](std::size_t i, util::SimTime now) {
-    b.handleMessage(senderA.sent[i].message, now);
-  };
-
-  a.originate(link.flow, 0, util::milliseconds(100));
-  a.originate(link.flow, 1, util::milliseconds(200));
-  a.originate(link.flow, 2, util::milliseconds(300));
-  ASSERT_EQ(senderA.sent.size(), 3u);
-
-  deliverToB(0, util::milliseconds(110));
-  deliverToB(2, util::milliseconds(310));  // sequence 1 was "lost"
-
-  // B detected the gap and NACKed exactly sequence 1 on the reverse edge.
-  ASSERT_EQ(senderB.sent.size(), 1u);
-  EXPECT_EQ(b.nacksSent(), 1u);
-  const live::Message& nack = senderB.sent[0].message;
-  EXPECT_EQ(nack.type, live::MessageType::Nack);
-  EXPECT_EQ(nack.edge, 1u);
-  EXPECT_EQ(nack.nackSequences, (std::vector<net::SequenceNumber>{1}));
-
-  // A retransmits from its per-(edge, flow) buffer...
-  a.handleMessage(nack, util::milliseconds(315));
-  ASSERT_EQ(senderA.sent.size(), 4u);
-  EXPECT_EQ(a.retransmissionsSent(), 1u);
-  const live::Message& retransmission = senderA.sent[3].message;
-  EXPECT_EQ(retransmission.type, live::MessageType::Retransmission);
-  EXPECT_EQ(retransmission.sequence, 1u);
-
-  // ...and the retransmission is B's first copy: a recovery, delivered.
-  b.handleMessage(retransmission, util::milliseconds(320));
-  EXPECT_EQ(b.nackRecoveries(), 1u);
-  const auto& stats = b.flowStats().at(3);
-  EXPECT_EQ(stats.deliveredOnTime, 2u);
-  EXPECT_EQ(stats.deliveredLate, 1u);  // seq 1 recovered past its deadline
-}
-
-TEST(LiveNode, RetransmissionOfSeenSequenceIsNotARecovery) {
-  LinkPair link;
-  RecordingSender sender;
-  live::LiveNode b(1, link.g, sender);
-  const live::Message data = [&] {
-    live::Message m;
-    m.type = live::MessageType::Data;
-    m.sender = 0;
-    m.edge = 0;
-    m.flow = link.flow.id;
-    m.sequence = 0;
-    m.originTime = util::milliseconds(100);
-    m.deadline = link.flow.deadline;
-    m.graphMask = link.flow.graphMask;
-    m.source = 0;
-    m.destination = 1;
-    return m;
-  }();
-  b.handleMessage(data, util::milliseconds(110));
-  live::Message again = data;
-  again.type = live::MessageType::Retransmission;
-  b.handleMessage(again, util::milliseconds(120));
-
-  EXPECT_EQ(b.nackRecoveries(), 0u);
-  EXPECT_EQ(b.duplicatesDropped(), 1u);
-}
-
-TEST(LiveNode, RecoveryDisabledSendsNoNacks) {
-  LinkPair link;
-  live::LiveNodeConfig config;
-  config.recoveryEnabled = false;
-  RecordingSender senderA;
-  RecordingSender senderB;
-  live::LiveNode a(0, link.g, senderA, config);
-  live::LiveNode b(1, link.g, senderB, config);
-
-  a.originate(link.flow, 0, util::milliseconds(100));
-  a.originate(link.flow, 1, util::milliseconds(200));
-  a.originate(link.flow, 2, util::milliseconds(300));
-  b.handleMessage(senderA.sent[0].message, util::milliseconds(110));
-  b.handleMessage(senderA.sent[2].message, util::milliseconds(310));
-
-  EXPECT_TRUE(senderB.sent.empty());
-  EXPECT_EQ(b.nacksSent(), 0u);
-}
-
-TEST(LiveNode, EvictedSequencesCannotBeRetransmitted) {
-  LinkPair link;
-  live::LiveNodeConfig config;
-  config.sendBufferPackets = 4;
-  RecordingSender senderA;
-  RecordingSender senderB;
-  live::LiveNode a(0, link.g, senderA, config);
-  live::LiveNode b(1, link.g, senderB, config);
-
-  for (net::SequenceNumber seq = 0; seq < 10; ++seq) {
-    a.originate(link.flow, seq, util::milliseconds(100 * (seq + 1)));
-  }
-  // Only sequence 9 arrives: B NACKs 0..8, but A's 4-deep buffer only
-  // still holds 6, 7, 8 (9 was never requested).
-  b.handleMessage(senderA.sent[9].message, util::milliseconds(1010));
-  ASSERT_EQ(senderB.sent.size(), 1u);
-  EXPECT_EQ(senderB.sent[0].message.nackSequences.size(), 9u);
-
-  a.handleMessage(senderB.sent[0].message, util::milliseconds(1015));
-  EXPECT_EQ(a.retransmissionsSent(), 3u);
-  std::vector<net::SequenceNumber> recovered;
-  for (std::size_t i = 10; i < senderA.sent.size(); ++i) {
-    recovered.push_back(senderA.sent[i].message.sequence);
-  }
-  EXPECT_EQ(recovered, (std::vector<net::SequenceNumber>{6, 7, 8}));
-}
-
-TEST(LiveNode, LateFillAfterNackDoesNotRenack) {
-  LinkPair link;
-  RecordingSender senderA;
-  RecordingSender senderB;
-  live::LiveNode a(0, link.g, senderA);
-  live::LiveNode b(1, link.g, senderB);
-
-  a.originate(link.flow, 0, util::milliseconds(100));
-  a.originate(link.flow, 1, util::milliseconds(200));
-  b.handleMessage(senderA.sent[1].message, util::milliseconds(210));
-  ASSERT_EQ(b.nacksSent(), 1u);
-  // The original copy of 0 straggles in after the NACK: a late fill,
-  // not a new gap.
-  b.handleMessage(senderA.sent[0].message, util::milliseconds(220));
-  EXPECT_EQ(b.nacksSent(), 1u);
-  EXPECT_EQ(senderB.sent.size(), 1u);
 }
 
 }  // namespace

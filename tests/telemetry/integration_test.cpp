@@ -60,7 +60,7 @@ TEST(TelemetryIntegration, SimulateCountersMatchEngineGroundTruth) {
   // Per-node counters agree with the nodes' own accounting.
   std::uint64_t nacks = 0, retransmissions = 0, duplicates = 0;
   for (graph::NodeId n = 0; n < topology.graph().nodeCount(); ++n) {
-    const core::OverlayNode& node = service.node(n);
+    const core::RelayState& node = service.node(n).relay();
     const telemetry::Labels nodeLabels{{"node", std::to_string(n)}};
     EXPECT_EQ(m.counterValue("dg_core_nacks_sent_total", nodeLabels),
               node.nacksSent());
