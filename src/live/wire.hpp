@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "core/relay.hpp"
 #include "graph/graph.hpp"
 #include "net/packet.hpp"
 #include "util/sim_time.hpp"
@@ -34,9 +35,8 @@ namespace dg::live {
 inline constexpr std::uint16_t kWireMagic = 0x4744;  // "DG" little-endian
 inline constexpr std::uint8_t kWireVersion = 1;
 
-/// Hard cap on sequences per Nack (bounds datagram size; the recovery
-/// path re-requests anything beyond the cap on the next gap).
-inline constexpr std::size_t kMaxNackSequences = 256;
+/// Hard cap on sequences per Nack: the relay's NACK window.
+using core::kMaxNackSequences;
 /// Hard cap on per-flow stat entries in a StatsReply.
 inline constexpr std::size_t kMaxFlowStats = 128;
 
