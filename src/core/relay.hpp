@@ -11,15 +11,15 @@
 // Recovery: each (in-edge, flow) keeps a cursor of the next expected link
 // sequence. A packet beyond it opens a gap, whose missing sequences are
 // NACKed once on the reverse edge; the upstream node retransmits from a
-// per-(out-edge, flow) buffer of its last sends. All of it is soft state
+// per-(out-edge, flow) ring of its last sends. All of it is soft state
 // that restart() forgets.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <numeric>
 #include <unordered_map>
+#include <vector>
 
 #include "core/sequence_window.hpp"
 #include "graph/dissemination_graph.hpp"
@@ -160,16 +160,12 @@ class Relay : public RelayState {
     if (arrivalEdge == graph::kInvalidEdge) return;
     const auto dataEdge = overlay_->reverseEdge(arrivalEdge);
     if (!dataEdge) return;
-    const auto it = sendBuffers_.find(key(*dataEdge, nack.flow));
-    if (it == sendBuffers_.end()) return;
-    // Linear scan: the buffer is small and recovered packets re-enter it
-    // out of sequence order, so it is not sorted.
-    const std::deque<Message>& buffer = it->second;
+    const auto it = sendRings_.find(key(*dataEdge, nack.flow));
+    if (it == sendRings_.end()) return;
+    const SendRing& ring = it->second;
     for (const net::SequenceNumber seq : nack.nackSequences) {
-      const auto found =
-          std::find_if(buffer.begin(), buffer.end(),
-                       [seq](const Message& m) { return m.sequence == seq; });
-      if (found == buffer.end()) continue;
+      const Message* found = ring.find(seq);
+      if (found == nullptr) continue;
       out_ = *found;
       out_.type = Type::Retransmission;
       ++retransmissionsSent_;
@@ -182,10 +178,28 @@ class Relay : public RelayState {
   void restart() {
     seen_.clear();
     expected_.clear();
-    sendBuffers_.clear();
+    sendRings_.clear();
   }
 
  private:
+  /// The copies last sent on one (out-edge, flow), oldest first. It grows
+  /// one slot per send up to sendBufferPackets, then each send overwrites
+  /// the oldest copy. Recovered packets enter it out of sequence order,
+  /// so it is searched, not indexed by sequence.
+  struct SendRing {
+    std::vector<Message> slots;
+    std::size_t oldest = 0;  ///< index of the oldest copy once full
+
+    /// The oldest copy of `sequence`, or null.
+    const Message* find(net::SequenceNumber sequence) const {
+      for (std::size_t i = oldest; i < slots.size(); ++i)
+        if (slots[i].sequence == sequence) return &slots[i];
+      for (std::size_t i = 0; i < oldest; ++i)
+        if (slots[i].sequence == sequence) return &slots[i];
+      return nullptr;
+    }
+  };
+
   void forward(const Message& message, graph::EdgeId arrivalEdge,
                const RelayFlow& flow, util::SimTime now) {
     const bool stamped = message.graphMask != 0;
@@ -234,14 +248,30 @@ class Relay : public RelayState {
   }
 
   void bufferForRetransmit(graph::EdgeId outEdge) {
-    std::deque<Message>& buffer = sendBuffers_[key(outEdge, out_.flow)];
-    buffer.push_back(out_);  // dgcheck: ok(R5): retransmit ring reuses deque capacity; bounded by sendBufferPackets and amortized to zero
-    while (buffer.size() > config_.sendBufferPackets) buffer.pop_front();
+    if (config_.sendBufferPackets == 0) return;
+    SendRing& ring = sendRings_[key(outEdge, out_.flow)];
+    if (ring.slots.size() < config_.sendBufferPackets) {
+      growRing(ring);
+      return;
+    }
+    ring.slots[ring.oldest] = out_;
+    if (++ring.oldest == ring.slots.size()) ring.oldest = 0;
+  }
+
+  /// Appends out_ to a ring that is not full yet.
+  // dgcheck: cold: a ring grows to sendBufferPackets copies in its first sends, then only overwrites
+  void growRing(SendRing& ring) {
+    if (ring.slots.size() == ring.slots.capacity()) {
+      ring.slots.reserve(
+          std::min(config_.sendBufferPackets,
+                   std::max<std::size_t>(4, 2 * ring.slots.size())));
+    }
+    ring.slots.push_back(out_);
   }
 
   RelaySink<Message>* sink_;
-  /// Per (out-edge, flow) retransmission buffers, oldest first.
-  std::unordered_map<std::uint64_t, std::deque<Message>> sendBuffers_;
+  /// Per (out-edge, flow) retransmission rings.
+  std::unordered_map<std::uint64_t, SendRing> sendRings_;
   /// Reused output messages: no per-packet allocation.
   Message out_;
   Message nack_;

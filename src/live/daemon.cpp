@@ -71,18 +71,19 @@ void Daemon::stop() {
   loop_->removeFd(socket_.fd());
 }
 
+// dgcheck: hot
 void Daemon::onReadable() {
   socket_.drain([this](std::span<const std::byte> datagram) {
     ++counters_.socketReceives;
-    auto message = decodeMessage(datagram);
-    if (!message) {
+    if (!decodeMessageInto(datagram, received_)) {
       ++counters_.decodeErrors;
       return;
     }
-    dispatch(*message);
+    dispatch(received_);
   });
 }
 
+// dgcheck: hot
 void Daemon::dispatch(const Message& message) {
   switch (message.type) {
     case MessageType::Data:
@@ -114,6 +115,7 @@ void Daemon::dispatch(const Message& message) {
   }
 }
 
+// dgcheck: cold: once per soak; the coordinator sends Go twice at most
 void Daemon::handleGo(const Message& message) {
   if (goReceived_) return;  // the coordinator sends Go twice for safety
   goReceived_ = true;
@@ -155,7 +157,7 @@ void Daemon::heartbeatTick() {
                        [this] { heartbeatTick(); });
 }
 
-// dgcheck: cold: per-send serialization into the socket buffer; UDP syscall cost dominates and sends are paced by the packet interval
+// dgcheck: hot
 void Daemon::sendOnEdge(graph::EdgeId edge, const Message& message) {
   const util::SimTime now = soakStart_ < 0 ? 0 : soakNow();
   util::SimTime delay = 0;
@@ -173,28 +175,54 @@ void Daemon::sendOnEdge(graph::EdgeId edge, const Message& message) {
   const graph::NodeId to = overlay_->edge(edge).to;
   const auto peerPort = membership_.lookup(to);
   if (!peerPort || *peerPort == 0) return;  // peer address unknown
-  std::vector<std::byte> bytes = encodeMessage(message);
+  const std::uint32_t index = enqueue(*peerPort, message);
   if (delay > 0) {
-    loop_->scheduleAfter(
-        delay, [this, port = *peerPort, bytes = std::move(bytes)] {
-          transmit(port, bytes);
-        });
+    loop_->scheduleAfter(delay, [this, index] { transmitPending(index); });
   } else {
-    transmit(*peerPort, bytes);
+    transmitPending(index);
   }
 }
 
-void Daemon::transmit(std::uint16_t peerPort,
-                      const std::vector<std::byte>& bytes) {
-  if (socket_.sendTo(peerPort, bytes)) ++counters_.socketSends;
+std::uint32_t Daemon::enqueue(std::uint16_t port, const Message& message) {
+  if (freePending_ == kNoPending) growDelayLine();
+  const std::uint32_t index = freePending_;
+  PendingSend& pending = delayLine_[index];
+  freePending_ = pending.nextFree;
+  const std::size_t size = encodedSize(message);
+  if (pending.bytes.size() < size) growPendingBuffer(pending, size);
+  pending.size = encodeMessageInto(message, pending.bytes);
+  pending.port = port;
+  return index;
+}
+
+// dgcheck: hot
+void Daemon::transmitPending(std::uint32_t index) {
+  PendingSend& pending = delayLine_[index];
+  if (socket_.sendTo(pending.port, {pending.bytes.data(), pending.size}))
+    ++counters_.socketSends;
+  pending.nextFree = freePending_;
+  freePending_ = index;
+}
+
+// dgcheck: cold: adds a delay-line slot; the line only grows to the peak number of datagrams in flight
+void Daemon::growDelayLine() {
+  freePending_ = static_cast<std::uint32_t>(delayLine_.size());
+  delayLine_.emplace_back();
+  delayLine_.back().nextFree = kNoPending;
+}
+
+// dgcheck: cold: a slot's buffer grows to the largest datagram it has held, at most one full NACK or StatsReply
+void Daemon::growPendingBuffer(PendingSend& pending, std::size_t size) {
+  pending.bytes.resize(size);
 }
 
 void Daemon::sendControl(graph::NodeId peer, const Message& message) {
   const auto peerPort = membership_.lookup(peer);
   if (!peerPort || *peerPort == 0) return;
-  transmit(*peerPort, encodeMessage(message));
+  transmitPending(enqueue(*peerPort, message));
 }
 
+// dgcheck: cold: coordinator traffic, one reply per StatsRequest
 void Daemon::sendStatsReply(std::uint32_t token) {
   if (config_.coordinatorPort == 0) return;
   Message reply;
@@ -203,7 +231,7 @@ void Daemon::sendStatsReply(std::uint32_t token) {
   reply.token = token;
   reply.counters = counters();
   reply.flowStats = flowStatsEntries();
-  transmit(config_.coordinatorPort, encodeMessage(reply));
+  transmitPending(enqueue(config_.coordinatorPort, reply));
 }
 
 std::vector<FlowStatsEntry> Daemon::flowStatsEntries() const {
@@ -218,6 +246,9 @@ std::vector<FlowStatsEntry> Daemon::flowStatsEntries() const {
 
 DaemonCounters Daemon::counters() const {
   DaemonCounters c = counters_;
+  // An edge message on an edge that does not end here is as malformed
+  // as one that fails to decode.
+  c.decodeErrors += node_.foreignEdgeDropped();
   c.duplicatesDropped = node_.duplicatesDropped();
   c.expiredDropped = node_.expiredDropped();
   c.nacksSent = node_.nacksSent();

@@ -14,6 +14,12 @@
 // link latency holds the datagram on a loop timer (loopback itself is
 // ~free, so the shim IS the emulated propagation delay). Membership and
 // control datagrams bypass the shim: they are the management plane.
+//
+// The per-datagram path allocates nothing once warmed up: every
+// outgoing datagram is encoded into a pooled buffer of the delay line (a
+// slot reused through a free list), a delayed one's timer captures only
+// the slot index, and a received datagram is decoded into one reused
+// Message.
 #pragma once
 
 #include <cstdint>
@@ -115,6 +121,15 @@ class Daemon : public LiveNodeSender {
     util::SimTime nextDue = 0;  ///< soak time of the next origination
   };
 
+  /// One datagram of the delay line: its encoding and destination.
+  struct PendingSend {
+    std::vector<std::byte> bytes;  ///< keeps its capacity across reuses
+    std::size_t size = 0;
+    std::uint16_t port = 0;
+    std::uint32_t nextFree = 0;
+  };
+  static constexpr std::uint32_t kNoPending = UINT32_MAX;
+
   util::SimTime soakNow() const { return loop_->now() - soakStart_; }
   void onReadable();
   void dispatch(const Message& message);
@@ -123,9 +138,15 @@ class Daemon : public LiveNodeSender {
   void sendStatsReply(std::uint32_t token);
   void originateTick(std::size_t flowIndex);
   void heartbeatTick();
-  void transmit(std::uint16_t peerPort, const std::vector<std::byte>& bytes);
   /// Direct (unimpaired) management-plane send to a peer node.
   void sendControl(graph::NodeId peer, const Message& message);
+  /// Encodes `message` into a free delay-line slot bound for `port`.
+  /// Every datagram the daemon sends passes through one.
+  std::uint32_t enqueue(std::uint16_t port, const Message& message);
+  /// Sends a slot's datagram and returns the slot to the free list.
+  void transmitPending(std::uint32_t index);
+  void growDelayLine();
+  void growPendingBuffer(PendingSend& pending, std::size_t size);
 
   EventLoop* loop_;
   const graph::Graph* overlay_;
@@ -144,6 +165,10 @@ class Daemon : public LiveNodeSender {
   std::uint32_t helloSeq_ = 0;
 
   DaemonCounters counters_;  ///< socket/decode/impairment counters only
+  /// The last datagram decoded, reused for every receive.
+  Message received_;
+  std::vector<PendingSend> delayLine_;
+  std::uint32_t freePending_ = kNoPending;
 
   Membership::PeerCallback userOnDiscover_;
   Membership::PeerCallback userOnDisappear_;

@@ -6,7 +6,9 @@ namespace dg::live {
 
 LiveNode::LiveNode(graph::NodeId id, const graph::Graph& overlay,
                    LiveNodeSender& sender, LiveNodeConfig config)
-    : sender_(&sender), relay_(id, overlay, *this, config) {}
+    : overlay_(&overlay),
+      sender_(&sender),
+      relay_(id, overlay, *this, config) {}
 
 FlowStatsEntry& LiveNode::statsFor(net::FlowId flow) {
   FlowStatsEntry& entry = flowStats_[flow];
@@ -29,21 +31,28 @@ void LiveNode::originate(const LiveFlow& flow, net::SequenceNumber sequence,
   relay_.originate(message, {flow.deadline, flow.destination, nullptr}, now);
 }
 
+// dgcheck: hot
 void LiveNode::handleMessage(const Message& message, util::SimTime now) {
-  switch (message.type) {
-    case MessageType::Data:
-    case MessageType::Retransmission:
-      relay_.handleData(message, message.edge,
-                        {message.deadline, message.destination, nullptr}, now);
-      return;
-    case MessageType::Nack:
-      relay_.handleNack(message, message.edge);
-      return;
-    default:
-      return;  // membership/control messages are the daemon's business
+  const bool nack = message.type == MessageType::Nack;
+  if (!nack && message.type != MessageType::Data &&
+      message.type != MessageType::Retransmission) {
+    return;  // membership/control messages are the daemon's business
+  }
+  // The edge comes off the wire, and the relay indexes the overlay by it.
+  if (message.edge >= overlay_->edgeCount() ||
+      overlay_->edge(message.edge).to != id()) {
+    ++foreignEdgeDropped_;
+    return;
+  }
+  if (nack) {
+    relay_.handleNack(message, message.edge);
+  } else {
+    relay_.handleData(message, message.edge,
+                      {message.deadline, message.destination, nullptr}, now);
   }
 }
 
+// dgcheck: hot
 void LiveNode::send(graph::EdgeId edge, Message& message) {
   message.sender = id();
   message.edge = edge;

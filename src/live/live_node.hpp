@@ -56,7 +56,9 @@ class LiveNode final : private core::RelaySink<Message> {
                  util::SimTime now);
 
   /// Entry point for received edge messages (Data / Retransmission /
-  /// Nack); other message types are ignored. `now` is soak time.
+  /// Nack); other message types are ignored. `now` is soak time. An edge
+  /// message whose edge is not an overlay edge ending at this node is
+  /// dropped and counted in foreignEdgeDropped().
   void handleMessage(const Message& message, util::SimTime now);
 
   /// Per-flow delivery stats observed at this node (sent at the source,
@@ -76,6 +78,8 @@ class LiveNode final : private core::RelaySink<Message> {
   }
   /// Retransmissions that arrived as the first (useful) copy.
   std::uint64_t nackRecoveries() const { return relay_.nackRecoveries(); }
+  /// Edge messages dropped for naming an edge that does not end here.
+  std::uint64_t foreignEdgeDropped() const { return foreignEdgeDropped_; }
 
  private:
   // RelaySink:
@@ -84,8 +88,10 @@ class LiveNode final : private core::RelaySink<Message> {
 
   FlowStatsEntry& statsFor(net::FlowId flow);
 
+  const graph::Graph* overlay_;
   LiveNodeSender* sender_;
   core::Relay<Message> relay_;
+  std::uint64_t foreignEdgeDropped_ = 0;
   std::map<net::FlowId, FlowStatsEntry> flowStats_;
 };
 

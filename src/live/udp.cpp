@@ -64,20 +64,15 @@ bool UdpSocket::sendTo(std::uint16_t port,
   return sent == static_cast<ssize_t>(datagram.size());
 }
 
-std::size_t UdpSocket::drain(
-    const std::function<void(std::span<const std::byte>)>& sink) {
-  std::size_t count = 0;
-  for (;;) {
-    const ssize_t n = recv(fd_, buffer_.data(), buffer_.size(), 0);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) break;
-      throw std::system_error(errno, std::generic_category(), "recv");
-    }
-    ++count;
-    sink(std::span<const std::byte>(buffer_.data(),
-                                    static_cast<std::size_t>(n)));
+bool UdpSocket::receive(std::span<const std::byte>& datagram) {
+  const ssize_t n = recv(fd_, buffer_.data(), buffer_.size(), 0);
+  if (n < 0) {
+    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
+      return false;
+    throw std::system_error(errno, std::generic_category(), "recv");
   }
-  return count;
+  datagram = {buffer_.data(), static_cast<std::size_t>(n)};
+  return true;
 }
 
 }  // namespace dg::live

@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -31,11 +30,21 @@ class UdpSocket {
   bool sendTo(std::uint16_t port, std::span<const std::byte> datagram);
 
   /// Reads every queued datagram, invoking `sink` per datagram, until
-  /// the socket would block. Returns the number of datagrams read.
-  std::size_t drain(
-      const std::function<void(std::span<const std::byte>)>& sink);
+  /// the socket would block. Returns the number of datagrams read. The
+  /// span is valid only during the call.
+  template <typename Sink>
+  std::size_t drain(Sink&& sink) {
+    std::size_t count = 0;
+    for (std::span<const std::byte> datagram; receive(datagram); ++count)
+      sink(datagram);
+    return count;
+  }
 
  private:
+  /// Reads one datagram into the receive buffer; false when the socket
+  /// would block.
+  bool receive(std::span<const std::byte>& datagram);
+
   int fd_ = -1;
   std::uint16_t localPort_ = 0;
   std::vector<std::byte> buffer_;

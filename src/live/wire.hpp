@@ -139,10 +139,26 @@ struct Message {
 /// its cap or a node/edge id does not fit the wire width (16 bit).
 std::vector<std::byte> encodeMessage(const Message& message);
 
+/// The size of the message's encoding, in bytes. Throws
+/// std::length_error when a list exceeds its cap.
+std::size_t encodedSize(const Message& message);
+
+/// Serializes into `out`, which must hold encodedSize(message) bytes, and
+/// returns that size. Throws std::length_error as encodeMessage does, and
+/// when `out` is too short.
+std::size_t encodeMessageInto(const Message& message,
+                              std::span<std::byte> out);
+
 /// Parses one datagram. Returns std::nullopt and sets `error` (when
 /// non-null) on any malformed input: short header, bad magic, unknown
 /// version or type, truncated body, over-cap list, trailing bytes.
 std::optional<Message> decodeMessage(std::span<const std::byte> datagram,
                                      std::string* error = nullptr);
+
+/// decodeMessage into a caller-owned message, which keeps the capacity of
+/// its lists. Returns false (leaving `out` unspecified) exactly when
+/// decodeMessage returns std::nullopt.
+bool decodeMessageInto(std::span<const std::byte> datagram, Message& out,
+                       std::string* error = nullptr);
 
 }  // namespace dg::live

@@ -616,6 +616,69 @@ RELAY_TEST(EvictedSequencesCannotBeRetransmitted) {
   EXPECT_EQ(recovered, (std::vector<net::SequenceNumber>{6, 7, 8}));
 }
 
+/// Line A(0) - B(1) - C(2): edges 0 (A->B), 1 (B->A), 2 (B->C),
+/// 3 (C->B); flow 5 runs A->B->C.
+graph::Graph line3() {
+  graph::Graph g;
+  g.addNodes(3);
+  g.addBidirectional(0, 1, util::milliseconds(10));
+  g.addBidirectional(1, 2, util::milliseconds(10));
+  return g;
+}
+const TestFlow kLine3Flow{5, 0, 2, util::milliseconds(65), nullptr,
+                          (1u << 0) | (1u << 2)};
+
+/// The first message `node` sent on `edge` of `type` for `seq`.
+template <typename H>
+auto sentOn(const H& h, graph::NodeId node, graph::EdgeId edge,
+            typename H::Type type, net::SequenceNumber seq) {
+  for (const auto& s : h.sentBy(node))
+    if (s.edge == edge && s.message.type == type &&
+        (type == H::Type::Nack || s.message.sequence == seq))
+      return s.message;
+  ADD_FAILURE() << "node " << node << " sent nothing on edge " << edge
+                << " for sequence " << seq;
+  return decltype(h.sent[0].message){};
+}
+
+RELAY_TEST(RingEvictsRecoveredCopiesByInsertionOrder) {
+  core::RelayConfig config;
+  config.sendBufferPackets = 4;
+  Harness<Driver> h(line3(), Wire::Manual, config);
+  using Type = typename Harness<Driver>::Type;
+  h.addFlow(kLine3Flow);
+  for (net::SequenceNumber seq = 0; seq <= 4; ++seq)
+    originate(h, 0, 5, seq, ms(100 + static_cast<std::int64_t>(seq)));
+  // B hears 0, 1, 3 and 4, NACKs 2, and A resends it from its ring.
+  for (const net::SequenceNumber seq : {0, 1, 3, 4}) {
+    deliver(h, 0, sentOn(h, 0, 0, Type::Data, seq),
+            ms(110 + static_cast<std::int64_t>(seq)));
+  }
+  deliver(h, 1, sentOn(h, 1, 1, Type::Nack, 0), ms(115));
+  deliver(h, 0, sentOn(h, 0, 0, Type::Retransmission, 2), ms(116));
+  // B's ring on B->C now holds 1, 3, 4, 2 in insertion order.
+  for (net::SequenceNumber seq = 5; seq <= 7; ++seq) {
+    const auto at = ms(112 + static_cast<std::int64_t>(seq));
+    originate(h, 0, 5, seq, at);
+    deliver(h, 0, sentOn(h, 0, 0, Type::Data, seq), at);
+  }
+  // Three more sends evicted 1, 3 and 4: the oldest insertions, though 2
+  // is the lowest sequence. C hears only 7 and NACKs 0-6.
+  deliver(h, 2, sentOn(h, 1, 2, Type::Data, 7), ms(120));
+  const auto nack = sentOn(h, 2, 3, Type::Nack, 0);
+  EXPECT_EQ(nack.nackSequences,
+            (std::vector<net::SequenceNumber>{0, 1, 2, 3, 4, 5, 6}));
+  deliver(h, 3, nack, ms(121));
+
+  // Only what the ring still holds comes back: 2, 5 and 6.
+  EXPECT_EQ(h.node(1).retransmissionsSent(), 3u);
+  std::vector<net::SequenceNumber> resent;
+  for (const auto& s : h.sentBy(1))
+    if (s.message.type == Type::Retransmission)
+      resent.push_back(s.message.sequence);
+  EXPECT_EQ(resent, (std::vector<net::SequenceNumber>{2, 5, 6}));
+}
+
 RELAY_TEST(LateFillAfterNackDoesNotRenack) {
   Harness<Driver> h(linkPair(), Wire::Manual);
   h.addFlow(kLinkFlow);

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstddef>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace dg {
 namespace {
@@ -111,6 +114,107 @@ TEST(EventLoop, HandlerSchedulingFromTimerRuns) {
   });
   loop.run();
   EXPECT_EQ(chained, 1);
+}
+
+TEST(EventLoop, StopInsideASweepKeepsTheRestOfItsBatchPending) {
+  live::EventLoop loop;
+  std::vector<int> order;
+  const util::SimTime due = loop.now() + util::milliseconds(5);
+  loop.scheduleAt(due, [&] {
+    order.push_back(1);
+    loop.stop();
+  });
+  loop.scheduleAt(due, [&] { order.push_back(2); });
+  loop.scheduleAt(due, [&] { order.push_back(3); });
+  loop.run();
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(loop.pendingTimers(), 2u);
+
+  // The next run fires the two that were already due, before anything
+  // scheduled later.
+  loop.scheduleAfter(util::milliseconds(5), [&] {
+    order.push_back(4);
+    loop.stop();
+  });
+  loop.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(loop.pendingTimers(), 0u);
+}
+
+TEST(EventLoop, CancellingAFiredTimerIsANoOp) {
+  live::EventLoop loop;
+  int fired = 0;
+  const live::TimerId first = loop.scheduleAfter(util::milliseconds(1), [&] {
+    ++fired;
+    loop.stop();
+  });
+  loop.run();
+  ASSERT_EQ(fired, 1);
+  // The next timer may reuse the first one's handler slot; cancelling the
+  // spent id must neither count as pending nor cancel the new timer.
+  loop.scheduleAfter(util::milliseconds(1), [&] {
+    ++fired;
+    loop.stop();
+  });
+  loop.cancelTimer(first);
+  loop.cancelTimer(first);
+  EXPECT_EQ(loop.pendingTimers(), 1u);
+  loop.run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(loop.pendingTimers(), 0u);
+}
+
+TEST(EventLoop, ManyRandomTimersFireInDueThenIdOrder) {
+  // 10,000 timers on 200 distinct due times, so many tie on due. A
+  // seventh are cancelled up front, and some handlers cancel a timer that
+  // has not fired yet.
+  constexpr std::size_t kTimers = 10'000;
+  live::EventLoop loop;
+  util::Rng rng(21);
+  struct Timer {
+    util::SimTime due = 0;
+    live::TimerId id = 0;
+    bool cancelled = false;
+    bool fired = false;
+  };
+  std::vector<Timer> timers(kTimers);
+  std::vector<std::size_t> order;
+  order.reserve(kTimers);
+  // Far enough ahead that no due time is clamped to the loop's clock.
+  const util::SimTime base = loop.now() + util::milliseconds(100);
+  for (std::size_t i = 0; i < kTimers; ++i) {
+    timers[i].due = base + rng.uniformInt(0, 199) * 100;
+    timers[i].id = loop.scheduleAt(timers[i].due, [&, i] {
+      timers[i].fired = true;
+      order.push_back(i);
+      const std::size_t victim = (i * 7919) % kTimers;
+      if (i % 10 == 0 && !timers[victim].fired &&
+          !timers[victim].cancelled) {
+        timers[victim].cancelled = true;
+        loop.cancelTimer(timers[victim].id);
+      }
+    });
+  }
+  for (std::size_t i = 0; i < kTimers; i += 7) {
+    timers[i].cancelled = true;
+    loop.cancelTimer(timers[i].id);
+  }
+  loop.runUntil(base + util::milliseconds(100));
+
+  std::size_t expectFired = 0;
+  for (const Timer& t : timers) {
+    EXPECT_NE(t.fired, t.cancelled);
+    if (!t.cancelled) ++expectFired;
+  }
+  ASSERT_EQ(order.size(), expectFired);
+  EXPECT_EQ(loop.timersFired(), expectFired);
+  EXPECT_EQ(loop.pendingTimers(), 0u);
+  for (std::size_t k = 1; k < order.size(); ++k) {
+    const Timer& a = timers[order[k - 1]];
+    const Timer& b = timers[order[k]];
+    ASSERT_TRUE(a.due < b.due || (a.due == b.due && a.id < b.id))
+        << "position " << k;
+  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// The daemon driver's own rule: the destination classifies each first
-// copy as on time or late in flowStats(). The forwarding and recovery
-// rules it shares with the simulator are tested against both drivers in
-// tests/core/relay_test.cpp.
+// The daemon driver's own rules: the destination classifies each first
+// copy as on time or late in flowStats(), and an edge message read off
+// the wire is dropped unless its edge ends at this node. The forwarding
+// and recovery rules it shares with the simulator are tested against
+// both drivers in tests/core/relay_test.cpp.
 #include "live/live_node.hpp"
 
 #include <gtest/gtest.h>
@@ -82,6 +83,72 @@ TEST(LiveNode, DestinationClassifiesOnTimeAndLate) {
   EXPECT_EQ(stats.deliveredLate, 1u);
   EXPECT_EQ(stats.latencySumUs,
             static_cast<std::uint64_t>(2 * flow.deadline + 1));
+}
+
+/// Node 0 linked to nodes 1 and 2: edges 0 (0->1), 1 (1->0), 2 (0->2),
+/// 3 (2->0).
+graph::Graph twoSpokes() {
+  graph::Graph g;
+  g.addNodes(3);
+  g.addBidirectional(0, 1, util::milliseconds(10));
+  g.addBidirectional(0, 2, util::milliseconds(10));
+  return g;
+}
+
+live::LiveFlow spokeFlow() {
+  live::LiveFlow flow;
+  flow.id = 4;
+  flow.source = 0;
+  flow.destination = 1;
+  flow.deadline = util::milliseconds(65);
+  flow.graphMask = 1u << 0;
+  return flow;
+}
+
+TEST(LiveNode, DropsEdgeMessagesOnAnEdgeThatEndsElsewhere) {
+  const graph::Graph g = twoSpokes();
+  RecordingSender sender;
+  live::LiveNode node(1, g, sender);
+  const live::LiveFlow flow = spokeFlow();
+  // Edge 2 runs 0->2. Trusting it, node 1 would see a gap and NACK
+  // sequences 1-4 on edge 3 (2->0), an edge it does not own.
+  node.handleMessage(arrival(flow, 2, 0, util::milliseconds(100)),
+                     util::milliseconds(105));
+  node.handleMessage(arrival(flow, 2, 5, util::milliseconds(100)),
+                     util::milliseconds(110));
+  live::Message nack;
+  nack.type = live::MessageType::Nack;
+  nack.edge = 2;
+  nack.flow = flow.id;
+  nack.nackSequences = {0};
+  node.handleMessage(nack, util::milliseconds(115));
+
+  EXPECT_TRUE(sender.sent.empty());
+  EXPECT_TRUE(node.flowStats().empty());
+  EXPECT_EQ(node.foreignEdgeDropped(), 3u);
+  EXPECT_EQ(node.nacksSent(), 0u);
+}
+
+TEST(LiveNode, DropsEdgeMessagesOnAnEdgePastTheOverlay) {
+  const graph::Graph g = twoSpokes();
+  RecordingSender sender;
+  live::LiveNode node(1, g, sender);
+  const live::LiveFlow flow = spokeFlow();
+  node.handleMessage(arrival(flow, 4, 0, util::milliseconds(100)),
+                     util::milliseconds(105));
+  node.handleMessage(arrival(flow, 0xFFFE, 1, util::milliseconds(100)),
+                     util::milliseconds(105));
+  node.handleMessage(arrival(flow, graph::kInvalidEdge, 2,
+                             util::milliseconds(100)),
+                     util::milliseconds(105));
+  EXPECT_EQ(node.foreignEdgeDropped(), 3u);
+  EXPECT_TRUE(node.flowStats().empty());
+
+  // The edge that does end here still delivers.
+  node.handleMessage(arrival(flow, 0, 3, util::milliseconds(100)),
+                     util::milliseconds(105));
+  EXPECT_EQ(node.flowStats().at(flow.id).deliveredOnTime, 1u);
+  EXPECT_EQ(node.foreignEdgeDropped(), 3u);
 }
 
 }  // namespace
