@@ -4,7 +4,7 @@
 // EXPERIMENTS.md.
 #pragma once
 
-#include <iostream>
+#include <sstream>
 #include <string>
 
 #include "playback/experiment.hpp"
@@ -84,16 +84,19 @@ inline playback::ExperimentConfig makeExperimentConfig(
   return experiment;
 }
 
-inline void printRunHeader(const std::string& title,
-                           const trace::SyntheticTrace& synthetic,
-                           const playback::ExperimentConfig& config) {
-  std::cout << "=== " << title << " ===\n";
-  std::cout << "trace: "
-            << util::toSeconds(synthetic.trace.duration()) / 86'400.0
-            << " days, " << synthetic.trace.intervalCount()
-            << " intervals, " << synthetic.events.size() << " events; "
-            << config.flows.size() << " flows, "
-            << config.schemes.size() << " schemes\n\n";
+/// The title and run-configuration lines every experiment report opens
+/// with.
+inline std::string runHeader(const std::string& title,
+                             const trace::SyntheticTrace& synthetic,
+                             const playback::ExperimentConfig& config) {
+  std::ostringstream out;
+  out << "=== " << title << " ===\n";
+  out << "trace: "
+      << util::toSeconds(synthetic.trace.duration()) / 86'400.0
+      << " days, " << synthetic.trace.intervalCount() << " intervals, "
+      << synthetic.events.size() << " events; " << config.flows.size()
+      << " flows, " << config.schemes.size() << " schemes\n\n";
+  return out.str();
 }
 
 }  // namespace dg::bench

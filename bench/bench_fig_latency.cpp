@@ -19,8 +19,8 @@ int main(int argc, char** argv) {
       topology.graph(), bench::makeGeneratorParams(args));
   auto config = bench::makeExperimentConfig(args, topology);
   config.playback.collectIntervalLatencies = true;
-  bench::printRunHeader("E11: delivery-latency distribution per scheme",
-                        synthetic, config);
+  std::cout << bench::runHeader(
+      "E11: delivery-latency distribution per scheme", synthetic, config);
 
   const auto result =
       runExperiment(topology.graph(), synthetic.trace, config);

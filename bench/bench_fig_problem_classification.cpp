@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   config.schemes = {routing::SchemeKind::StaticSinglePath,
                     routing::SchemeKind::StaticTwoDisjoint,
                     routing::SchemeKind::TargetedRedundancy};
-  bench::printRunHeader(
+  std::cout << bench::runHeader(
       "E4: classification of problematic intervals by location", synthetic,
       config);
 

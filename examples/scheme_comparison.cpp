@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   std::cout << "Flow " << source << "->" << destination << " over "
             << args.getInt("days", 7) << " synthetic days ("
             << synthetic.events.size() << " network events)\n\n";
-  std::cout << renderSummaryTable(result, synthetic.trace, 1) << '\n';
+  std::cout << renderSummaryTable(result, synthetic.trace.duration(), 1) << '\n';
 
   // A simple recommendation based on the measurements.
   const playback::SchemeSummary* best = nullptr;

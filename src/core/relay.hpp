@@ -12,7 +12,8 @@
 // sequence. A packet beyond it opens a gap, whose missing sequences are
 // NACKed once on the reverse edge; the upstream node retransmits from a
 // per-(out-edge, flow) ring of its last sends. All of it is soft state
-// that restart() forgets.
+// that restart() forgets; after a restart a cursor starts at the first
+// sequence that arrives, so nothing missed while down is NACKed.
 #pragma once
 
 #include <algorithm>
@@ -109,6 +110,9 @@ class RelayState {
   std::unordered_map<net::FlowId, SequenceWindow> seen_;
   /// Next expected sequence per (in-edge, flow).
   std::unordered_map<std::uint64_t, net::SequenceNumber> expected_;
+  /// Set by the first restart: from then on a new cursor starts at its
+  /// first arrival instead of at sequence 0.
+  bool restarted_ = false;
 };
 
 /// The relay over a driver's message type. It reads `type`, `flow`,
@@ -179,6 +183,7 @@ class Relay : public RelayState {
     seen_.clear();
     expected_.clear();
     sendRings_.clear();
+    restarted_ = true;
   }
 
  private:

@@ -13,10 +13,10 @@ using util::padRight;
 }  // namespace
 
 std::string renderGroupSummaryTable(const GroupExperimentResult& result,
-                                    const trace::Trace& trace,
+                                    util::SimTime traceDuration,
                                     std::size_t groupCount) {
   std::ostringstream out;
-  const double traceDays = util::toSeconds(trace.duration()) / 86'400.0;
+  const double traceDays = util::toSeconds(traceDuration) / 86'400.0;
   out << "Group scheme performance over " << formatFixed(traceDays, 1)
       << " days, " << groupCount << " groups\n";
   out << padRight("scheme", 22) << padLeft("unavail_all", 13)
@@ -53,26 +53,6 @@ std::string renderPerGroupTable(const GroupExperimentResult& result,
       out << padLeft(formatFixed(r.unavailabilityAll * 1e6, 1) + "ppm", 22);
     }
     out << '\n';
-  }
-  return out.str();
-}
-
-std::string renderReceiverTable(const GroupSchemeResult& result,
-                                const trace::Topology& topology) {
-  std::ostringstream out;
-  out << groupName(result.group, topology) << " under "
-      << groupSchemeName(result.scheme) << '\n';
-  out << padRight("receiver", 14) << padLeft("deadline_ms", 13)
-      << padLeft("unavail", 12) << padLeft("unavail_s", 12)
-      << padLeft("problem_ivls", 14) << padLeft("avg_latency_ms", 16)
-      << '\n';
-  for (const GroupReceiverResult& r : result.receivers) {
-    out << padRight(topology.name(r.receiver), 14)
-        << padLeft(formatFixed(static_cast<double>(r.deadline) / 1e3, 1), 13)
-        << padLeft(formatFixed(r.unavailability * 1e6, 1) + "ppm", 12)
-        << padLeft(formatFixed(r.unavailableSeconds, 1), 12)
-        << padLeft(std::to_string(r.problematicIntervals), 14)
-        << padLeft(formatFixed(r.averageLatencyUs / 1e3, 2), 16) << '\n';
   }
   return out.str();
 }

@@ -7,26 +7,22 @@
 
 #include "mcast/experiment.hpp"
 #include "trace/topology.hpp"
+#include "util/sim_time.hpp"
 
 namespace dg::mcast {
 
 /// Headline table: one row per group scheme with delivered-to-all and
 /// delivered-to-k unavailability, unavailable seconds, problematic
-/// intervals, worst per-receiver unavailability and cost.
+/// intervals, worst per-receiver unavailability and cost, titled with the
+/// length of the trace it scored.
 std::string renderGroupSummaryTable(const GroupExperimentResult& result,
-                                    const trace::Trace& trace,
+                                    util::SimTime traceDuration,
                                     std::size_t groupCount);
 
 /// Per-group matrix (rows: groups, columns: schemes), delivered-to-all
 /// unavailability in ppm.
 std::string renderPerGroupTable(const GroupExperimentResult& result,
                                 const GroupExperimentConfig& config,
-                                const trace::Topology& topology);
-
-/// Per-receiver breakdown of one group x scheme cell: receiver, deadline,
-/// unavailability, unavailable seconds, problematic intervals, mean
-/// latency.
-std::string renderReceiverTable(const GroupSchemeResult& result,
                                 const trace::Topology& topology);
 
 }  // namespace dg::mcast

@@ -15,11 +15,10 @@ using util::padRight;
 }  // namespace
 
 std::string renderSummaryTable(const ExperimentResult& result,
-                               const trace::Trace& trace,
+                               util::SimTime traceDuration,
                                std::size_t flowCount) {
   std::ostringstream out;
-  const double traceDays =
-      util::toSeconds(trace.duration()) / 86'400.0;
+  const double traceDays = util::toSeconds(traceDuration) / 86'400.0;
   out << "Routing scheme performance over "
       << formatFixed(traceDays, 1) << " days, " << flowCount << " flows\n";
   out << padRight("scheme", 22) << padLeft("unavail", 12)

@@ -8,13 +8,15 @@
 #include "playback/classification.hpp"
 #include "playback/experiment.hpp"
 #include "trace/topology.hpp"
+#include "util/sim_time.hpp"
 
 namespace dg::playback {
 
 /// The headline table (E3): one row per scheme with unavailability,
-/// unavailable seconds, problematic intervals, gap coverage and cost.
+/// unavailable seconds, problematic intervals, gap coverage and cost,
+/// titled with the length of the trace it scored.
 std::string renderSummaryTable(const ExperimentResult& result,
-                               const trace::Trace& trace,
+                               util::SimTime traceDuration,
                                std::size_t flowCount);
 
 /// Per-flow unavailability matrix (rows: flows, columns: schemes).

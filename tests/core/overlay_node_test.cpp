@@ -1,6 +1,7 @@
-// The simulator driver's own rule: packets of flows the directory does
-// not know are dropped. The forwarding and recovery rules it shares with
-// the daemon are tested against both drivers in relay_test.cpp.
+// The simulator driver's own rules: packets of flows the directory does
+// not know are dropped, and a crashed node restarts with fresh soft
+// state. The forwarding and recovery rules it shares with the daemon are
+// tested against both drivers in relay_test.cpp.
 #include "core/overlay_node.hpp"
 
 #include <gtest/gtest.h>
@@ -76,6 +77,37 @@ TEST(OverlayNode, DropsUnknownFlow) {
   h.sim.runUntil(util::seconds(1));
   EXPECT_TRUE(h.directory.deliveries.empty());
   EXPECT_EQ(h.network.transmissionCount(), 1u);  // not forwarded
+}
+
+TEST(OverlayNode, RestartNacksNothingMissedWhileDown) {
+  // S sends every 10 ms along S-M-D, and M is down from 15 s to 30 s.
+  LineHarness h;
+  const FlowContext& flow = *h.directory.flowContext(0);
+  for (net::SequenceNumber seq = 0; seq < 4500; ++seq) {
+    h.sim.scheduleAt(static_cast<util::SimTime>(seq) * util::milliseconds(10),
+                     [&h, &flow, seq] {
+                       h.nodes[h.line.s]->originate(flow, seq, h.sim.now());
+                     });
+  }
+  h.sim.scheduleAt(util::seconds(15),
+                   [&h] { h.nodes[h.line.m]->setCrashed(true); });
+  h.sim.scheduleAt(util::seconds(30),
+                   [&h] { h.nodes[h.line.m]->setCrashed(false); });
+  h.sim.runUntil(util::seconds(50));
+
+  // The first packet after the restart only sets M's cursor. A cursor
+  // restarting at 0 NACKed the 256 newest sequences M had missed, and S
+  // resent its whole ring, every copy already past its deadline: 61
+  // resends, 58 of them dropped at M as expired, none on time.
+  const RelayState& m = h.nodes[h.line.m]->relay();
+  EXPECT_EQ(m.nacksSent(), 0u);
+  EXPECT_EQ(m.expiredDropped(), 0u);
+  EXPECT_EQ(h.nodes[h.line.s]->relay().retransmissionsSent(), 0u);
+  // Every packet sent after the restart still arrives.
+  std::size_t afterRestart = 0;
+  for (const auto& [id, seq] : h.directory.deliveries)
+    if (seq >= 3000) ++afterRestart;
+  EXPECT_EQ(afterRestart, 1500u);
 }
 
 }  // namespace

@@ -84,7 +84,8 @@ TEST_F(ExperimentOnLtn, ReportsRenderAllSchemes) {
   const auto result =
       runExperiment(topology_.graph(), synthetic_->trace, config_);
   const auto table =
-      renderSummaryTable(result, synthetic_->trace, config_.flows.size());
+      renderSummaryTable(result, synthetic_->trace.duration(),
+                         config_.flows.size());
   const auto perFlow = renderPerFlowTable(result, config_, topology_);
   const auto cost = renderCostTable(result);
   const auto cdf = renderUnavailabilityCdf(result, config_);

@@ -34,51 +34,32 @@
 //       7 corrupt); cat decodes a packed trace to the text format.
 //   dgnet import     --csv=FILE --out=FILE [--interval_s=10]
 //       Convert external CSV measurements into the trace format.
-//   dgnet playback   --source=A --destination=B --scheme=NAME
-//                    (--trace=FILE | --days=N [--seed=S])
-//       Replay a flow/scheme over a trace and print availability/cost.
 //   dgnet simulate   --source=A --destination=B --scheme=NAME --seconds=N
 //                    (--trace=FILE | --days=N [--seed=S])
 //       Drive the packet-level overlay (forwarding + recovery) live.
-//   dgnet telemetry  [--schemes=a,b,...] [--threads=N]
-//                    [--chunked] [--memo-cache=FILE]
-//                    [--workload=SPEC | --workload-file=FILE]
-//                    [--workload-out=FILE]
+//   dgnet sweep      [--flows=SRC:DST,... | --workload=SPEC |
+//                     --workload-file=FILE | --groups=SRC:R1+R2,... |
+//                     --group-workload=SPEC | --group-workload-file=FILE]
+//                    [--workload-out=FILE] [--schemes=a,b,...]
+//                    [--threads=N] [--mc-samples=N] [--memo-cache=FILE]
+//                    [--deadline-us=65000] [--delivered-k=K] [--per-group]
 //                    (--trace=FILE | --days=N [--seed=S])
-//       Run the flows x schemes playback sweep with full telemetry and
-//       print the merged metrics (byte-identical for any --threads).
-//       --chunked parallelizes per (flow, scheme, chunk) straight off a
-//       packed --trace=FILE (required) instead of per (flow, scheme);
-//       --memo-cache=FILE (implies --chunked) persists the routing
-//       decision memo in a sidecar keyed by the trace's content
-//       fingerprint, so repeat sweeps start warm. A stale or corrupt
-//       sidecar is rejected and the run starts cold; it never changes
-//       results.
-//       --workload replaces the default 16 transcontinental flows with
-//       an open-loop generated fleet (SPEC like
-//       "poisson:flows=1000,seed=3,mean=0.5"; see src/topogen/
-//       workload.hpp for all keys) whose per-flow start/stop times
-//       become per-flow scoring windows; --workload-file replays a
-//       previously recorded workload and --workload-out records the
-//       generated one for exact replay.
-//   dgnet mcast      (--groups=SRC:R1+R2+R3,... |
-//                     --group-workload=SPEC | --group-workload-file=FILE)
-//                    [--group-workload-out=FILE]
-//                    [--schemes=a,b,...] [--threads=N] [--chunked]
-//                    [--delivered-k=K] [--per-group] [--mc-samples=N]
-//                    [--deadline-us=65000]
-//                    (--trace=FILE | --days=N [--seed=S])
-//       Run the groups x group-schemes multicast sweep: each group is
-//       one source with a receiver set, scored against every receiver's
-//       deadline per send (delivered-to-all, and delivered-to-k when
-//       --delivered-k is set). --groups lists receiver sets by site
-//       name; --group-workload generates an open-loop group fleet
-//       (workload keys plus receivers-min / receivers-max) whose
-//       start/stop spans become per-group scoring windows. --chunked
-//       parallelizes per (group, scheme, chunk) off a packed trace.
-//       Results are bit-identical for any --threads, and a
-//       single-receiver group is bit-identical to the unicast playback
-//       of the scheme's unicast equivalent.
+//       Replay every unit under every scheme and print the per-scheme
+//       summary. Units (at most one flag): flows, by default the 16
+//       transcontinental ones, or receiver groups scored per send against
+//       every receiver's deadline (group schemes: static-trees,
+//       dynamic-trees, static-mesh, dynamic-mesh, targeted-receivers,
+//       group-flooding). The workload flags generate an open-loop fleet
+//       (SPEC like "poisson:flows=1000,seed=3,mean=0.5"; groups add
+//       receivers-min/-max; see src/topogen/workload.hpp) whose start/stop
+//       times become scoring windows; --workload-out records it for the
+//       -file flags. A packed --trace runs the chunk-parallel packed
+//       runner, a text trace or --days the in-memory one. --memo-cache
+//       (packed flow sweeps only) keeps the decision memo in a sidecar
+//       keyed by the trace's fingerprint, so repeat sweeps start warm; a
+//       stale or corrupt sidecar means a cold start. --deadline-us,
+//       --delivered-k and --per-group apply to group sweeps only. Results
+//       and exports are byte-identical for any --threads.
 //   dgnet graph dump --interval=N [--staleness=1] [--format=dot|json]
 //                    [--out=FILE] [--deadline-us=65000]
 //                    (--source=A --destination=B --scheme=NAME |
@@ -126,11 +107,11 @@
 // fleet differential); 2 usage error; 64 unknown command; trace-store
 // errors map to 2..7 (see `dgnet trace`).
 //
-// playback/simulate/telemetry accept --trace=FILE in either trace
-// format -- the packed store is detected by its magic bytes.
+// Every --trace=FILE may be in either trace format -- the packed store is
+// detected by its magic bytes.
 //
-// playback/simulate/telemetry (and the trace subcommands) accept the
-// shared telemetry flags:
+// sweep, simulate, chaos, fleet, daemon and the trace subcommands accept
+// the shared telemetry flags:
 //   --metrics-out=FILE     write collected metrics (- = stdout)
 //   --metrics-format=FMT   prom (default) | json | csv
 //   --trace-out=FILE       write the sim-time trace-event log as JSON
@@ -156,7 +137,7 @@
 #include "mcast/graph_dump.hpp"
 #include "mcast/report.hpp"
 #include "playback/experiment.hpp"
-#include "playback/playback.hpp"
+#include "playback/report.hpp"
 #include "store/reader.hpp"
 #include "store/writer.hpp"
 #include "telemetry/export.hpp"
@@ -265,27 +246,22 @@ void writeOrPrint(const std::string& path, const std::string& content) {
   out << content;
 }
 
-std::string renderMetrics(const telemetry::MetricsRegistry& metrics,
-                          const std::string& format) {
-  if (format == "prom") return telemetry::toPrometheus(metrics);
-  if (format == "json") return telemetry::toJson(metrics);
-  if (format == "csv") return telemetry::toCsv(metrics);
-  throw std::runtime_error("unknown --metrics-format '" + format +
-                           "' (want prom, json or csv)");
-}
-
 /// Writes --metrics-out / --trace-out as requested.
 void emitTelemetry(const telemetry::Telemetry& telemetry,
                    const util::Config& args) {
   if (args.has("metrics-out")) {
+    const std::string format = args.getString("metrics-format", "prom");
+    if (format != "prom" && format != "json" && format != "csv")
+      throw std::runtime_error("unknown --metrics-format '" + format +
+                               "' (want prom, json or csv)");
     writeOrPrint(args.getString("metrics-out"),
-                 renderMetrics(telemetry.metrics,
-                               args.getString("metrics-format", "prom")));
+                 format == "prom"   ? telemetry::toPrometheus(telemetry.metrics)
+                 : format == "json" ? telemetry::toJson(telemetry.metrics)
+                                    : telemetry::toCsv(telemetry.metrics));
   }
-  if (args.has("trace-out")) {
+  if (args.has("trace-out"))
     writeOrPrint(args.getString("trace-out"),
                  telemetry::toJson(telemetry.trace));
-  }
 }
 
 int cmdTopology(const util::Config& args) {
@@ -484,36 +460,6 @@ int cmdImport(const util::Config& args) {
   return 0;
 }
 
-int cmdPlayback(const util::Config& args) {
-  const auto topology = loadTopology(args);
-  const auto tr = loadOrGenerateTrace(topology, args);
-  const routing::Flow flow{topology.at(args.getString("source", "NYC")),
-                           topology.at(args.getString("destination", "SJC"))};
-  const auto kind = routing::parseSchemeKind(
-      args.getString("scheme", "targeted"));
-  playback::PlaybackParams params;
-  params.mcSamples = mcSamplesFlag(args, 1000);
-  const playback::PlaybackEngine engine(topology.graph(), tr, params);
-  std::optional<telemetry::Telemetry> telemetry;
-  if (telemetryRequested(args)) telemetry.emplace();
-  const auto result = engine.run(flow, kind, routing::SchemeParams{},
-                                 telemetry ? &*telemetry : nullptr);
-  if (telemetry) emitTelemetry(*telemetry, args);
-  std::cout << "scheme:                 " << routing::schemeName(kind) << '\n'
-            << "unavailability:         "
-            << util::formatFixed(result.unavailability * 1e6, 1) << " ppm\n"
-            << "expected unavailable:   "
-            << util::formatFixed(result.unavailableSeconds, 1) << " s of "
-            << util::formatFixed(util::toSeconds(tr.duration()), 0)
-            << " s\n"
-            << "problematic intervals:  " << result.problematicIntervals
-            << '\n'
-            << "cost:                   "
-            << util::formatFixed(result.averageCost, 2)
-            << " transmissions/packet\n";
-  return 0;
-}
-
 int cmdSimulate(const util::Config& args) {
   const auto topology = loadTopology(args);
   const auto tr = loadOrGenerateTrace(topology, args);
@@ -546,47 +492,52 @@ int cmdSimulate(const util::Config& args) {
   return 0;
 }
 
-int cmdTelemetry(const util::Config& args) {
-  const auto topology = loadTopology(args);
+/// The trace a sweep scores: in memory, or a packed file that the packed
+/// runner decodes itself, so only its footer is read here.
+struct SweepTrace {
+  std::optional<trace::Trace> inMemory;
+  std::string packedPath;
+  util::SimTime intervalLength = 0;
+  std::size_t intervalCount = 0;
 
-  // Open-loop fleet workloads: generate (--workload) or replay
-  // (--workload-file) thousands of flows with per-flow scoring windows
-  // instead of the fixed transcontinental list.
-  std::optional<topogen::FlowWorkload> workload;
-  if (args.has("workload") && args.has("workload-file"))
-    throw UsageError("choose one of --workload / --workload-file");
-  if (args.has("workload")) {
-    workload = topogen::generateWorkload(
-        topology, topogen::parseWorkloadSpec(args.getString("workload")));
-  } else if (args.has("workload-file")) {
-    workload =
-        topogen::workloadFromFile(args.getString("workload-file"), topology);
+  util::SimTime duration() const {
+    return intervalLength * static_cast<util::SimTime>(intervalCount);
   }
-  if (workload && args.has("workload-out"))
-    writeOrPrint(args.getString("workload-out"),
-                 topogen::workloadToString(*workload, topology));
+};
 
+/// The flows x schemes sweep of `dgnet sweep`.
+void sweepFlows(const util::Config& args, const trace::Topology& topology,
+                const SweepTrace& input, telemetry::Telemetry* telemetry) {
   playback::ExperimentConfig config;
-  if (workload) {
-    config.flows.reserve(workload->flows.size());
-    for (const topogen::WorkloadFlow& f : workload->flows)
+  if (args.has("flows")) {
+    for (const mcast::Group& group :
+         mcast::parseGroupList(args.getString("flows"), topology)) {
+      if (group.receivers.size() != 1)
+        throw UsageError("--flows entry '" + mcast::groupName(group, topology) +
+                         "' has more than one receiver (use --groups)");
+      config.flows.push_back(mcast::receiverFlow(group, 0));
+    }
+  } else if (args.has("workload") || args.has("workload-file")) {
+    const topogen::FlowWorkload workload =
+        args.has("workload")
+            ? topogen::generateWorkload(
+                  topology,
+                  topogen::parseWorkloadSpec(args.getString("workload")))
+            : topogen::workloadFromFile(args.getString("workload-file"),
+                                        topology);
+    if (args.has("workload-out"))
+      writeOrPrint(args.getString("workload-out"),
+                   topogen::workloadToString(workload, topology));
+    for (const topogen::WorkloadFlow& f : workload.flows) {
       config.flows.push_back(f.flow);
+      const auto [first, last] = topogen::flowIntervalWindow(
+          f, input.intervalLength, input.intervalCount);
+      config.flowWindows.push_back({first, last});
+    }
     std::cerr << "workload: " << config.flows.size() << " flows\n";
   } else {
     config.flows = playback::transcontinentalFlows(topology);
   }
-  // Windows depend on the trace geometry, known only once the trace (or
-  // the packed container's footer) has been opened below.
-  const auto applyWindows = [&](util::SimTime intervalLength,
-                                std::size_t intervalCount) {
-    if (!workload) return;
-    config.flowWindows.reserve(workload->flows.size());
-    for (const topogen::WorkloadFlow& f : workload->flows) {
-      const auto [first, last] =
-          topogen::flowIntervalWindow(f, intervalLength, intervalCount);
-      config.flowWindows.push_back({first, last});
-    }
-  };
   if (args.has("schemes")) {
     config.schemes.clear();
     for (const std::string& name : util::split(args.getString("schemes"), ','))
@@ -594,102 +545,48 @@ int cmdTelemetry(const util::Config& args) {
   }
   config.playback.mcSamples = mcSamplesFlag(args, 1000);
   config.threads = threadsFlag(args);
+  config.memoCachePath = args.getString("memo-cache", "");
 
-  telemetry::Telemetry telemetry;
-  const bool chunked = args.getBool("chunked", false) || args.has("memo-cache");
-  if (chunked) {
-    // Chunk-parallel sweep straight off the packed container; the only
-    // mode where the persistent decision-memo sidecar applies.
-    if (!args.has("trace") || !store::isPackedTraceFile(args.getString("trace")))
-      throw UsageError(
-          "--chunked / --memo-cache need --trace=FILE in the packed "
-          "dgtrace format (see `dgnet trace pack`)");
-    config.memoCachePath = args.getString("memo-cache", "");
-    if (workload) {
-      const auto reader =
-          store::PackedTraceReader::open(args.getString("trace"));
-      applyWindows(reader.info().intervalLength,
-                   static_cast<std::size_t>(reader.info().intervalCount));
-    }
-    const auto result = playback::runPackedExperiment(
-        topology.graph(), args.getString("trace"), config, &telemetry);
-    if (!config.memoCachePath.empty())
-      std::cerr << "memo cache "
-                << playback::memoCacheLoadResultName(result.memoCacheLoad)
-                << ": " << result.memoStats.decisionHits << " hits / "
-                << result.memoStats.decisionMisses << " misses, "
-                << result.memoStats.decisions << " decisions saved -> "
-                << config.memoCachePath << '\n';
-  } else {
-    const auto tr = loadOrGenerateTrace(topology, args);
-    applyWindows(tr.intervalLength(), tr.intervalCount());
-    playback::runExperiment(topology.graph(), tr, config, &telemetry);
-  }
-
-  if (telemetryRequested(args)) {
-    emitTelemetry(telemetry, args);
-  } else {
-    // No output flag: the metrics themselves are the command's product.
-    std::cout << renderMetrics(telemetry.metrics,
-                               args.getString("metrics-format", "prom"));
-  }
-  std::cerr << "telemetry: " << telemetry.metrics.samples().size()
-            << " samples, " << telemetry.trace.recorded()
-            << " trace events (" << telemetry.trace.dropped()
-            << " dropped)\n";
-  return 0;
+  const graph::Graph& overlay = topology.graph();
+  const auto result =
+      input.inMemory
+          ? playback::runExperiment(overlay, *input.inMemory, config, telemetry)
+          : playback::runPackedExperiment(overlay, input.packedPath, config,
+                                          telemetry);
+  if (!config.memoCachePath.empty())
+    std::cerr << "memo cache "
+              << playback::memoCacheLoadResultName(result.memoCacheLoad)
+              << ": " << result.memoStats.decisionHits << " hits / "
+              << result.memoStats.decisionMisses << " misses\n";
+  std::cout << playback::renderSummaryTable(result, input.duration(),
+                                            config.flows.size());
 }
 
-/// `dgnet mcast`: the groups x group-schemes multicast sweep.
-int cmdMcast(const util::Config& args) {
-  const auto topology = loadTopology(args);
-
-  const int sourcesGiven = (args.has("groups") ? 1 : 0) +
-                           (args.has("group-workload") ? 1 : 0) +
-                           (args.has("group-workload-file") ? 1 : 0);
-  if (sourcesGiven != 1)
-    throw UsageError(
-        "choose exactly one of --groups / --group-workload / "
-        "--group-workload-file");
-
+/// The groups x group-schemes sweep of `dgnet sweep`.
+void sweepGroups(const util::Config& args, const trace::Topology& topology,
+                 const SweepTrace& input, telemetry::Telemetry* telemetry) {
   mcast::GroupExperimentConfig config;
-  std::optional<topogen::GroupWorkload> workload;
   if (args.has("groups")) {
     config.groups = mcast::parseGroupList(args.getString("groups"), topology);
   } else {
-    if (args.has("group-workload")) {
-      workload = topogen::generateGroupWorkload(
-          topology,
-          topogen::parseGroupWorkloadSpec(args.getString("group-workload")));
-    } else {
-      workload = topogen::groupWorkloadFromFile(
-          args.getString("group-workload-file"), topology);
-    }
-    if (args.has("group-workload-out"))
-      writeOrPrint(args.getString("group-workload-out"),
-                   topogen::groupWorkloadToString(*workload, topology));
-    config.groups.reserve(workload->groups.size());
-    for (const topogen::WorkloadGroup& g : workload->groups) {
-      mcast::Group group;
-      group.source = g.source;
-      group.receivers = g.receivers;
-      config.groups.push_back(std::move(group));
+    const topogen::GroupWorkload workload =
+        args.has("group-workload")
+            ? topogen::generateGroupWorkload(
+                  topology, topogen::parseGroupWorkloadSpec(
+                                args.getString("group-workload")))
+            : topogen::groupWorkloadFromFile(
+                  args.getString("group-workload-file"), topology);
+    if (args.has("workload-out"))
+      writeOrPrint(args.getString("workload-out"),
+                   topogen::groupWorkloadToString(workload, topology));
+    for (const topogen::WorkloadGroup& g : workload.groups) {
+      config.groups.push_back({g.source, g.receivers, {}});
+      const auto [first, last] = topogen::groupIntervalWindow(
+          g, input.intervalLength, input.intervalCount);
+      config.groupWindows.push_back({first, last});
     }
     std::cerr << "group workload: " << config.groups.size() << " groups\n";
   }
-  // Per-group scoring windows depend on the trace geometry, known only
-  // once the trace (or the packed footer) has been opened below.
-  const auto applyWindows = [&](util::SimTime intervalLength,
-                                std::size_t intervalCount) {
-    if (!workload) return;
-    config.groupWindows.reserve(workload->groups.size());
-    for (const topogen::WorkloadGroup& g : workload->groups) {
-      const auto [first, last] =
-          topogen::groupIntervalWindow(g, intervalLength, intervalCount);
-      config.groupWindows.push_back({first, last});
-    }
-  };
-
   if (args.has("schemes")) {
     config.schemes.clear();
     for (const std::string& name : util::split(args.getString("schemes"), ','))
@@ -703,35 +600,62 @@ int cmdMcast(const util::Config& args) {
       getCheckedInt(args, "delivered-k", 0, 0, 1'000'000));
   config.threads = threadsFlag(args);
 
-  telemetry::Telemetry telemetry;
-  mcast::GroupExperimentResult result;
-  std::optional<trace::Trace> tr;
-  if (args.getBool("chunked", false)) {
-    if (!args.has("trace") ||
-        !store::isPackedTraceFile(args.getString("trace")))
-      throw UsageError(
-          "--chunked needs --trace=FILE in the packed dgtrace format (see "
-          "`dgnet trace pack`)");
-    {
-      auto reader = store::PackedTraceReader::open(args.getString("trace"));
-      applyWindows(reader.info().intervalLength,
-                   static_cast<std::size_t>(reader.info().intervalCount));
-      tr.emplace(reader.readAll());
-    }
-    result = mcast::runPackedGroupExperiment(
-        topology.graph(), args.getString("trace"), config, &telemetry);
-  } else {
-    tr.emplace(loadOrGenerateTrace(topology, args));
-    applyWindows(tr->intervalLength(), tr->intervalCount());
-    result = mcast::runGroupExperiment(topology.graph(), *tr, config,
-                                       &telemetry);
-  }
-
-  std::cout << mcast::renderGroupSummaryTable(result, *tr,
+  const graph::Graph& overlay = topology.graph();
+  const auto result =
+      input.inMemory
+          ? mcast::runGroupExperiment(overlay, *input.inMemory, config,
+                                      telemetry)
+          : mcast::runPackedGroupExperiment(overlay, input.packedPath, config,
+                                            telemetry);
+  std::cout << mcast::renderGroupSummaryTable(result, input.duration(),
                                               config.groups.size());
   if (args.getBool("per-group", false))
     std::cout << '\n' << mcast::renderPerGroupTable(result, config, topology);
-  if (telemetryRequested(args)) emitTelemetry(telemetry, args);
+}
+
+/// `dgnet sweep`: the units flag picks flows or groups, the trace input
+/// the runner.
+int cmdSweep(const util::Config& args) {
+  int unitFlags = 0;
+  for (const char* flag : {"flows", "workload", "workload-file", "groups",
+                           "group-workload", "group-workload-file"})
+    unitFlags += args.has(flag) ? 1 : 0;
+  if (unitFlags > 1)
+    throw UsageError(
+        "give at most one of --flows / --workload / --workload-file / "
+        "--groups / --group-workload / --group-workload-file");
+  const bool groups = args.has("groups") || args.has("group-workload") ||
+                      args.has("group-workload-file");
+  for (const char* flag : {"deadline-us", "delivered-k", "per-group"})
+    if (!groups && args.has(flag))
+      throw UsageError("--" + std::string(flag) + " applies to groups only");
+  SweepTrace input;
+  if (args.has("trace") && store::isPackedTraceFile(args.getString("trace")))
+    input.packedPath = args.getString("trace");
+  if (args.has("memo-cache") && (groups || input.packedPath.empty()))
+    throw UsageError(
+        "--memo-cache needs a flow sweep over --trace=FILE in the packed "
+        "dgtrace format (see `dgnet trace pack`)");
+
+  const auto topology = loadTopology(args);
+  if (input.packedPath.empty()) {
+    input.inMemory.emplace(loadOrGenerateTrace(topology, args));
+    input.intervalLength = input.inMemory->intervalLength();
+    input.intervalCount = input.inMemory->intervalCount();
+  } else {
+    const auto reader = store::PackedTraceReader::open(input.packedPath);
+    input.intervalLength = reader.info().intervalLength;
+    input.intervalCount =
+        static_cast<std::size_t>(reader.info().intervalCount);
+  }
+  std::optional<telemetry::Telemetry> telemetry;
+  if (telemetryRequested(args)) telemetry.emplace();
+  if (groups) {
+    sweepGroups(args, topology, input, telemetry ? &*telemetry : nullptr);
+  } else {
+    sweepFlows(args, topology, input, telemetry ? &*telemetry : nullptr);
+  }
+  if (telemetry) emitTelemetry(*telemetry, args);
   return 0;
 }
 
@@ -1194,10 +1118,8 @@ void printUsage(std::ostream& out) {
          "  gen-trace  generate a synthetic condition trace (text or packed)\n"
          "  inspect    summarize a trace: horizon, deviations, worst links\n"
          "  import     convert external CSV measurements into a trace\n"
-         "  playback   replay a flow/scheme over a trace (availability/cost)\n"
+         "  sweep      replay flows or groups x schemes over a trace\n"
          "  simulate   drive the packet-level overlay (forwarding + recovery)\n"
-         "  telemetry  run the flows x schemes sweep with full telemetry\n"
-         "  mcast      run the groups x group-schemes multicast sweep\n"
          "  graph      dissemination-graph tooling (dump as DOT/JSON)\n"
          "  chaos      differential chaos soak: live simulator vs playback\n"
          "  trace      packed-trace store tooling (pack, info, verify, cat)\n"
@@ -1261,10 +1183,8 @@ int main(int argc, char** argv) {
     if (command == "gen-trace") return cmdGenTrace(args);
     if (command == "inspect") return cmdInspect(args);
     if (command == "import") return cmdImport(args);
-    if (command == "playback") return cmdPlayback(args);
+    if (command == "sweep") return cmdSweep(args);
     if (command == "simulate") return cmdSimulate(args);
-    if (command == "telemetry") return cmdTelemetry(args);
-    if (command == "mcast") return cmdMcast(args);
     if (command == "graph") return cmdGraph(args, positional);
     if (command == "chaos") return cmdChaos(args);
     if (command == "trace") return cmdTraceStore(args, positional);
