@@ -11,7 +11,7 @@
 // error.
 #pragma once
 
-#include <chrono>  // dglint: ok(R1): this shim IS the allowlisted clock site
+#include <chrono>
 #include <cstdint>
 
 namespace dg::util {

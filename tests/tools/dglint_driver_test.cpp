@@ -1,5 +1,5 @@
-// Driver-level tests: directory scanning, baseline round-trip and the
-// three output formats, run against a scratch source tree on disk.
+// Driver-level tests: directory scanning and the output formats, run
+// against a scratch source tree on disk.
 #include "dglint.hpp"
 
 #include <gtest/gtest.h>
@@ -39,12 +39,7 @@ class DglintDriver : public ::testing::Test {
     out << content;
   }
 
-  DriverOptions optionsFor() {
-    DriverOptions options;
-    options.root = root_.string();
-    options.paths = {"src"};
-    return options;
-  }
+  LintResult lintSrc() { return runLint(root_.string(), {"src"}); }
 
   fs::path root_;
 };
@@ -55,72 +50,29 @@ TEST_F(DglintDriver, WalksTreeDeterministically) {
         "#include <cstdlib>\nint g() { return std::rand(); }\n");
   write("src/util/note.md", "not scanned\n");
 
-  const LintResult result = runLint(optionsFor());
+  const LintResult result = lintSrc();
   ASSERT_EQ(result.findings.size(), 2u);
   EXPECT_EQ(result.filesScanned, 2u);
   // Sorted path order: telemetry before util.
   EXPECT_EQ(result.findings[0].path, "src/telemetry/b.cpp");
   EXPECT_EQ(result.findings[1].path, "src/util/a.cpp");
 
-  const LintResult again = runLint(optionsFor());
-  EXPECT_EQ(formatFindings(again, "text"), formatFindings(result, "text"));
-}
-
-TEST_F(DglintDriver, BaselineRoundTrip) {
-  write("src/util/a.cpp", "#include <cstdlib>\nint f() { return std::rand(); }\n");
-
-  // First run writes the baseline; second run consumes it.
-  DriverOptions writeOptions = optionsFor();
-  writeOptions.writeBaselinePath = "baseline.txt";
-  const LintResult first = runLint(writeOptions);
-  ASSERT_EQ(first.findings.size(), 1u);
-
-  DriverOptions readOptions = optionsFor();
-  readOptions.baselinePath = "baseline.txt";
-  const LintResult second = runLint(readOptions);
-  EXPECT_TRUE(second.findings.empty());
-  EXPECT_EQ(second.baselined, 1u);
-  EXPECT_EQ(second.staleBaseline, 0u);
-
-  // Editing the offending line invalidates its baseline entry: the
-  // finding comes back and the entry reports as stale.
-  write("src/util/a.cpp",
-        "#include <cstdlib>\nint f() { return 1 + std::rand(); }\n");
-  const LintResult third = runLint(readOptions);
-  EXPECT_EQ(third.findings.size(), 1u);
-  EXPECT_EQ(third.staleBaseline, 1u);
-}
-
-TEST_F(DglintDriver, CommentsInBaselineFileIgnored) {
-  write("src/util/a.cpp", "#include <cstdlib>\nint f() { return std::rand(); }\n");
-  write("baseline.txt", "# a comment line\n\n");
-  DriverOptions options = optionsFor();
-  options.baselinePath = "baseline.txt";
-  const LintResult result = runLint(options);
-  EXPECT_EQ(result.findings.size(), 1u);
-  EXPECT_EQ(result.staleBaseline, 0u);
+  const LintResult again = lintSrc();
+  EXPECT_EQ(formatFindings(again.findings, "text"),
+            formatFindings(result.findings, "text"));
 }
 
 TEST_F(DglintDriver, TextFormat) {
   write("src/util/a.cpp", "#include <cstdlib>\nint f() { return std::rand(); }\n");
-  const LintResult result = runLint(optionsFor());
-  const std::string text = formatFindings(result, "text");
+  const LintResult result = lintSrc();
+  const std::string text = formatFindings(result.findings, "text");
   EXPECT_NE(text.find("src/util/a.cpp:2: [R1]"), std::string::npos) << text;
-}
-
-TEST_F(DglintDriver, JsonFormatEscapesAndCounts) {
-  write("src/util/a.cpp", "#include <cstdlib>\nint f() { return std::rand(); }\n");
-  const LintResult result = runLint(optionsFor());
-  const std::string json = formatFindings(result, "json");
-  EXPECT_NE(json.find("\"rule\":\"R1\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"filesScanned\":1"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"line\":2"), std::string::npos) << json;
 }
 
 TEST_F(DglintDriver, GithubFormat) {
   write("src/util/a.cpp", "#include <cstdlib>\nint f() { return std::rand(); }\n");
-  const LintResult result = runLint(optionsFor());
-  const std::string gh = formatFindings(result, "github");
+  const LintResult result = lintSrc();
+  const std::string gh = formatFindings(result.findings, "github");
   EXPECT_NE(gh.find("::error file=src/util/a.cpp,line=2,title=dglint R1::"),
             std::string::npos)
       << gh;
@@ -129,16 +81,16 @@ TEST_F(DglintDriver, GithubFormat) {
 TEST_F(DglintDriver, CleanTreeIsClean) {
   write("src/util/clean.hpp",
         "#pragma once\nnamespace x {\nconstexpr int kOne = 1;\n}\n");
-  const LintResult result = runLint(optionsFor());
+  const LintResult result = lintSrc();
   EXPECT_TRUE(result.findings.empty())
-      << formatFindings(result, "text");
+      << formatFindings(result.findings, "text");
 }
 
 TEST_F(DglintDriver, BuildDirectoriesSkipped) {
   fs::create_directories(root_ / "src" / "build-foo");
   write("src/build-foo/bad.cpp",
         "#include <cstdlib>\nint f() { return std::rand(); }\n");
-  const LintResult result = runLint(optionsFor());
+  const LintResult result = lintSrc();
   EXPECT_TRUE(result.findings.empty());
 }
 

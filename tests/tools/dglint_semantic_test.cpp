@@ -1,30 +1,19 @@
-// Tests for the dgcheck semantic pass: fixture-driven positives and
-// negatives for R5-R8 (including the cross-file two-hop allocation
-// case), directive binding (R0), suppression handling, and the
-// incremental cache / baseline driver behavior in a temp repo.
-#include "semantic.hpp"
+// Tests for the cross-file rules R5-R8 through the single analyzer pass:
+// fixture-driven positives and negatives (including the cross-file
+// two-hop allocation case), directive binding and R0, and suppressions
+// that apply across both directive prefixes.
+#include "dglint.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#ifdef _WIN32
-#include <process.h>
-#define DGCHECK_GETPID _getpid
-#else
-#include <unistd.h>
-#define DGCHECK_GETPID getpid
-#endif
-
 namespace dg::lint {
 namespace {
-
-namespace fs = std::filesystem;
 
 std::string readFixture(const std::string& name) {
   const std::string path = std::string(DGLINT_FIXTURE_DIR) + "/" + name;
@@ -52,7 +41,7 @@ std::vector<std::size_t> linesOf(const std::vector<Finding>& findings,
   return lines;
 }
 
-std::string dump(const SemanticResult& result) {
+std::string dump(const LintResult& result) {
   std::ostringstream out;
   for (const Finding& f : result.findings) {
     out << f.path << ":" << f.line << " [" << f.rule << "] " << f.message
@@ -64,7 +53,7 @@ std::string dump(const SemanticResult& result) {
 // ---- R5: hot-path allocation ----------------------------------------
 
 TEST(DgcheckR5, FlagsEveryAllocationClassInAHotFunction) {
-  const auto result = analyzeSemanticSources(
+  const auto result = analyzeSources(
       {{"src/fixture/r5_hot_alloc.cpp", readFixture("r5_hot_alloc.cpp")}});
   // hotAlloc: local vector, push_back-without-reserve, new, malloc.
   EXPECT_EQ(countRule(result.findings, "R5"), 4u) << dump(result);
@@ -74,7 +63,7 @@ TEST(DgcheckR5, FlagsEveryAllocationClassInAHotFunction) {
 }
 
 TEST(DgcheckR5, SetupRegionAndReserveSilenceHotAllocations) {
-  const auto result = analyzeSemanticSources(
+  const auto result = analyzeSources(
       {{"src/fixture/r5_hot_alloc.cpp", readFixture("r5_hot_alloc.cpp")}});
   // Everything in hotClean (lines 25-34) is sanctioned: nothing may
   // anchor there.
@@ -84,7 +73,7 @@ TEST(DgcheckR5, SetupRegionAndReserveSilenceHotAllocations) {
 }
 
 TEST(DgcheckR5, CrossFileAllocationTwoHopsAway) {
-  const auto result = analyzeSemanticSources(
+  const auto result = analyzeSources(
       {{"src/fixture/r5_cross_entry.cpp", readFixture("r5_cross_entry.cpp")},
        {"src/fixture/r5_cross_leaf.cpp", readFixture("r5_cross_leaf.cpp")}});
   // leafAlloc's vector + push_back, reached hot -> middle -> leaf.
@@ -111,7 +100,7 @@ int hotViaCold(int n) { return coldLeaf(n); }
 }  // namespace fixture
 )cpp";
   const auto result =
-      analyzeSemanticSources({{"src/fixture/cold.cpp", source}});
+      analyzeSources({{"src/fixture/cold.cpp", source}});
   EXPECT_EQ(countRule(result.findings, "R5"), 0u) << dump(result);
   EXPECT_EQ(countRule(result.findings, "R0"), 0u) << dump(result);
 }
@@ -129,7 +118,26 @@ int hotSuppressed(int n) {
 }  // namespace fixture
 )cpp";
   const auto result =
-      analyzeSemanticSources({{"src/fixture/suppress.cpp", source}});
+      analyzeSources({{"src/fixture/suppress.cpp", source}});
+  EXPECT_TRUE(result.findings.empty()) << dump(result);
+  EXPECT_EQ(result.suppressed, 1u);
+}
+
+TEST(DgcheckR5, DglintPrefixedSuppressionIsHonoured) {
+  const std::string source = R"cpp(
+namespace fixture {
+// dgcheck: hot
+int hotSuppressed(int n) {
+  // dglint: ok(R5): either prefix suppresses any rule in the one pass
+  int* p = new int(n);
+  const int r = *p;
+  delete p;
+  return r;
+}
+}  // namespace fixture
+)cpp";
+  const auto result =
+      analyzeSources({{"src/fixture/suppress_prefix.cpp", source}});
   EXPECT_TRUE(result.findings.empty()) << dump(result);
   EXPECT_EQ(result.suppressed, 1u);
 }
@@ -137,7 +145,7 @@ int hotSuppressed(int n) {
 // ---- R6: RNG stream discipline --------------------------------------
 
 TEST(DgcheckR6, FlagsLoopAndSiblingStreamsWithoutFork) {
-  const auto result = analyzeSemanticSources(
+  const auto result = analyzeSources(
       {{"src/fixture/r6_rng.cpp", readFixture("r6_rng.cpp")}});
   // loopNoFork (line 19: loop without per-iteration fork) and
   // siblingsNoFork (line 25: second callee on the same stream).
@@ -147,7 +155,7 @@ TEST(DgcheckR6, FlagsLoopAndSiblingStreamsWithoutFork) {
 }
 
 TEST(DgcheckR6, PerIterationAndPerSiblingForksAreClean) {
-  const auto result = analyzeSemanticSources(
+  const auto result = analyzeSources(
       {{"src/fixture/r6_rng.cpp", readFixture("r6_rng.cpp")}});
   // Nothing may anchor in loopForked/siblingsForked (lines 28-41).
   for (const Finding& f : result.findings) {
@@ -168,14 +176,14 @@ TEST(DgcheckR6, DeletingTheForkMakesTheLoopFire) {
   ASSERT_NE(use, std::string::npos);
   source.replace(use, drawSub.size(), "draw(rng)");
   const auto result =
-      analyzeSemanticSources({{"src/fixture/r6_rng.cpp", source}});
+      analyzeSources({{"src/fixture/r6_rng.cpp", source}});
   EXPECT_EQ(countRule(result.findings, "R6"), 3u) << dump(result);
 }
 
 // ---- R7: worker-shared mutable state --------------------------------
 
 TEST(DgcheckR7, FlagsGlobalWritesAndMutableStaticsFromWorkers) {
-  const auto result = analyzeSemanticSources(
+  const auto result = analyzeSources(
       {{"src/fixture/r7_worker.cpp", readFixture("r7_worker.cpp")}});
   // workerBad: static local (line 14) + g_counter write (line 16).
   EXPECT_EQ(countRule(result.findings, "R7"), 2u) << dump(result);
@@ -184,7 +192,7 @@ TEST(DgcheckR7, FlagsGlobalWritesAndMutableStaticsFromWorkers) {
 }
 
 TEST(DgcheckR7, WorkspaceMutationAndConstStaticsAreClean) {
-  const auto result = analyzeSemanticSources(
+  const auto result = analyzeSources(
       {{"src/fixture/r7_worker.cpp", readFixture("r7_worker.cpp")}});
   // Nothing may anchor in workerGood (lines 20-25).
   for (const Finding& f : result.findings) {
@@ -203,14 +211,14 @@ int accumulate(int n) {
 }  // namespace fixture
 )cpp";
   const auto result =
-      analyzeSemanticSources({{"src/fixture/not_worker.cpp", source}});
+      analyzeSources({{"src/fixture/not_worker.cpp", source}});
   EXPECT_EQ(countRule(result.findings, "R7"), 0u) << dump(result);
 }
 
 // ---- R8: wire-decode bounds -----------------------------------------
 
 TEST(DgcheckR8, FlagsUncheckedLengthAndAcceptsGuardedOne) {
-  const auto result = analyzeSemanticSources(
+  const auto result = analyzeSources(
       {{"src/live/r8_wire.cpp", readFixture("r8_wire.cpp")}});
   // decodeBad's resize (line 17); decodeGood is fully guarded.
   EXPECT_EQ(countRule(result.findings, "R8"), 1u) << dump(result);
@@ -219,7 +227,7 @@ TEST(DgcheckR8, FlagsUncheckedLengthAndAcceptsGuardedOne) {
 }
 
 TEST(DgcheckR8, OnlyAppliesUnderSrcLive) {
-  const auto result = analyzeSemanticSources(
+  const auto result = analyzeSources(
       {{"src/fixture/r8_wire.cpp", readFixture("r8_wire.cpp")}});
   EXPECT_EQ(countRule(result.findings, "R8"), 0u) << dump(result);
 }
@@ -237,132 +245,40 @@ int fine(int x) { return x + unboundTarget; }
 }  // namespace fixture
 )cpp";
   const auto result =
-      analyzeSemanticSources({{"src/fixture/r0.cpp", source}});
+      analyzeSources({{"src/fixture/r0.cpp", source}});
   // One malformed verb ("hott"), one hot annotation bound to a
   // non-function line.
   EXPECT_EQ(countRule(result.findings, "R0"), 2u) << dump(result);
 }
 
-TEST(DgcheckR0, RuleFilterSelectsFamilies) {
-  const auto result = analyzeSemanticSources(
-      {{"src/fixture/r5_hot_alloc.cpp", readFixture("r5_hot_alloc.cpp")},
-       {"src/fixture/r6_rng.cpp", readFixture("r6_rng.cpp")}},
-      {"R6"});
-  EXPECT_EQ(countRule(result.findings, "R5"), 0u) << dump(result);
-  EXPECT_EQ(countRule(result.findings, "R6"), 2u) << dump(result);
+TEST(DgcheckR0, MalformedDirectiveIsReportedOnce) {
+  const std::string source = R"cpp(
+namespace fixture {
+int f(int x) { return x; }  // dglint: frobnicate the widgets
+}  // namespace fixture
+)cpp";
+  const auto result = analyzeSources({{"src/fixture/r0_once.cpp", source}});
+  ASSERT_EQ(result.findings.size(), 1u) << dump(result);
+  EXPECT_EQ(result.findings[0].rule, "R0");
+  EXPECT_EQ(result.findings[0].line, 3u);
 }
 
-// ---- Driver: incremental cache + baseline ---------------------------
-
-class DgcheckDriver : public ::testing::Test {
- protected:
-  void SetUp() override {
-    static int counter = 0;
-    root_ = fs::temp_directory_path() /
-            ("dgcheck_test_" + std::to_string(DGCHECK_GETPID()) + "_" +
-             std::to_string(counter++));
-    fs::create_directories(root_ / "src");
-  }
-
-  void TearDown() override {
-    std::error_code ec;
-    fs::remove_all(root_, ec);
-  }
-
-  void write(const std::string& rel, const std::string& content) {
-    const fs::path path = root_ / rel;
-    fs::create_directories(path.parent_path());
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << content;
-  }
-
-  SemanticOptions optionsFor() {
-    SemanticOptions options;
-    options.root = root_.string();
-    options.paths = {"src"};
-    options.cachePath = (root_ / "dgcheck.cache").string();
-    return options;
-  }
-
-  fs::path root_;
-};
-
-constexpr const char* kHotEntry = R"cpp(
+TEST(DgcheckR0, StaleSuppressionIsReported) {
+  const std::string source = R"cpp(
 namespace fixture {
-int helper(int n);
 // dgcheck: hot
-int hotEntry(int n) { return helper(n); }
-}  // namespace fixture
-)cpp";
-
-constexpr const char* kHelperAllocating = R"cpp(
-#include <vector>
-namespace fixture {
-int helper(int n) {
-  std::vector<int> buf;
-  buf.push_back(n);
-  return buf[0];
+int hotClean(int n) {
+  const int r = n + 1;  // dgcheck: ok(R5): nothing here allocates
+  return r;
 }
 }  // namespace fixture
 )cpp";
-
-constexpr const char* kHelperClean = R"cpp(
-namespace fixture {
-int helper(int n) { return n + 1; }
-}  // namespace fixture
-)cpp";
-
-TEST_F(DgcheckDriver, WarmRunReusesSummariesAndKeepsFindings) {
-  write("src/entry.cpp", kHotEntry);
-  write("src/helper.cpp", kHelperAllocating);
-
-  const SemanticResult cold = runSemantic(optionsFor());
-  EXPECT_EQ(cold.filesScanned, 2u);
-  EXPECT_EQ(cold.filesReused, 0u);
-  EXPECT_EQ(countRule(cold.findings, "R5"), 2u) << dump(cold);
-
-  const SemanticResult warm = runSemantic(optionsFor());
-  EXPECT_EQ(warm.filesScanned, 2u);
-  EXPECT_EQ(warm.filesReused, 2u);
-  // Cached summaries must reproduce the cross-file findings exactly.
-  EXPECT_EQ(warm.findings, cold.findings) << dump(warm);
-}
-
-TEST_F(DgcheckDriver, EditedFileIsResummarizedOthersStayCached) {
-  write("src/entry.cpp", kHotEntry);
-  write("src/helper.cpp", kHelperAllocating);
-  (void)runSemantic(optionsFor());
-
-  write("src/helper.cpp", kHelperClean);
-  const SemanticResult after = runSemantic(optionsFor());
-  EXPECT_EQ(after.filesScanned, 2u);
-  EXPECT_EQ(after.filesReused, 1u);  // entry.cpp untouched
-  EXPECT_TRUE(after.findings.empty()) << dump(after);
-}
-
-TEST_F(DgcheckDriver, BaselineAbsorbsKnownFindingsAndReportsStale) {
-  write("src/entry.cpp", kHotEntry);
-  write("src/helper.cpp", kHelperAllocating);
-
-  SemanticOptions writeOptions = optionsFor();
-  writeOptions.writeBaselinePath = ".dgcheck-baseline";
-  const SemanticResult first = runSemantic(writeOptions);
-  // Writing a baseline records findings; it does not consume them.
-  EXPECT_EQ(countRule(first.findings, "R5"), 2u) << dump(first);
-
-  SemanticOptions readOptions = optionsFor();
-  readOptions.baselinePath = ".dgcheck-baseline";
-  const SemanticResult second = runSemantic(readOptions);
-  EXPECT_TRUE(second.findings.empty()) << dump(second);
-  EXPECT_EQ(second.baselined, 2u);
-  EXPECT_EQ(second.staleBaseline, 0u);
-
-  // Fixing the code turns the baseline entries stale, not silent.
-  write("src/helper.cpp", kHelperClean);
-  const SemanticResult third = runSemantic(readOptions);
-  EXPECT_TRUE(third.findings.empty()) << dump(third);
-  EXPECT_EQ(third.baselined, 0u);
-  EXPECT_EQ(third.staleBaseline, 2u);
+  const auto result = analyzeSources({{"src/fixture/stale.cpp", source}});
+  ASSERT_EQ(result.findings.size(), 1u) << dump(result);
+  EXPECT_EQ(result.findings[0].rule, "R0");
+  EXPECT_EQ(result.findings[0].line, 5u);
+  EXPECT_NE(result.findings[0].message.find("stale"), std::string::npos);
+  EXPECT_EQ(result.suppressed, 0u);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // R5 fixture: zero-alloc hot paths. hotAlloc trips every allocation
-// class dgcheck recognizes; hotClean shows the sanctioned escape
+// class dglint recognizes; hotClean shows the sanctioned escape
 // hatches (setup region, reserve-before-push, workspace reuse).
 #include <cstdlib>
 #include <vector>

@@ -9,27 +9,13 @@
 #include <iostream>
 #include <map>
 #include <sstream>
+#include <string_view>
 
-#include "directives.hpp"
+#include "semantic.hpp"
 
 namespace dg::lint {
 namespace fs = std::filesystem;
 namespace {
-
-std::string trim(const std::string& s) {
-  std::size_t b = s.find_first_not_of(" \t\r\n");
-  if (b == std::string::npos) return "";
-  std::size_t e = s.find_last_not_of(" \t\r\n");
-  return s.substr(b, e - b + 1);
-}
-
-bool matchesAny(const std::string& path,
-                const std::vector<std::string>& patterns) {
-  for (const std::string& p : patterns) {
-    if (path.find(p) != std::string::npos) return true;
-  }
-  return false;
-}
 
 bool hasSourceExtension(const fs::path& p) {
   const std::string ext = p.extension().string();
@@ -37,17 +23,13 @@ bool hasSourceExtension(const fs::path& p) {
          ext == ".cxx";
 }
 
-bool isHeaderPath(const std::string& path) {
-  return path.size() >= 2 &&
-         (path.ends_with(".hpp") || path.ends_with(".h"));
-}
-
-std::uint64_t fnv1a(std::string_view s, std::uint64_t h = 0xcbf29ce484222325ULL) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+bool readFile(const fs::path& path, std::string& out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  out = buffer.str();
+  return true;
 }
 
 std::string jsonEscape(const std::string& s) {
@@ -71,52 +53,22 @@ std::string jsonEscape(const std::string& s) {
   return out;
 }
 
-}  // namespace
+/// The one suppression filter: drops every finding an `ok(Rn)` covers,
+/// then reports each suppression that covered nothing as a stale R0.
+LintResult finish(std::vector<FileSummary>& files) {
+  std::vector<Finding> all = linkAndCheck(files);
+  std::map<std::string_view, std::vector<Suppression>*> suppressionsOf;
+  for (FileSummary& f : files) {
+    all.insert(all.end(), f.localFindings.begin(), f.localFindings.end());
+    suppressionsOf[f.path] = &f.suppressions;
+  }
+  sortFindings(all);
 
-std::vector<std::string> DriverOptions::defaultOrderedScope() {
-  // Files whose output must be byte-stable: exporters and everything
-  // that merges or reports in a defined order. Matched as substrings of
-  // the repo-relative path.
-  return {
-      "src/telemetry/",          "src/playback/experiment",
-      "src/playback/report",     "src/playback/classification",
-      "src/playback/playback",   "src/playback/memo_cache",
-      "src/routing/decision_memo", "src/chaos/invariants",
-      "src/chaos/bridge",        "src/store/",
-      "src/live/",               "src/topogen/",
-      "src/mcast/",
-  };
-}
-
-std::vector<std::string> DriverOptions::defaultClockAllow() {
-  return {"src/util/wall_clock"};
-}
-
-SourceResult analyzeSource(const std::string& relPath,
-                           const std::string& source,
-                           const DriverOptions& options) {
-  FileContext context;
-  context.path = relPath;
-  context.tokens = tokenize(source);
-  context.isHeader = isHeaderPath(relPath);
-  context.libraryCode = relPath.rfind("src/", 0) == 0 ||
-                        relPath.rfind("tools/", 0) == 0;
-  context.orderedScope = matchesAny(relPath, options.orderedScope);
-  context.clockAllowed = matchesAny(relPath, options.clockAllow);
-
-  std::vector<Finding> raw = runRules(context);
-  const std::vector<std::string> lines = splitLines(source);
-
-  Directives directives = parseDirectives(relPath, context.tokens, lines);
-  std::vector<Suppression>& suppressions = directives.suppressions;
-  std::vector<Finding>& r0 = directives.malformed;
-
-  SourceResult result;
-  for (Finding& f : raw) {
-    if (!options.rules.empty() && options.rules.count(f.rule) == 0)
-      continue;
+  LintResult result;
+  result.filesScanned = files.size();
+  for (Finding& f : all) {
     bool suppressed = false;
-    for (Suppression& s : suppressions) {
+    for (Suppression& s : *suppressionsOf.at(f.path)) {
       if (s.targetLine == f.line && s.rule == f.rule) {
         s.used = true;
         suppressed = true;
@@ -129,25 +81,20 @@ SourceResult analyzeSource(const std::string& relPath,
       result.findings.push_back(std::move(f));
     }
   }
-  if (options.rules.empty() || options.rules.count("R0") > 0) {
-    for (Finding& f : r0) result.findings.push_back(std::move(f));
+  for (const FileSummary& f : files) {
+    for (const Suppression& s : f.suppressions) {
+      if (s.used) continue;
+      result.findings.push_back(
+          {f.path, s.commentLine, "R0",
+           "stale suppression: no " + s.rule + " finding on line " +
+               std::to_string(s.targetLine) + "; delete the directive"});
+    }
   }
-  std::stable_sort(result.findings.begin(), result.findings.end(),
-                   [](const Finding& a, const Finding& b) {
-                     return a.line < b.line;
-                   });
+  sortFindings(result.findings);
   return result;
 }
 
-std::uint64_t baselineKey(const Finding& finding,
-                          const std::string& lineText) {
-  std::uint64_t h = fnv1a(finding.rule);
-  h = fnv1a("|", h);
-  h = fnv1a(finding.path, h);
-  h = fnv1a("|", h);
-  h = fnv1a(trim(lineText), h);
-  return h;
-}
+}  // namespace
 
 std::vector<std::string> collectSourceFiles(
     const std::string& rootPath, const std::vector<std::string>& paths) {
@@ -181,85 +128,41 @@ std::vector<std::string> collectSourceFiles(
   return files;
 }
 
-LintResult runLint(const DriverOptions& options) {
-  LintResult result;
-  const fs::path root = options.root;
-  const std::vector<std::string> files =
-      collectSourceFiles(options.root, options.paths);
+LintResult analyzeSources(
+    const std::vector<std::pair<std::string, std::string>>& sources) {
+  std::vector<FileSummary> files;
+  files.reserve(sources.size());
+  for (const auto& [relPath, source] : sources)
+    files.push_back(summarizeSource(relPath, source));
+  return finish(files);
+}
 
-  // Baseline: key -> unconsumed count.
-  std::map<std::uint64_t, std::size_t> baseline;
-  if (!options.baselinePath.empty()) {
-    std::ifstream in(root / options.baselinePath);
-    std::string line;
-    while (std::getline(in, line)) {
-      line = trim(line);
-      if (line.empty() || line[0] == '#') continue;
-      std::istringstream fields(line);
-      std::string rule, path, hex;
-      if (fields >> rule >> path >> hex)
-        ++baseline[std::stoull(hex, nullptr, 16)];
-    }
-  }
-
-  std::ostringstream baselineOut;
-  for (const std::string& relPath : files) {
-    std::ifstream in(root / relPath, std::ios::binary);
-    if (!in) {
+LintResult runLint(const std::string& root,
+                   const std::vector<std::string>& paths) {
+  std::vector<FileSummary> files;
+  std::string source;
+  for (const std::string& relPath : collectSourceFiles(root, paths)) {
+    if (!readFile(fs::path(root) / relPath, source)) {
       std::cerr << "dglint: cannot read " << relPath << "\n";
       continue;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const std::string source = buffer.str();
-    ++result.filesScanned;
-
-    SourceResult sr = analyzeSource(relPath, source, options);
-    result.suppressed += sr.suppressed;
-    const std::vector<std::string> lines = splitLines(source);
-    for (Finding& f : sr.findings) {
-      const std::string lineText =
-          f.line - 1 < lines.size() ? lines[f.line - 1] : "";
-      const std::uint64_t key = baselineKey(f, lineText);
-      const auto it = baseline.find(key);
-      if (it != baseline.end() && it->second > 0) {
-        --it->second;
-        ++result.baselined;
-        continue;
-      }
-      if (!options.writeBaselinePath.empty()) {
-        char hex[32];
-        std::snprintf(hex, sizeof hex, "%016llx",
-                      static_cast<unsigned long long>(key));
-        baselineOut << f.rule << ' ' << f.path << ' ' << hex << '\n';
-      }
-      result.findings.push_back(std::move(f));
-    }
+    files.push_back(summarizeSource(relPath, source));
   }
-  for (const auto& [key, remaining] : baseline)
-    result.staleBaseline += remaining;
-
-  if (!options.writeBaselinePath.empty()) {
-    std::ofstream out(root / options.writeBaselinePath,
-                      std::ios::binary | std::ios::trunc);
-    out << baselineOut.str();
-  }
-  return result;
+  return finish(files);
 }
 
-std::string formatFindings(const LintResult& result,
-                           const std::string& format,
-                           const std::string& toolName) {
+std::string formatFindings(const std::vector<Finding>& findings,
+                           const std::string& format) {
   std::ostringstream out;
   if (format == "sarif") {
     // Minimal SARIF 2.1.0 for GitHub code scanning upload.
     out << "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\","
         << "\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{"
-        << "\"name\":\"" << jsonEscape(toolName) << "\","
+        << "\"name\":\"dglint\","
         << "\"informationUri\":"
         << "\"https://example.invalid/dgnet/tools/dglint\",\"rules\":[";
     std::vector<std::string> ruleIds;
-    for (const Finding& f : result.findings) {
+    for (const Finding& f : findings) {
       if (std::find(ruleIds.begin(), ruleIds.end(), f.rule) == ruleIds.end())
         ruleIds.push_back(f.rule);
     }
@@ -269,8 +172,8 @@ std::string formatFindings(const LintResult& result,
       out << "{\"id\":\"" << ruleIds[i] << "\"}";
     }
     out << "]}},\"results\":[";
-    for (std::size_t i = 0; i < result.findings.size(); ++i) {
-      const Finding& f = result.findings[i];
+    for (std::size_t i = 0; i < findings.size(); ++i) {
+      const Finding& f = findings[i];
       if (i > 0) out << ',';
       out << "{\"ruleId\":\"" << f.rule << "\",\"level\":\"error\","
           << "\"message\":{\"text\":\"" << jsonEscape(f.message) << "\"},"
@@ -282,49 +185,30 @@ std::string formatFindings(const LintResult& result,
     out << "]}]}\n";
     return out.str();
   }
-  if (format == "json") {
-    out << "{\"findings\":[";
-    for (std::size_t i = 0; i < result.findings.size(); ++i) {
-      const Finding& f = result.findings[i];
-      if (i > 0) out << ',';
-      out << "{\"path\":\"" << jsonEscape(f.path) << "\",\"line\":" << f.line
-          << ",\"rule\":\"" << f.rule << "\",\"message\":\""
-          << jsonEscape(f.message) << "\"}";
-    }
-    out << "],\"suppressed\":" << result.suppressed
-        << ",\"baselined\":" << result.baselined
-        << ",\"staleBaseline\":" << result.staleBaseline
-        << ",\"filesScanned\":" << result.filesScanned << "}\n";
-    return out.str();
-  }
   if (format == "github") {
-    for (const Finding& f : result.findings) {
+    for (const Finding& f : findings) {
       out << "::error file=" << f.path << ",line=" << f.line
           << ",title=dglint " << f.rule << "::" << f.message << "\n";
     }
     return out.str();
   }
-  for (const Finding& f : result.findings) {
+  for (const Finding& f : findings) {
     out << f.path << ':' << f.line << ": [" << f.rule << "] " << f.message
         << "\n";
   }
   return out.str();
 }
 
-std::string reportSuppressions(const DriverOptions& options) {
+std::string reportSuppressions(const std::string& root,
+                               const std::vector<std::string>& paths) {
   struct Entry {
     std::string path;
     Suppression s;
   };
   std::vector<Entry> all;
-  const fs::path root = options.root;
-  for (const std::string& relPath :
-       collectSourceFiles(options.root, options.paths)) {
-    std::ifstream in(root / relPath, std::ios::binary);
-    if (!in) continue;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const std::string source = buffer.str();
+  std::string source;
+  for (const std::string& relPath : collectSourceFiles(root, paths)) {
+    if (!readFile(fs::path(root) / relPath, source)) continue;
     const std::vector<Token> tokens = tokenize(source);
     const std::vector<std::string> lines = splitLines(source);
     const Directives d = parseDirectives(relPath, tokens, lines);
@@ -346,7 +230,7 @@ std::string reportSuppressions(const DriverOptions& options) {
     long long oldestEpoch = -1;
     std::string oldestWhere;
     for (const Entry& e : all) {
-      std::string cmd = "git -C '" + options.root + "' blame -L " +
+      std::string cmd = "git -C '" + root + "' blame -L " +
                         std::to_string(e.s.commentLine) + "," +
                         std::to_string(e.s.commentLine) +
                         " --porcelain -- '" + e.path + "' 2>/dev/null";
@@ -402,74 +286,43 @@ std::string reportSuppressions(const DriverOptions& options) {
 }
 
 int lintMain(int argc, const char* const* argv) {
-  DriverOptions options;
-  options.paths.clear();
+  std::string root = ".";
+  std::vector<std::string> paths;
   std::string format = "text";
   bool suppressionReport = false;
-
-  const auto value = [](const std::string& arg) {
-    return arg.substr(arg.find('=') + 1);
-  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--root=", 0) == 0) {
-      options.root = value(arg);
-    } else if (arg.rfind("--format=", 0) == 0) {
-      format = value(arg);
-      if (format != "text" && format != "json" && format != "github" &&
-          format != "sarif") {
-        std::cerr << "dglint: unknown --format '" << format << "'\n";
-        return 2;
-      }
+    if (arg.starts_with("--root=")) {
+      root = arg.substr(7);
+    } else if (arg == "--format=text" || arg == "--format=github" ||
+               arg == "--format=sarif") {
+      format = arg.substr(9);
     } else if (arg == "--report-suppressions") {
       suppressionReport = true;
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      options.baselinePath = value(arg);
-    } else if (arg.rfind("--write-baseline=", 0) == 0) {
-      options.writeBaselinePath = value(arg);
-    } else if (arg.rfind("--rules=", 0) == 0) {
-      std::istringstream ss(value(arg));
-      std::string rule;
-      while (std::getline(ss, rule, ',')) options.rules.insert(trim(rule));
-    } else if (arg.rfind("--ordered-scope=", 0) == 0) {
-      options.orderedScope.push_back(value(arg));
-    } else if (arg.rfind("--clock-allow=", 0) == 0) {
-      options.clockAllow.push_back(value(arg));
-    } else if (arg == "--help" || arg == "-h") {
+    } else if (arg.starts_with("-")) {
       std::cerr
-          << "usage: dglint [--root=DIR] [--format=text|json|github|sarif]\n"
-          << "              [--baseline=FILE] [--write-baseline=FILE]\n"
-          << "              [--rules=R1,R2,...] [--ordered-scope=PAT]\n"
-          << "              [--clock-allow=PAT] [--report-suppressions]\n"
-          << "              [paths...]\n"
-          << "Scans src/ and tools/ under --root by default. Exit code\n"
-          << "is 1 when any unsuppressed, unbaselined finding remains.\n"
-          << "--report-suppressions prints a markdown debt report of\n"
-          << "every suppression (with reasons) instead of linting.\n";
-      return 0;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::cerr << "dglint: unknown option " << arg << " (see --help)\n";
+          << "dglint: unknown option " << arg << "\n"
+          << "usage: dglint [--root=DIR] [--format=text|github|sarif]\n"
+          << "              [--report-suppressions] [paths...]\n"
+          << "Analyzes src/ and tools/ under --root by default and exits 1\n"
+          << "when any unsuppressed finding remains. --report-suppressions\n"
+          << "prints a markdown debt report of every suppression instead.\n";
       return 2;
     } else {
-      options.paths.push_back(arg);
+      paths.push_back(arg);
     }
   }
-  if (options.paths.empty()) options.paths = {"src", "tools"};
+  if (paths.empty()) paths = {"src", "tools"};
 
   if (suppressionReport) {
-    std::cout << reportSuppressions(options);
+    std::cout << reportSuppressions(root, paths);
     return 0;
   }
-
-  const LintResult result = runLint(options);
-  std::cout << formatFindings(result, format);
+  const LintResult result = runLint(root, paths);
+  std::cout << formatFindings(result.findings, format);
   std::cerr << "dglint: " << result.filesScanned << " files, "
             << result.findings.size() << " findings, " << result.suppressed
-            << " suppressed, " << result.baselined << " baselined";
-  if (result.staleBaseline > 0)
-    std::cerr << " (" << result.staleBaseline
-              << " stale baseline entries -- refresh the baseline)";
-  std::cerr << "\n";
+            << " suppressed\n";
   return result.findings.empty() ? 0 : 1;
 }
 

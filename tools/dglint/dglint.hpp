@@ -1,95 +1,60 @@
-// dglint driver: file discovery, suppression comments, baseline
-// handling and output formatting around the rule engine in rules.hpp.
+// dglint -- the repo's determinism and safety analyzer.
 //
-// Suppressions (same line, or a comment-only line suppressing the next
-// line; a justification after the colon is mandatory — an empty reason
-// is itself a finding, rule R0):
+// One pass: every file is lexed once, the per-file rules (R1-R4 from
+// rules.hpp, R6/R8 and directive checks from semantic.hpp) run on it,
+// and the cross-file call graph adds R5/R7. One suppression filter
+// covers every rule (same line, or a comment-only line suppressing the
+// next line; a justification after the colon is mandatory):
 //
 //   // dglint: ok(R1): <why this use is sound>
 //   // dglint: ordered-ok: <why hash order cannot reach the output>
 //   // dglint: fp-merge-ok: <why the sum is order-independent>
 //
-// `ordered-ok` is sugar for ok(R2), `fp-merge-ok` for ok(R4).
-//
-// The baseline file grandfathers pre-existing findings: one
-// `<rule> <path> <hash>` line per finding, where the hash covers the
-// finding's source-line text (so it survives unrelated edits but goes
-// stale when the offending line changes). This repo's committed
-// baseline (.dglint-baseline) is empty and must stay empty.
+// `ordered-ok` is sugar for ok(R2), `fp-merge-ok` for ok(R4), and
+// `dgcheck:` is an equivalent prefix (directives.hpp). Rule R0 reports
+// malformed directives and stale suppressions -- an `ok(Rn)` that
+// suppresses no finding -- which only a single pass over every rule can
+// see. There is no baseline: every finding fails the gate.
 #pragma once
 
-#include <cstdint>
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rules.hpp"
 
 namespace dg::lint {
 
-struct DriverOptions {
-  /// Repo root; findings are reported relative to it.
-  std::string root = ".";
-  /// Files or directories to scan, relative to root.
-  std::vector<std::string> paths = {"src", "tools"};
-  /// Substring patterns (matched against the repo-relative path) for
-  /// files that feed exports/reports/merges — the R2/R4 scope.
-  std::vector<std::string> orderedScope = defaultOrderedScope();
-  /// Substring patterns for files allowed to touch raw wall clocks.
-  std::vector<std::string> clockAllow = defaultClockAllow();
-  /// Enabled rules; empty = all.
-  std::set<std::string> rules;
-  std::string baselinePath;       ///< "" = no baseline filtering
-  std::string writeBaselinePath;  ///< "" = don't write one
-
-  static std::vector<std::string> defaultOrderedScope();
-  static std::vector<std::string> defaultClockAllow();
-};
-
 struct LintResult {
-  std::vector<Finding> findings;  ///< active: not suppressed/baselined
+  std::vector<Finding> findings;  ///< unsuppressed, sorted by path and line
   std::size_t suppressed = 0;
-  std::size_t baselined = 0;
-  std::size_t staleBaseline = 0;  ///< baseline entries that matched nothing
   std::size_t filesScanned = 0;
 };
 
-/// Analyzes one in-memory source (rule pass + suppression filtering +
-/// R0 checks). `relPath` determines rule scoping. Exposed for tests.
-struct SourceResult {
-  std::vector<Finding> findings;
-  std::size_t suppressed = 0;
-};
-SourceResult analyzeSource(const std::string& relPath,
-                           const std::string& source,
-                           const DriverOptions& options);
+/// Analyzes in-memory (repo-relative path, source) pairs as one tree:
+/// the path decides rule scoping, and calls link across all of them.
+LintResult analyzeSources(
+    const std::vector<std::pair<std::string, std::string>>& sources);
 
-/// Full run over options.paths: walks directories (sorted, so output
-/// order is deterministic), applies the baseline, optionally writes a
-/// fresh baseline of the remaining findings.
-LintResult runLint(const DriverOptions& options);
+/// Analyzes every source file under `paths` (relative to `root`).
+LintResult runLint(const std::string& root,
+                   const std::vector<std::string>& paths);
 
-/// Renders findings as "text", "json", "github" (workflow commands) or
-/// "sarif" (SARIF 2.1.0 for GitHub code scanning). `toolName` labels the
-/// SARIF driver so dglint and dgcheck uploads stay distinct.
-std::string formatFindings(const LintResult& result,
-                           const std::string& format,
-                           const std::string& toolName = "dglint");
+/// Renders findings as "text", "github" (workflow commands) or "sarif"
+/// (SARIF 2.1.0 for GitHub code scanning).
+std::string formatFindings(const std::vector<Finding>& findings,
+                           const std::string& format);
 
 /// Deterministic (sorted, deduplicated) list of .h/.hpp/.cpp/.cc/.cxx
 /// files under `paths` relative to `root`, skipping .git and build*.
 std::vector<std::string> collectSourceFiles(
     const std::string& root, const std::vector<std::string>& paths);
 
-/// Markdown debt report over every suppression directive found under
-/// options.paths: counts per rule and per file, the full reason list,
-/// and the oldest suppression (via `git blame` when available).
-std::string reportSuppressions(const DriverOptions& options);
-
-/// Stable 64-bit key of a finding for the baseline file: hashes rule,
-/// path and the trimmed text of the finding's source line.
-std::uint64_t baselineKey(const Finding& finding,
-                          const std::string& lineText);
+/// Markdown debt report over every suppression directive under `paths`:
+/// counts per rule and per file, the full reason list, and the oldest
+/// suppression (via `git blame` when available).
+std::string reportSuppressions(const std::string& root,
+                               const std::vector<std::string>& paths);
 
 /// Complete CLI (argument parsing to exit code); used by main().
 int lintMain(int argc, const char* const* argv);

@@ -5,13 +5,6 @@
 namespace dg::lint {
 namespace {
 
-std::string trimCopy(const std::string& s) {
-  std::size_t b = s.find_first_not_of(" \t\r\n");
-  if (b == std::string::npos) return "";
-  std::size_t e = s.find_last_not_of(" \t\r\n");
-  return s.substr(b, e - b + 1);
-}
-
 std::size_t tokenEndLine(const Token& t) {
   return t.endLine >= t.line ? t.endLine : t.line;
 }
@@ -21,7 +14,7 @@ bool splitReason(const std::string& directive, std::size_t from,
                  std::string& reason) {
   const std::size_t colon = directive.find(':', from);
   if (colon == std::string::npos) return false;
-  reason = trimCopy(directive.substr(colon + 1));
+  reason = trim(directive.substr(colon + 1));
   return true;
 }
 
@@ -73,13 +66,13 @@ Directives parseDirectives(const std::string& relPath,
   std::vector<std::size_t> setupStack;  // open `setup begin` lines
   for (const Token& t : tokens) {
     if (t.kind != TokenKind::Comment) continue;
-    const std::string text = trimCopy(t.text);
+    const std::string text = trim(t.text);
     bool isCheck = false;
     std::string directive;
     if (text.rfind("dglint:", 0) == 0) {
-      directive = trimCopy(text.substr(7));
+      directive = trim(text.substr(7));
     } else if (text.rfind("dgcheck:", 0) == 0) {
-      directive = trimCopy(text.substr(8));
+      directive = trim(text.substr(8));
       isCheck = true;
     } else {
       continue;
@@ -98,7 +91,7 @@ Directives parseDirectives(const std::string& relPath,
     } else if (directive.rfind("ok(", 0) == 0) {
       const std::size_t close = directive.find(')');
       if (close != std::string::npos) {
-        rule = trimCopy(directive.substr(3, close - 3));
+        rule = trim(directive.substr(3, close - 3));
         haveReason = splitReason(directive, close, reason);
       }
     } else if (isCheck && directive == "hot") {
@@ -118,7 +111,7 @@ Directives parseDirectives(const std::string& relPath,
       out.coldLines.push_back(targetOf(t));
       continue;
     } else if (isCheck && directive.rfind("setup", 0) == 0) {
-      const std::string which = trimCopy(directive.substr(5));
+      const std::string which = trim(directive.substr(5));
       if (which == "begin") {
         setupStack.push_back(t.line);
       } else if (which == "end") {

@@ -1,16 +1,13 @@
-// Shared parsing for in-source analyzer directives.
+// Parsing for in-source analyzer directives.
 //
-// Both analyzers read the same comment vocabulary; a directive comment
-// starts with `dglint:` or `dgcheck:` (the two prefixes are equivalent
-// for suppressions, so a suppression written for one tool is honored by
-// the other):
+// A directive comment starts with `dglint:` or `dgcheck:`; the two
+// prefixes are equivalent for suppressions:
 //
 //   // dglint: ok(Rn): <why this finding is safe to ignore>
 //   // dglint: ordered-ok: <why>        (sugar for ok(R2))
 //   // dglint: fp-merge-ok: <why>       (sugar for ok(R4))
 //
-// dgcheck additionally understands semantic annotations (only with the
-// `dgcheck:` prefix):
+// The semantic annotations take the `dgcheck:` prefix only:
 //
 //   // dgcheck: hot            marks the next/current function as a
 //                              zero-allocation hot path (R5 root)
@@ -30,7 +27,8 @@
 // confuse the targeting.
 //
 // Malformed directives (unknown verb, unknown rule, missing reason,
-// unbalanced setup regions) are themselves findings, rule R0.
+// unbalanced setup regions) are themselves findings, rule R0; so is a
+// suppression that matches no finding (see dglint.hpp).
 #pragma once
 
 #include <cstddef>

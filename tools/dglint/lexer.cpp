@@ -306,4 +306,23 @@ std::vector<std::string> splitLines(std::string_view source) {
   return lines;
 }
 
+std::vector<Token> codeTokens(const std::vector<Token>& tokens) {
+  std::vector<Token> code;
+  code.reserve(tokens.size());
+  for (const Token& t : tokens) {
+    if (t.kind == TokenKind::Identifier || t.kind == TokenKind::Number ||
+        t.kind == TokenKind::Punct) {
+      code.push_back(t);
+    }
+  }
+  return code;
+}
+
+std::string trim(std::string_view s) {
+  const std::size_t b = s.find_first_not_of(" \t\r\n");
+  if (b == std::string_view::npos) return "";
+  const std::size_t e = s.find_last_not_of(" \t\r\n");
+  return std::string(s.substr(b, e - b + 1));
+}
+
 }  // namespace dg::lint

@@ -43,4 +43,18 @@ std::vector<Token> tokenize(std::string_view source);
 /// Splits `source` into physical lines (no terminators), 0-indexed.
 std::vector<std::string> splitLines(std::string_view source);
 
+/// The code tokens of `tokens`: identifiers, numbers and punctuation (the
+/// rules never match inside comments, literals or preprocessor lines).
+std::vector<Token> codeTokens(const std::vector<Token>& tokens);
+
+/// `s` without leading and trailing whitespace.
+std::string trim(std::string_view s);
+
+inline bool isIdent(const Token& t, std::string_view text) {
+  return t.kind == TokenKind::Identifier && t.text == text;
+}
+inline bool isPunct(const Token& t, std::string_view text) {
+  return t.kind == TokenKind::Punct && t.text == text;
+}
+
 }  // namespace dg::lint

@@ -1,6 +1,7 @@
 #include "rules.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <string_view>
 
@@ -9,26 +10,21 @@ namespace {
 
 using TokenList = std::vector<Token>;
 
-bool isIdent(const Token& t, std::string_view text) {
-  return t.kind == TokenKind::Identifier && t.text == text;
-}
-bool isPunct(const Token& t, std::string_view text) {
-  return t.kind == TokenKind::Punct && t.text == text;
-}
+/// Files whose output must be byte-stable: exporters and everything that
+/// merges or reports in a defined order (the R2/R4 scope). Matched as
+/// substrings of the repo-relative path.
+constexpr std::string_view kOrderedScope[] = {
+    "src/telemetry/",          "src/playback/experiment",
+    "src/playback/report",     "src/playback/classification",
+    "src/playback/playback",   "src/playback/memo_cache",
+    "src/routing/decision_memo", "src/chaos/invariants",
+    "src/chaos/bridge",        "src/store/",
+    "src/live/",               "src/topogen/",
+    "src/mcast/",
+};
 
-/// Code tokens only (rules never match inside comments, strings, char
-/// literals or preprocessor directives), with original indices dropped.
-TokenList codeTokens(const TokenList& tokens) {
-  TokenList code;
-  code.reserve(tokens.size());
-  for (const Token& t : tokens) {
-    if (t.kind == TokenKind::Identifier || t.kind == TokenKind::Number ||
-        t.kind == TokenKind::Punct) {
-      code.push_back(t);
-    }
-  }
-  return code;
-}
+/// The one file allowed to touch raw wall clocks (R1).
+constexpr std::string_view kClockAllow = "src/util/wall_clock";
 
 // ---------------------------------------------------------------------
 // R1: banned nondeterminism sources
@@ -593,9 +589,27 @@ void runR3Globals(const FileContext& file, const TokenList& code,
 
 }  // namespace
 
+FileContext makeFileContext(const std::string& relPath,
+                            std::string_view source) {
+  FileContext file;
+  file.path = relPath;
+  file.tokens = tokenize(source);
+  file.code = codeTokens(file.tokens);
+  file.isHeader = relPath.ends_with(".hpp") || relPath.ends_with(".h");
+  file.libraryCode = relPath.starts_with("src/") ||
+                     relPath.starts_with("tools/");
+  file.orderedScope =
+      std::any_of(std::begin(kOrderedScope), std::end(kOrderedScope),
+                  [&](std::string_view p) {
+                    return relPath.find(p) != std::string::npos;
+                  });
+  file.clockAllowed = relPath.find(kClockAllow) != std::string::npos;
+  return file;
+}
+
 std::vector<Finding> runRules(const FileContext& file) {
   std::vector<Finding> out;
-  const TokenList code = codeTokens(file.tokens);
+  const TokenList& code = file.code;
 
   runR1(file, code, out);
   runR1Defines(file, out);
@@ -617,8 +631,8 @@ std::vector<Finding> runRules(const FileContext& file) {
 }
 
 const std::vector<std::string>& allRuleIds() {
-  // R1-R4 are dglint's token rules; R5-R8 are dgcheck's semantic rules
-  // (see semantic.hpp). Both tools honor suppressions for any of them.
+  // R1-R4 are the token rules above; R5-R8 the semantic rules of
+  // semantic.hpp.
   static const std::vector<std::string> ids = {"R0", "R1", "R2", "R3", "R4",
                                                "R5", "R6", "R7", "R8"};
   return ids;

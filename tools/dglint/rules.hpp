@@ -1,4 +1,5 @@
-// dglint rule definitions.
+// The per-file token rules R1-R4 (the cross-file rules R5-R8 are in
+// semantic.hpp).
 //
 // Four project-specific determinism/safety rules, each a heuristic
 // token-pattern matcher over the lexer's stream (see DESIGN.md "Static
@@ -26,6 +27,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lexer.hpp"
@@ -35,28 +37,33 @@ namespace dg::lint {
 struct Finding {
   std::string path;   ///< repo-relative, forward slashes
   std::size_t line;   ///< 1-based
-  std::string rule;   ///< "R1".."R4" ("R0" = malformed suppression)
+  std::string rule;   ///< "R1".."R8" ("R0" = malformed or stale directive)
   std::string message;
 
   bool operator==(const Finding&) const = default;
 };
 
-/// Per-file inputs to the rule pass.
+/// One lexed file and the rule scopes its path falls in.
 struct FileContext {
   std::string path;           ///< repo-relative, forward slashes
   std::vector<Token> tokens;  ///< from tokenize()
+  std::vector<Token> code;    ///< codeTokens(tokens)
   bool isHeader = false;      ///< .hpp / .h
   bool libraryCode = false;   ///< under src/ or tools/ (R1, R3 scope)
   bool orderedScope = false;  ///< feeds exports/reports/merges (R2, R4)
   bool clockAllowed = false;  ///< allowlisted wall-clock shim (R1 clocks)
 };
 
-/// Runs every rule over one file. Findings are returned in line order;
+/// Lexes `source` once and scopes it by `relPath`.
+FileContext makeFileContext(const std::string& relPath,
+                            std::string_view source);
+
+/// Runs R1-R4 over one file. Findings are returned in line order;
 /// suppression comments are NOT applied here (the driver does that, so
 /// it can also report suppressed counts and stale suppressions).
 std::vector<Finding> runRules(const FileContext& file);
 
-/// All rule ids understood by `--rules` and `ok(...)` suppressions.
+/// All rule ids understood by `ok(...)` suppressions.
 const std::vector<std::string>& allRuleIds();
 
 }  // namespace dg::lint

@@ -1,55 +1,13 @@
 #include "semantic.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <iostream>
-#include <sstream>
-#include <string_view>
-
-#include "dglint.hpp"
+#include <map>
+#include <set>
 
 namespace dg::lint {
 namespace {
 
 using TokenList = std::vector<Token>;
-
-std::string trim(const std::string& s) {
-  std::size_t b = s.find_first_not_of(" \t\r\n");
-  if (b == std::string::npos) return "";
-  std::size_t e = s.find_last_not_of(" \t\r\n");
-  return s.substr(b, e - b + 1);
-}
-
-std::uint64_t fnv1a(std::string_view s,
-                    std::uint64_t h = 0xcbf29ce484222325ULL) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-bool isIdent(const Token& t, std::string_view text) {
-  return t.kind == TokenKind::Identifier && t.text == text;
-}
-bool isPunct(const Token& t, std::string_view text) {
-  return t.kind == TokenKind::Punct && t.text == text;
-}
-
-TokenList codeTokens(const TokenList& tokens) {
-  TokenList code;
-  code.reserve(tokens.size());
-  for (const Token& t : tokens) {
-    if (t.kind == TokenKind::Identifier || t.kind == TokenKind::Number ||
-        t.kind == TokenKind::Punct) {
-      code.push_back(t);
-    }
-  }
-  return code;
-}
 
 /// Skips a balanced template argument list starting at code[i] == "<".
 std::size_t skipAngles(const TokenList& code, std::size_t i) {
@@ -916,138 +874,6 @@ void extractFunctionFacts(const TokenList& code, const RawFunction& rf,
 }
 
 // ---------------------------------------------------------------------
-// Cache serialization
-// ---------------------------------------------------------------------
-
-constexpr const char* kCacheMagic = "dgcheck-cache 3";
-
-std::string orDash(const std::string& s) { return s.empty() ? "-" : s; }
-std::string fromDash(const std::string& s) { return s == "-" ? "" : s; }
-
-void writeCache(std::ostream& out, const std::vector<FileSummary>& files) {
-  out << kCacheMagic << "\n";
-  for (const FileSummary& f : files) {
-    char hex[32];
-    std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(f.contentHash));
-    out << "file " << hex << " " << f.path << "\n";
-    for (const std::string& g : f.mutableGlobals) out << "g " << g << "\n";
-    for (const FunctionInfo& fn : f.functions) {
-      out << "fn " << fn.declLine << " " << fn.bodyLine << " "
-          << (fn.hot ? 1 : 0) << (fn.worker ? 1 : 0) << (fn.cold ? 1 : 0)
-          << " " << orDash(fn.qualifier) << " " << fn.name << "\n";
-      for (const CallSite& c : fn.calls) {
-        out << "c " << c.line << " " << (c.inSetup ? 1 : 0) << " "
-            << (c.member ? 1 : 0) << " " << orDash(c.qualifier) << " "
-            << orDash(c.recvType) << " " << c.name << "\n";
-      }
-      for (const AllocSite& a : fn.allocs)
-        out << "a " << a.line << " " << (a.inSetup ? 1 : 0) << " " << a.what
-            << "\n";
-      for (const std::size_t l : fn.staticLocalLines) out << "sl " << l
-                                                          << "\n";
-      for (const WriteSite& w : fn.writes)
-        out << "w " << w.line << " " << w.name << "\n";
-    }
-    for (const Finding& lf : f.localFindings)
-      out << "lf " << lf.rule << " " << lf.line << " " << lf.message << "\n";
-    for (const Suppression& s : f.suppressions)
-      out << "sup " << s.rule << " " << s.targetLine << " " << s.commentLine
-          << " " << s.reason << "\n";
-    for (const auto& [line, text] : f.lineText)
-      out << "lt " << line << " " << text << "\n";
-    out << "end\n";
-  }
-}
-
-std::string restOfLine(std::istringstream& iss) {
-  std::string rest;
-  std::getline(iss, rest);
-  return trim(rest);
-}
-
-std::map<std::string, FileSummary> readCache(std::istream& in) {
-  std::map<std::string, FileSummary> out;
-  std::string line;
-  if (!std::getline(in, line) || trim(line) != kCacheMagic) return out;
-  FileSummary cur;
-  bool open = false;
-  while (std::getline(in, line)) {
-    std::istringstream iss(line);
-    std::string tag;
-    if (!(iss >> tag)) continue;
-    if (tag == "file") {
-      std::string hex;
-      iss >> hex;
-      cur = FileSummary{};
-      cur.contentHash = std::stoull(hex, nullptr, 16);
-      cur.path = restOfLine(iss);
-      open = true;
-    } else if (!open) {
-      continue;
-    } else if (tag == "g") {
-      std::string g;
-      iss >> g;
-      cur.mutableGlobals.push_back(g);
-    } else if (tag == "fn") {
-      FunctionInfo fn;
-      std::string flags, qual;
-      iss >> fn.declLine >> fn.bodyLine >> flags >> qual >> fn.name;
-      fn.hot = flags.size() > 0 && flags[0] == '1';
-      fn.worker = flags.size() > 1 && flags[1] == '1';
-      fn.cold = flags.size() > 2 && flags[2] == '1';
-      fn.qualifier = fromDash(qual);
-      cur.functions.push_back(std::move(fn));
-    } else if (tag == "c" && !cur.functions.empty()) {
-      CallSite c;
-      int setup = 0, member = 0;
-      std::string qual, recv;
-      iss >> c.line >> setup >> member >> qual >> recv >> c.name;
-      c.inSetup = setup != 0;
-      c.member = member != 0;
-      c.qualifier = fromDash(qual);
-      c.recvType = fromDash(recv);
-      cur.functions.back().calls.push_back(std::move(c));
-    } else if (tag == "a" && !cur.functions.empty()) {
-      AllocSite a;
-      int setup = 0;
-      iss >> a.line >> setup;
-      a.inSetup = setup != 0;
-      a.what = restOfLine(iss);
-      cur.functions.back().allocs.push_back(std::move(a));
-    } else if (tag == "sl" && !cur.functions.empty()) {
-      std::size_t l = 0;
-      iss >> l;
-      cur.functions.back().staticLocalLines.push_back(l);
-    } else if (tag == "w" && !cur.functions.empty()) {
-      WriteSite w;
-      iss >> w.line >> w.name;
-      cur.functions.back().writes.push_back(std::move(w));
-    } else if (tag == "lf") {
-      Finding f;
-      iss >> f.rule >> f.line;
-      f.path = cur.path;
-      f.message = restOfLine(iss);
-      cur.localFindings.push_back(std::move(f));
-    } else if (tag == "sup") {
-      Suppression s;
-      iss >> s.rule >> s.targetLine >> s.commentLine;
-      s.reason = restOfLine(iss);
-      cur.suppressions.push_back(std::move(s));
-    } else if (tag == "lt") {
-      std::size_t l = 0;
-      iss >> l;
-      cur.lineText[l] = restOfLine(iss);
-    } else if (tag == "end") {
-      out[cur.path] = std::move(cur);
-      cur = FileSummary{};
-      open = false;
-    }
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------
 // Link phase
 // ---------------------------------------------------------------------
 
@@ -1058,6 +884,8 @@ struct FnRef {
     return file != o.file ? file < o.file : fn < o.fn;
   }
 };
+
+}  // namespace
 
 void sortFindings(std::vector<Finding>& findings) {
   std::sort(findings.begin(), findings.end(),
@@ -1071,20 +899,17 @@ void sortFindings(std::vector<Finding>& findings) {
                  findings.end());
 }
 
-}  // namespace
-
 FileSummary summarizeSource(const std::string& relPath,
-                            const std::string& source) {
+                            std::string_view source) {
   FileSummary out;
   out.path = relPath;
-  out.contentHash = fnv1a(source);
 
-  const std::vector<Token> tokens = tokenize(source);
-  const std::vector<std::string> lines = splitLines(source);
-  const TokenList code = codeTokens(tokens);
-  const Directives dirs = parseDirectives(relPath, tokens, lines);
-  out.suppressions = dirs.suppressions;
-  for (const Finding& f : dirs.malformed) out.localFindings.push_back(f);
+  const FileContext file = makeFileContext(relPath, source);
+  const TokenList& code = file.code;
+  Directives dirs = parseDirectives(relPath, file.tokens, splitLines(source));
+  out.suppressions = std::move(dirs.suppressions);
+  out.localFindings = runRules(file);
+  for (Finding& f : dirs.malformed) out.localFindings.push_back(std::move(f));
 
   const WalkResult walked = walkScopes(code);
   out.mutableGlobals = walked.mutableGlobals;
@@ -1097,24 +922,19 @@ FileSummary summarizeSource(const std::string& relPath,
     fn.qualifier = rf.qualifier;
     fn.declLine = rf.declLine;
     fn.bodyLine = rf.bodyLine;
-    for (const std::size_t l : dirs.hotLines) {
-      if (l >= rf.declLine && l <= rf.bodyLine) {
-        fn.hot = true;
-        boundHot.insert(l);
+    const auto bind = [&](const std::vector<std::size_t>& targets,
+                          std::set<std::size_t>& bound) {
+      bool hit = false;
+      for (const std::size_t l : targets) {
+        if (l < rf.declLine || l > rf.bodyLine) continue;
+        hit = true;
+        bound.insert(l);
       }
-    }
-    for (const std::size_t l : dirs.workerLines) {
-      if (l >= rf.declLine && l <= rf.bodyLine) {
-        fn.worker = true;
-        boundWorker.insert(l);
-      }
-    }
-    for (const std::size_t l : dirs.coldLines) {
-      if (l >= rf.declLine && l <= rf.bodyLine) {
-        fn.cold = true;
-        boundCold.insert(l);
-      }
-    }
+      return hit;
+    };
+    fn.hot = bind(dirs.hotLines, boundHot);
+    fn.worker = bind(dirs.workerLines, boundWorker);
+    fn.cold = bind(dirs.coldLines, boundCold);
     extractFunctionFacts(code, rf, dirs, relPath, liveFile, fn,
                          out.localFindings);
     out.functions.push_back(std::move(fn));
@@ -1136,20 +956,6 @@ FileSummary summarizeSource(const std::string& relPath,
   reportUnbound(dirs.workerLines, boundWorker, "worker");
   reportUnbound(dirs.coldLines, boundCold, "cold");
 
-  // Line text for every potential finding site (baseline keys on warm
-  // runs must not re-read the file).
-  const auto keep = [&](std::size_t line) {
-    if (line >= 1 && line - 1 < lines.size())
-      out.lineText[line] = trim(lines[line - 1]);
-    else
-      out.lineText[line] = "";
-  };
-  for (const FunctionInfo& fn : out.functions) {
-    for (const AllocSite& a : fn.allocs) keep(a.line);
-    for (const std::size_t l : fn.staticLocalLines) keep(l);
-    for (const WriteSite& w : fn.writes) keep(w.line);
-  }
-  for (const Finding& f : out.localFindings) keep(f.line);
   return out;
 }
 
@@ -1300,227 +1106,6 @@ std::vector<Finding> linkAndCheck(const std::vector<FileSummary>& files) {
 
   sortFindings(out);
   return out;
-}
-
-namespace {
-
-SemanticResult filterAndFinish(std::vector<FileSummary>& files,
-                               const std::set<std::string>& rules) {
-  SemanticResult result;
-  std::vector<Finding> all = linkAndCheck(files);
-  for (const FileSummary& f : files) {
-    for (const Finding& lf : f.localFindings) all.push_back(lf);
-  }
-  sortFindings(all);
-
-  std::map<std::string, FileSummary*> byPath;
-  for (FileSummary& f : files) byPath[f.path] = &f;
-
-  for (Finding& f : all) {
-    if (!rules.empty() && rules.count(f.rule) == 0) continue;
-    bool suppressed = false;
-    const auto it = byPath.find(f.path);
-    if (it != byPath.end()) {
-      for (Suppression& s : it->second->suppressions) {
-        if (s.targetLine == f.line && s.rule == f.rule) {
-          s.used = true;
-          suppressed = true;
-          break;
-        }
-      }
-    }
-    if (suppressed) {
-      ++result.suppressed;
-    } else {
-      result.findings.push_back(std::move(f));
-    }
-  }
-  return result;
-}
-
-}  // namespace
-
-SemanticResult analyzeSemanticSources(
-    const std::vector<std::pair<std::string, std::string>>& sources,
-    const std::set<std::string>& rules) {
-  std::vector<FileSummary> files;
-  files.reserve(sources.size());
-  for (const auto& [relPath, source] : sources)
-    files.push_back(summarizeSource(relPath, source));
-  SemanticResult result = filterAndFinish(files, rules);
-  result.filesScanned = files.size();
-  return result;
-}
-
-SemanticResult runSemantic(const SemanticOptions& options) {
-  namespace fs = std::filesystem;
-  const std::vector<std::string> list =
-      collectSourceFiles(options.root, options.paths);
-
-  std::map<std::string, FileSummary> cached;
-  if (!options.cachePath.empty()) {
-    std::ifstream in(options.cachePath, std::ios::binary);
-    if (in) cached = readCache(in);
-  }
-
-  std::vector<FileSummary> files;
-  files.reserve(list.size());
-  std::size_t reused = 0;
-  for (const std::string& relPath : list) {
-    std::ifstream in(fs::path(options.root) / relPath, std::ios::binary);
-    if (!in) {
-      std::cerr << "dgcheck: cannot read " << relPath << "\n";
-      continue;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const std::string source = buffer.str();
-    const std::uint64_t hash = fnv1a(source);
-    const auto it = cached.find(relPath);
-    if (it != cached.end() && it->second.contentHash == hash) {
-      files.push_back(it->second);
-      ++reused;
-    } else {
-      files.push_back(summarizeSource(relPath, source));
-    }
-  }
-
-  if (!options.cachePath.empty()) {
-    std::ofstream out(options.cachePath, std::ios::binary | std::ios::trunc);
-    if (out) writeCache(out, files);
-  }
-
-  SemanticResult result = filterAndFinish(files, options.rules);
-  result.filesScanned = files.size();
-  result.filesReused = reused;
-
-  // Baseline: key -> unconsumed count (same machinery as dglint).
-  std::map<std::uint64_t, std::size_t> baseline;
-  if (!options.baselinePath.empty()) {
-    std::ifstream in(fs::path(options.root) / options.baselinePath);
-    std::string line;
-    while (std::getline(in, line)) {
-      line = trim(line);
-      if (line.empty() || line[0] == '#') continue;
-      std::istringstream fields(line);
-      std::string rule, path, hex;
-      if (fields >> rule >> path >> hex)
-        ++baseline[std::stoull(hex, nullptr, 16)];
-    }
-  }
-  std::map<std::string, const FileSummary*> byPath;
-  for (const FileSummary& f : files) byPath[f.path] = &f;
-  std::ostringstream baselineOut;
-  std::vector<Finding> remaining;
-  for (Finding& f : result.findings) {
-    std::string lineText;
-    const auto it = byPath.find(f.path);
-    if (it != byPath.end()) {
-      const auto lt = it->second->lineText.find(f.line);
-      if (lt != it->second->lineText.end()) lineText = lt->second;
-    }
-    const std::uint64_t key = baselineKey(f, lineText);
-    const auto b = baseline.find(key);
-    if (b != baseline.end() && b->second > 0) {
-      --b->second;
-      ++result.baselined;
-      continue;
-    }
-    if (!options.writeBaselinePath.empty()) {
-      char hex[32];
-      std::snprintf(hex, sizeof hex, "%016llx",
-                    static_cast<unsigned long long>(key));
-      baselineOut << f.rule << ' ' << f.path << ' ' << hex << '\n';
-    }
-    remaining.push_back(std::move(f));
-  }
-  result.findings = std::move(remaining);
-  for (const auto& [key, count] : baseline) result.staleBaseline += count;
-  if (!options.writeBaselinePath.empty()) {
-    std::ofstream out(fs::path(options.root) / options.writeBaselinePath,
-                      std::ios::binary | std::ios::trunc);
-    out << baselineOut.str();
-  }
-  return result;
-}
-
-int dgcheckMain(int argc, const char* const* argv) {
-  SemanticOptions options;
-  options.paths.clear();
-  std::string format = "text";
-
-  const auto value = [](const std::string& arg) {
-    return arg.substr(arg.find('=') + 1);
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--root=", 0) == 0) {
-      options.root = value(arg);
-    } else if (arg.rfind("--format=", 0) == 0) {
-      format = value(arg);
-      if (format != "text" && format != "json" && format != "github" &&
-          format != "sarif") {
-        std::cerr << "dgcheck: unknown --format '" << format << "'\n";
-        return 2;
-      }
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      options.baselinePath = value(arg);
-    } else if (arg.rfind("--write-baseline=", 0) == 0) {
-      options.writeBaselinePath = value(arg);
-    } else if (arg.rfind("--cache=", 0) == 0) {
-      options.cachePath = value(arg);
-    } else if (arg.rfind("--rules=", 0) == 0) {
-      std::istringstream ss(value(arg));
-      std::string rule;
-      while (std::getline(ss, rule, ',')) options.rules.insert(trim(rule));
-    } else if (arg == "--help" || arg == "-h") {
-      std::cerr
-          << "usage: dgcheck [--root=DIR] [--format=text|json|github|sarif]\n"
-          << "               [--baseline=FILE] [--write-baseline=FILE]\n"
-          << "               [--rules=R5,R6,...] [--cache=FILE] [paths...]\n"
-          << "Cross-file semantic pass (R5 hot-path allocation, R6 RNG\n"
-          << "stream discipline, R7 worker-shared state, R8 wire-decode\n"
-          << "bounds). --cache enables incremental per-file summaries.\n"
-          << "Exit code is 1 when any unsuppressed, unbaselined finding\n"
-          << "remains.\n";
-      return 0;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::cerr << "dgcheck: unknown option " << arg << " (see --help)\n";
-      return 2;
-    } else {
-      options.paths.push_back(arg);
-    }
-  }
-  if (options.paths.empty()) options.paths = {"src", "tools"};
-
-  // dglint: ok(R1): tool-side elapsed-time reporting on stderr; never
-  // feeds simulation results or any deterministic surface.
-  const auto t0 = std::chrono::steady_clock::now();
-  const SemanticResult result = runSemantic(options);
-  // dglint: ok(R1): see above — stderr timing only.
-  const auto t1 = std::chrono::steady_clock::now();
-  const auto ms =
-      std::chrono::duration_cast<std::chrono::milliseconds>(t1 - t0).count();
-
-  LintResult lintView;
-  lintView.findings = result.findings;
-  lintView.suppressed = result.suppressed;
-  lintView.baselined = result.baselined;
-  lintView.staleBaseline = result.staleBaseline;
-  lintView.filesScanned = result.filesScanned;
-  std::cout << formatFindings(lintView, format, "dgcheck");
-
-  std::cerr << "dgcheck: " << result.filesScanned << " files ("
-            << result.filesReused << " reused, "
-            << (result.filesScanned - result.filesReused) << " analyzed), "
-            << result.findings.size() << " findings, " << result.suppressed
-            << " suppressed, " << result.baselined << " baselined, " << ms
-            << " ms";
-  if (result.staleBaseline > 0)
-    std::cerr << " (" << result.staleBaseline
-              << " stale baseline entries -- refresh the baseline)";
-  std::cerr << "\n";
-  return result.findings.empty() ? 0 : 1;
 }
 
 }  // namespace dg::lint

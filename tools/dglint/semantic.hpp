@@ -1,11 +1,10 @@
-// dgcheck — the cross-translation-unit semantic pass.
+// The cross-file rules R5-R8.
 //
-// Stage two of the analyzer. Stage one (dglint, rules.hpp) is purely
-// lexical and per-file; dgcheck builds a lightweight symbol table and
-// call graph across all of src/ and tools/ — function definitions found
-// by the brace-scope classifier, call sites linked to definitions by
-// (qualified) name, receiver types inferred from local declarations —
-// and evaluates four semantic rule families on top:
+// The token rules (rules.hpp) see one file at a time. These build a
+// lightweight symbol table and call graph across every analyzed file --
+// function definitions found by the brace-scope classifier, call sites
+// linked to definitions by (qualified) name, receiver types inferred
+// from local declarations -- and evaluate four semantic rule families:
 //
 //   R5  hot-path allocation: functions annotated `// dgcheck: hot` must
 //       not transitively reach operator new / malloc / allocating std
@@ -14,7 +13,7 @@
 //       the traversal (e.g. at the memo-amortized decision path).
 //   R6  RNG stream discipline: a function holding a util::Rng may not
 //       pass it to two different callees, or into loop iterations, with
-//       no intervening fork() — the invariant that makes draw order
+//       no intervening fork() -- the invariant that makes draw order
 //       reproducible under chunk-parallel execution.
 //   R7  worker-shared mutable state: code reachable from functions
 //       annotated `// dgcheck: worker` (the (flow, scheme, chunk) task
@@ -27,21 +26,12 @@
 //
 // Like the token rules this is a heuristic analyzer, not a compiler:
 // name linking over-approximates virtual dispatch and misses function
-// pointers; the documented escape hatch is the same suppression
-// machinery (`// dgcheck: ok(Rn): <why>`) plus the FNV line-hash
-// baseline. The committed baseline (.dgcheck-baseline) is empty and
-// must stay empty.
-//
-// Warm runs are incremental: per-file summaries are cached keyed by a
-// content hash, so an unchanged file is never re-lexed. The link phase
-// re-runs every time (it is cross-file and cheap).
+// pointers; the documented escape hatch is the shared suppression
+// machinery (`// dgcheck: ok(Rn): <why>`).
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <set>
 #include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 #include "directives.hpp"
@@ -87,59 +77,26 @@ struct FunctionInfo {
   std::vector<WriteSite> writes;
 };
 
-/// Everything dgcheck needs from one file; cacheable by content hash.
+/// Everything the analyzer keeps of one file after lexing it once.
 struct FileSummary {
   std::string path;
-  std::uint64_t contentHash = 0;
   std::vector<FunctionInfo> functions;
   std::vector<std::string> mutableGlobals;  ///< non-const namespace-scope
-  std::vector<Finding> localFindings;       ///< R6/R8/R0, per-file rules
+  std::vector<Finding> localFindings;  ///< R1-R4, R6, R8, R0: per-file rules
   std::vector<Suppression> suppressions;
-  /// Trimmed text of every line that can carry a finding (for FNV
-  /// baseline keys without re-reading the file on warm runs).
-  std::map<std::size_t, std::string> lineText;
 };
 
-/// Extracts one file's summary. Pure function of (path, source); the
-/// cross-file rules run later in linkAndCheck().
+/// Lexes one file and runs every per-file rule over it. Pure function
+/// of (path, source); the cross-file rules run later in linkAndCheck().
 FileSummary summarizeSource(const std::string& relPath,
-                            const std::string& source);
+                            std::string_view source);
 
 /// Cross-file phase: links call sites to definitions, runs the hot /
-/// worker reachability traversals and emits R5/R7 findings. Per-file
-/// findings (R6/R8/R0) are NOT included; callers append
-/// FileSummary::localFindings themselves (analyzeSemanticSources and
-/// runSemantic both do).
+/// worker reachability traversals and emits R5/R7 findings, sorted.
+/// FileSummary::localFindings are NOT included.
 std::vector<Finding> linkAndCheck(const std::vector<FileSummary>& files);
 
-struct SemanticOptions {
-  std::string root = ".";
-  std::vector<std::string> paths = {"src", "tools"};
-  std::set<std::string> rules;  ///< empty = all of R0, R5..R8
-  std::string baselinePath;
-  std::string writeBaselinePath;
-  std::string cachePath;  ///< "" = no incremental cache
-};
-
-struct SemanticResult {
-  std::vector<Finding> findings;
-  std::size_t suppressed = 0;
-  std::size_t baselined = 0;
-  std::size_t staleBaseline = 0;
-  std::size_t filesScanned = 0;
-  std::size_t filesReused = 0;  ///< summaries served from the cache
-};
-
-/// In-memory entry point for tests: summarizes every (relPath, source)
-/// pair, links, applies suppressions and the rule filter.
-SemanticResult analyzeSemanticSources(
-    const std::vector<std::pair<std::string, std::string>>& sources,
-    const std::set<std::string>& rules = {});
-
-/// Full run over options.paths with cache + baseline handling.
-SemanticResult runSemantic(const SemanticOptions& options);
-
-/// Complete dgcheck CLI (argument parsing to exit code).
-int dgcheckMain(int argc, const char* const* argv);
+/// Sorts findings by (path, line, rule, message) and drops duplicates.
+void sortFindings(std::vector<Finding>& findings);
 
 }  // namespace dg::lint

@@ -104,8 +104,9 @@
 //       the full flag list.
 //
 // Exit codes: 0 success; 1 runtime failure (including a failed chaos or
-// fleet differential); 2 usage error; 64 unknown command; trace-store
-// errors map to 2..7 (see `dgnet trace`).
+// fleet differential); 2 usage error, including a flag the command does
+// not read (see commandFlags); 64 unknown command; trace-store errors
+// map to 2..7 (see `dgnet trace`).
 //
 // Every --trace=FILE may be in either trace format -- the packed store is
 // detected by its magic bytes.
@@ -120,9 +121,11 @@
 // dynamic-two-disjoint targeted flooding.
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <optional>
 
 #include "chaos/bridge.hpp"
@@ -1131,6 +1134,61 @@ void printUsage(std::ostream& out) {
          "see the header of tools/dgnet.cpp for per-command flags\n";
 }
 
+/// The flags each command reads. main rejects any other flag with exit 2
+/// before the command runs or writes a file.
+const std::map<std::string, std::vector<std::string>, std::less<>>&
+commandFlags() {
+  using Flags = std::vector<std::string>;
+  const auto join = [](std::initializer_list<Flags> parts) {
+    Flags all;
+    for (const Flags& part : parts)
+      all.insert(all.end(), part.begin(), part.end());
+    return all;
+  };
+  const Flags telemetry = {"metrics-out", "metrics-format", "trace-out"};
+  const Flags trace = {"topology", "trace", "days", "hours", "seed"};
+  const Flags mcSamples = {"mc-samples", "mc_samples"};
+  static const std::map<std::string, Flags, std::less<>> kFlags = {
+      {"help", {}},
+      {"topology", {"topology"}},
+      {"topo", {"family", "out", "topology"}},
+      {"gen-trace", {"topology", "days", "hours", "seed", "out", "csv",
+                     "chunk-intervals"}},
+      {"inspect", {"topology", "trace"}},
+      {"import", {"topology", "csv", "out", "interval_s", "skip_unknown"}},
+      {"simulate", join({trace, telemetry,
+                         {"scheme", "source", "destination", "seconds"}})},
+      {"sweep", join({trace, telemetry, mcSamples,
+                      {"flows", "workload", "workload-file", "groups",
+                       "group-workload", "group-workload-file",
+                       "workload-out", "schemes", "threads", "memo-cache",
+                       "deadline-us", "delivered-k", "per-group"}})},
+      {"graph", join({trace,
+                      {"interval", "staleness", "format", "out",
+                       "deadline-us", "source", "destination", "scheme",
+                       "group", "group-scheme"}})},
+      {"chaos", join({telemetry, mcSamples,
+                      {"topology", "schedule", "seed", "faults", "seconds",
+                       "record", "compile-out", "source", "destination",
+                       "scheme", "recovery"}})},
+      {"trace", join({telemetry, {"in", "out", "chunk-intervals"}})},
+      {"daemon", join({telemetry,
+                       {"topology", "schedule", "residual-loss", "node",
+                        "port", "port-base", "coordinator-port",
+                        "incarnation", "recovery", "packet-interval-us",
+                        "heartbeat-us", "seed", "deadline-us", "flows"}})},
+      {"fleet", join({telemetry, mcSamples,
+                      {"topology", "schedule", "seed", "faults", "seconds",
+                       "interval_s", "record", "flows", "source",
+                       "destination", "scheme", "deadline-us",
+                       "packet-interval-us", "impairment-seed",
+                       "residual-loss", "recovery", "drain-us",
+                       "playback-seed", "port-base", "work-dir",
+                       "processes"}})},
+  };
+  return kFlags;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1174,6 +1232,14 @@ int main(int argc, char** argv) {
   }
   const std::string& command = positional.front();
   try {
+    const auto accepted = commandFlags().find(command);
+    if (accepted != commandFlags().end()) {
+      for (const std::string& key : args.keys()) {
+        if (std::find(accepted->second.begin(), accepted->second.end(),
+                      key) == accepted->second.end())
+          throw UsageError("unknown flag --" + key);
+      }
+    }
     if (command == "help") {
       printUsage(std::cout);
       return 0;
