@@ -16,11 +16,11 @@
 // breakdowns (decode / Monte-Carlo / memo / merge) are collected for
 // every arm.
 //
-// Keys: --days=7 --threads=1 --seed=S --mc_samples=N --out=FILE plus the
-// trace-generator keys of bench_common.hpp. With --baseline=FILE (a
-// previous BENCH_playback.json) the run acts as a regression gate: if
-// the optimized arm's intervals_per_second drops more than 10% below the
-// baseline's, the bench exits 3.
+// Keys: --days=7 --threads=1 --seed=S --mc_samples=N --out=FILE; the
+// other trace-generator parameters keep their defaults. With
+// --baseline=FILE (a previous BENCH_playback.json) the run acts as a
+// regression gate: if the optimized arm's intervals_per_second drops
+// more than 10% below the baseline's, the bench exits 3.
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -31,10 +31,12 @@
 #include <sstream>
 #include <thread>
 
-#include "bench_common.hpp"
 #include "playback/experiment.hpp"
 #include "playback/playback.hpp"
 #include "store/writer.hpp"
+#include "trace/synth.hpp"
+#include "trace/topology.hpp"
+#include "util/config.hpp"
 #include "util/wall_clock.hpp"
 
 // ---------------------------------------------------------------------
@@ -197,7 +199,8 @@ double baselineIntervalsPerSecond(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::parseArgs(argc, argv);
+  util::Config args;
+  args.applyArgs(argc, argv);
   // Read the baseline before any output: --baseline and --out may name
   // the same file (CI gates against the committed results in place).
   const double baselineIps =
@@ -206,7 +209,8 @@ int main(int argc, char** argv) {
           : 0.0;
   const auto topology = trace::Topology::ltn12();
 
-  auto generator = bench::makeGeneratorParams(args);
+  trace::GeneratorParams generator;
+  generator.seed = static_cast<std::uint64_t>(args.getInt("seed", 20170605));
   generator.duration = util::hours(
       static_cast<std::int64_t>(args.getDouble("days", 7.0) * 24.0));
   const auto synthetic =

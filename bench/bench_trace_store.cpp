@@ -8,8 +8,8 @@
 // of a full chunked-cursor sweep (PackedConditionSource feeding a
 // ConditionTimeline), which must stay O(chunk), not O(trace).
 //
-// Keys: --days=7 --seed=S --chunk_intervals=N --out=FILE plus the
-// trace-generator keys of bench_common.hpp.
+// Keys: --days=7 --seed=S --chunk_intervals=N --out=FILE; the other
+// trace-generator parameters keep their defaults.
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -19,11 +19,13 @@
 #include <sstream>
 #include <string>
 
-#include "bench_common.hpp"
 #include "store/reader.hpp"
 #include "store/writer.hpp"
 #include "trace/condition_timeline.hpp"
 #include "trace/stream.hpp"
+#include "trace/synth.hpp"
+#include "trace/topology.hpp"
+#include "util/config.hpp"
 #include "util/wall_clock.hpp"
 
 // Allocation instrumentation (same scheme as bench_playback_throughput):
@@ -55,10 +57,12 @@ std::uint64_t fileSize(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::parseArgs(argc, argv);
+  util::Config args;
+  args.applyArgs(argc, argv);
   const auto topology = trace::Topology::ltn12();
 
-  auto generator = bench::makeGeneratorParams(args);
+  trace::GeneratorParams generator;
+  generator.seed = static_cast<std::uint64_t>(args.getInt("seed", 20170605));
   generator.duration = util::hours(
       static_cast<std::int64_t>(args.getDouble("days", 7.0) * 24.0));
   store::WriterOptions options;

@@ -15,7 +15,7 @@
 // 12-node overlays it closely tracks exhaustive search and provides an
 // independent yardstick for how much of the optimization headroom the
 // paper's precomputed targeted graphs already capture (see the
-// bench_fig_optimizer experiment).
+// E9 experiment of bench_reproduce).
 #pragma once
 
 #include <span>

@@ -391,7 +391,8 @@ void runR4(const FileContext& file, const TokenList& code,
 }
 
 // ---------------------------------------------------------------------
-// R3: header hygiene + non-const globals
+// R3: header hygiene (the non-const-globals check runs on the scope
+// walk of semantic.cpp)
 // ---------------------------------------------------------------------
 
 /// Normalizes a preprocessor directive: text after '#' with runs of
@@ -446,147 +447,6 @@ void runR3UsingNamespace(const FileContext& file, const TokenList& code,
   }
 }
 
-/// Statement starters that can never begin a variable definition we want
-/// to flag (type definitions, templates, declarations-only, etc.).
-const std::set<std::string, std::less<>> kNonVarStarters = {
-    "using",   "typedef", "template", "class",    "struct",
-    "union",   "enum",    "namespace", "friend",  "static_assert",
-    "concept", "extern",  "asm",       "requires",
-};
-
-void runR3Globals(const FileContext& file, const TokenList& code,
-                  std::vector<Finding>& out) {
-  if (!file.libraryCode) return;
-
-  enum class Scope { Namespace, Type, Function, Init };
-  std::vector<Scope> scopes;   // implicit outermost namespace scope
-  TokenList stmt;              // current statement's tokens at this scope
-  std::size_t initDepth = 0;   // nested Init braces (tokens not recorded)
-  int parenDepth = 0;          // braces inside parens are not scopes
-  bool stmtHadBraceInit = false;
-
-  const auto atNamespaceScope = [&] {
-    return std::all_of(scopes.begin(), scopes.end(),
-                       [](Scope s) { return s == Scope::Namespace; });
-  };
-
-  const auto analyzeStatement = [&] {
-    if (stmt.empty() || !atNamespaceScope()) return;
-    if (kNonVarStarters.count(stmt.front().text) > 0) return;
-    bool sawConst = false, sawParenBeforeEq = false, sawEq = false;
-    bool sawOperator = false;
-    int depth = 0;
-    for (const Token& t : stmt) {
-      if (t.kind == TokenKind::Identifier) {
-        if (t.text == "const" || t.text == "constexpr" ||
-            t.text == "constinit" || t.text == "consteval")
-          sawConst = true;
-        if (t.text == "operator") sawOperator = true;
-      }
-      if (t.kind != TokenKind::Punct) continue;
-      if (t.text == "(" || t.text == "[") {
-        if (t.text == "(" && depth == 0 && !sawEq) sawParenBeforeEq = true;
-        ++depth;
-      } else if (t.text == ")" || t.text == "]") {
-        --depth;
-      } else if (t.text == "=" && depth == 0) {
-        sawEq = true;
-      }
-    }
-    // Function declarations/definitions have a parameter list before any
-    // initializer; anything const-qualified is fine; `operator` covers
-    // free operator overloads.
-    if (sawConst || sawOperator || sawParenBeforeEq) return;
-    // What remains: `T x = ...;`, `T x{...};`, or a plain `T x;` — a
-    // namespace-scope variable definition (declarations-only statements
-    // were filtered by kNonVarStarters' `extern`).
-    const bool definition =
-        sawEq || stmtHadBraceInit ||
-        (stmt.size() >= 2 && stmt.back().kind == TokenKind::Identifier);
-    if (!definition) return;
-    out.push_back(
-        {file.path, stmt.front().line, "R3",
-         "non-const namespace-scope variable; mutable global state "
-         "breaks run isolation and thread safety -- make it const/"
-         "constexpr, or pass it explicitly (annotate `// dglint: "
-         "ok(R3): <why>` if it is genuinely required)"});
-  };
-
-  for (const Token& t : code) {
-    if (initDepth == 0) {
-      if (isPunct(t, "(")) ++parenDepth;
-      if (isPunct(t, ")") && parenDepth > 0) --parenDepth;
-      // Inside a parameter list / call, braces (default arguments,
-      // lambda bodies) and semicolons are part of the statement, not
-      // scope or statement boundaries.
-      if (parenDepth > 0) {
-        stmt.push_back(t);
-        continue;
-      }
-    }
-    if (isPunct(t, "{")) {
-      if (initDepth > 0) {
-        ++initDepth;
-        continue;
-      }
-      // Classify the brace by the statement tokens before it.
-      bool sawEq = false, sawParen = false, sawType = false, sawNs = false;
-      for (const Token& p : stmt) {
-        if (isIdent(p, "namespace")) sawNs = true;
-        if (isIdent(p, "class") || isIdent(p, "struct") ||
-            isIdent(p, "union") || isIdent(p, "enum"))
-          sawType = true;
-        if (isPunct(p, "=")) sawEq = true;
-        if (isPunct(p, "(")) sawParen = true;
-        if (isIdent(p, "extern")) sawNs = true;  // extern "C" { ... }
-      }
-      Scope s = Scope::Function;
-      if (sawNs) {
-        s = Scope::Namespace;
-      } else if (atNamespaceScope() && !sawParen && !sawType &&
-                 (sawEq || (!stmt.empty() &&
-                            stmt.back().kind == TokenKind::Identifier))) {
-        // `Foo x = { ... };` or `Foo x{ ... };` at namespace scope: the
-        // brace is an initializer, the statement continues after it.
-        s = Scope::Init;
-        stmtHadBraceInit = true;
-      } else if (sawType && !sawParen) {
-        s = Scope::Type;
-      }
-      if (s == Scope::Init) {
-        initDepth = 1;
-        scopes.push_back(s);
-        continue;
-      }
-      scopes.push_back(s);
-      stmt.clear();
-      continue;
-    }
-    if (isPunct(t, "}")) {
-      if (initDepth > 0) {
-        --initDepth;
-        if (initDepth > 0) continue;
-      }
-      if (!scopes.empty()) {
-        const Scope closed = scopes.back();
-        scopes.pop_back();
-        if (closed == Scope::Init) continue;  // statement continues
-      }
-      stmt.clear();
-      stmtHadBraceInit = false;
-      continue;
-    }
-    if (initDepth > 0) continue;  // inside an initializer: skip tokens
-    if (isPunct(t, ";")) {
-      analyzeStatement();
-      stmt.clear();
-      stmtHadBraceInit = false;
-      continue;
-    }
-    stmt.push_back(t);
-  }
-}
-
 }  // namespace
 
 FileContext makeFileContext(const std::string& relPath,
@@ -621,7 +481,6 @@ std::vector<Finding> runRules(const FileContext& file) {
 
   runR3Guards(file, out);
   runR3UsingNamespace(file, code, out);
-  runR3Globals(file, code, out);
 
   std::stable_sort(out.begin(), out.end(),
                    [](const Finding& a, const Finding& b) {

@@ -58,9 +58,11 @@ struct FileContext {
 FileContext makeFileContext(const std::string& relPath,
                             std::string_view source);
 
-/// Runs R1-R4 over one file. Findings are returned in line order;
-/// suppression comments are NOT applied here (the driver does that, so
-/// it can also report suppressed counts and stale suppressions).
+/// Runs R1-R4 over one file, all but R3's non-const globals, which
+/// summarizeSource() reads off its scope walk. Findings are returned in
+/// line order; suppression comments are NOT applied here (the driver
+/// does that, so it can also report suppressed counts and stale
+/// suppressions).
 std::vector<Finding> runRules(const FileContext& file);
 
 /// All rule ids understood by `ok(...)` suppressions.

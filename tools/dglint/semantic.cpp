@@ -147,6 +147,8 @@ struct RawFunction {
   TokenList declTokens;       ///< the declaration statement (params etc.)
 };
 
+/// Statement starters that can never begin a variable definition we want
+/// to flag (type definitions, templates, declarations-only, etc.).
 const std::set<std::string, std::less<>>& nonVarStarters() {
   static const std::set<std::string, std::less<>> kSet = {
       "using",   "typedef", "template",  "class",    "struct",
@@ -193,9 +195,16 @@ bool extractFunctionName(const TokenList& stmt, std::string& name,
   return true;
 }
 
+/// A non-const namespace-scope variable definition: an R3 finding in
+/// library code, and a name R7 checks worker writes against.
+struct MutableGlobal {
+  std::size_t line = 0;  ///< the statement's first line
+  std::string name;      ///< empty when no usable name was found
+};
+
 struct WalkResult {
   std::vector<RawFunction> functions;
-  std::vector<std::string> mutableGlobals;
+  std::vector<MutableGlobal> mutableGlobals;
 };
 
 WalkResult walkScopes(const TokenList& code) {
@@ -256,7 +265,13 @@ WalkResult walkScopes(const TokenList& code) {
         eqIndex = i;
       }
     }
+    // Function declarations/definitions have a parameter list before any
+    // initializer; anything const-qualified is fine; `operator` covers
+    // free operator overloads.
     if (sawConst || sawOperator || sawParenBeforeEq) return;
+    // What remains: `T x = ...;`, `T x{...};`, or a plain `T x;` -- a
+    // namespace-scope variable definition (declarations-only statements
+    // were filtered by nonVarStarters' `extern`).
     const bool definition =
         sawEq || stmtHadBraceInit ||
         (stmt.size() >= 2 && stmt.back().kind == TokenKind::Identifier);
@@ -273,8 +288,8 @@ WalkResult walkScopes(const TokenList& code) {
         }
       }
     }
-    if (!name.empty() && notATypeName().count(name) == 0)
-      out.mutableGlobals.push_back(name);
+    if (notATypeName().count(name) > 0) name.clear();
+    out.mutableGlobals.push_back({stmt.front().line, name});
   };
 
   for (std::size_t i = 0; i < code.size(); ++i) {
@@ -293,6 +308,9 @@ WalkResult walkScopes(const TokenList& code) {
     if (initDepth == 0) {
       if (isPunct(t, "(")) ++parenDepth;
       if (isPunct(t, ")") && parenDepth > 0) --parenDepth;
+      // Inside a parameter list / call, braces (default arguments,
+      // lambda bodies) and semicolons are part of the statement, not
+      // scope or statement boundaries.
       if (parenDepth > 0) {
         stmt.push_back(t);
         continue;
@@ -326,6 +344,8 @@ WalkResult walkScopes(const TokenList& code) {
       } else if (atNamespaceScope() && !sawParen && !sawType &&
                  (sawEq || (!stmt.empty() &&
                             stmt.back().kind == TokenKind::Identifier))) {
+        // `Foo x = { ... };` or `Foo x{ ... };` at namespace scope: the
+        // brace is an initializer, the statement continues after it.
         s = Scope::Init;
         stmtHadBraceInit = true;
       } else if (sawType && !sawParen) {
@@ -912,7 +932,16 @@ FileSummary summarizeSource(const std::string& relPath,
   for (Finding& f : dirs.malformed) out.localFindings.push_back(std::move(f));
 
   const WalkResult walked = walkScopes(code);
-  out.mutableGlobals = walked.mutableGlobals;
+  for (const MutableGlobal& global : walked.mutableGlobals) {
+    if (!global.name.empty()) out.mutableGlobals.push_back(global.name);
+    if (!file.libraryCode) continue;
+    out.localFindings.push_back(
+        {relPath, global.line, "R3",
+         "non-const namespace-scope variable; mutable global state "
+         "breaks run isolation and thread safety -- make it const/"
+         "constexpr, or pass it explicitly (annotate `// dglint: "
+         "ok(R3): <why>` if it is genuinely required)"});
+  }
 
   const bool liveFile = relPath.rfind("src/live/", 0) == 0;
   std::set<std::size_t> boundHot, boundWorker, boundCold;

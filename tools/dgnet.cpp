@@ -1046,10 +1046,11 @@ int cmdTraceStore(const util::Config& args,
         std::cerr << "trace pack: --out=FILE required\n";
         return 2;
       }
-      const auto tr = store::loadAnyTrace(in, metrics);
       store::WriterOptions options;
-      options.chunkIntervals = static_cast<std::uint32_t>(args.getInt(
-          "chunk-intervals", store::kDefaultChunkIntervals));
+      options.chunkIntervals = static_cast<std::uint32_t>(getCheckedInt(
+          args, "chunk-intervals", store::kDefaultChunkIntervals, 1,
+          1'000'000));
+      const auto tr = store::loadAnyTrace(in, metrics);
       store::packTrace(tr, args.getString("out"), options, metrics);
       const auto reader = store::PackedTraceReader::open(args.getString("out"));
       std::cout << "packed " << in << " -> " << args.getString("out") << ": "
